@@ -34,6 +34,7 @@ from .forests import (
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph
 from .lefschetz import check_degree_one_lefschetz, hilbert_function, slp_check
+from .linalg import exact_determinant
 from .matroids import (
     basis_generating_polynomial,
     graphic_matroid,
@@ -42,7 +43,6 @@ from .matroids import (
 )
 from .spectra import (
     closed_form_spectrum,
-    exact_determinant,
     predicted_signs,
     sign_profile,
     spectrum_determinant,

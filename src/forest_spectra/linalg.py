@@ -1,15 +1,17 @@
-"""Exact matrices over the rationals.
+"""Exact matrices over the rationals, and the integer kernel under them.
 
-Everything is fraction-free in spirit: determinants use the Bareiss
-single-step elimination, which keeps all intermediates integral when the
-input is integral, and ranks use the same pivoting scheme.  No floating
-point anywhere; the theorems downstream are about exact nonvanishing.
+``ExactMatrix`` holds ``Fraction`` entries and keeps the public surface
+rational.  Determinants and ranks are decided on integers: each row is
+cleared of its denominators and a single Bareiss (1968) fraction-free
+elimination runs on Python ``int``s with exact ``//``.  No floating point
+anywhere; the theorems downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
@@ -111,60 +113,70 @@ class ExactMatrix:
             raise ValueError("shape mismatch")
 
 
-def exact_determinant(mat: ExactMatrix) -> Fraction:
-    """Determinant by Bareiss fraction-free elimination."""
-    if not mat.is_square:
-        raise ValueError("determinant needs a square matrix")
-    n = mat.nrows
-    if n == 0:
-        return Fraction(1)
-    a = [list(row) for row in mat.rows]
+def _integer_rows(mat: ExactMatrix) -> tuple[list[list[int]], int]:
+    """Clear denominators row by row.
+
+    Returns the rows of ``mat``, each multiplied by the lcm of its own
+    denominators, and the product of those multipliers.
+    """
+    rows = []
+    scale = 1
+    for row in mat.rows:
+        mult = lcm(*(x.denominator for x in row))
+        rows.append([x.numerator * (mult // x.denominator) for x in row])
+        scale *= mult
+    return rows, scale
+
+
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int]:
+    """Bareiss (1968) fraction-free elimination of an integer matrix, in
+    place, with column scanning.
+
+    Every division is exact, so ``//`` keeps all intermediates integral.
+    Returns the rank and the last pivot times the sign of the row swaps;
+    for a nonsingular square matrix the latter is the determinant.
+    """
+    nrows = len(a)
     sign = 1
-    prev = Fraction(1)
-    for i in range(n - 1):
-        piv = next((r for r in range(i, n) if a[r][i] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != i:
-            a[i], a[piv] = a[piv], a[i]
-            sign = -sign
-        pivot = a[i][i]
-        for r in range(i + 1, n):
-            arow, irow = a[r], a[i]
-            factor = arow[i]
-            for c in range(i + 1, n):
-                arow[c] = (arow[c] * pivot - factor * irow[c]) / prev
-            arow[i] = Fraction(0)
-        prev = pivot
-    return sign * a[n - 1][n - 1]
-
-
-def exact_rank(mat: ExactMatrix) -> int:
-    """Rank by the same fraction-free elimination, with column scanning."""
-    a = [list(row) for row in mat.rows]
-    nr, nc = mat.nrows, mat.ncols
-    rank = 0
-    prev = Fraction(1)
+    prev = 1
     row = 0
-    for col in range(nc):
-        if row >= nr:
+    for col in range(ncols):
+        if row == nrows:
             break
-        piv = next((r for r in range(row, nr) if a[r][col] != 0), None)
+        piv = next((r for r in range(row, nrows) if a[r][col]), None)
         if piv is None:
             continue
         if piv != row:
             a[row], a[piv] = a[piv], a[row]
+            sign = -sign
+        ptail = a[row][col + 1 :]
         pivot = a[row][col]
-        for r in range(row + 1, nr):
-            arow, prow = a[r], a[row]
+        for r in range(row + 1, nrows):
+            arow = a[r]
             factor = arow[col]
-            for c in range(col + 1, nc):
-                arow[c] = (arow[c] * pivot - factor * prow[c]) / prev
-            arow[col] = Fraction(0)
+            arow[col + 1 :] = [
+                (x * pivot - factor * y) // prev for x, y in zip(arow[col + 1 :], ptail)
+            ]
         prev = pivot
-        rank += 1
         row += 1
-    return rank
+    return row, sign * prev
+
+
+def exact_determinant(mat: ExactMatrix) -> Fraction:
+    """Determinant by integer Bareiss elimination after clearing each
+    row's denominators; the cleared factors are divided out at the end."""
+    if not mat.is_square:
+        raise ValueError("determinant needs a square matrix")
+    a, scale = _integer_rows(mat)
+    rank, det = _bareiss(a, mat.ncols)
+    return Fraction(det if rank == mat.nrows else 0, scale)
+
+
+def exact_rank(mat: ExactMatrix) -> int:
+    """Rank by integer Bareiss elimination; scaling a row by its
+    denominators and dropping zero rows leave the rank unchanged."""
+    a, _scale = _integer_rows(mat)
+    return _bareiss([row for row in a if any(row)], mat.ncols)[0]
 
 
 class RowEchelon:

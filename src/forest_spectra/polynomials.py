@@ -1,10 +1,13 @@
 """Multivariate polynomials with exact rational coefficients.
 
-The engine behind the Hessians and the annihilator arithmetic: formal
-partial derivatives, application of polynomial differential operators
-(a monomial x^a acts as the iterated partial d^a), evaluation, and the
-Hessian matrix at a point.  Exponent vectors are dense tuples; variable
-counts stay small here (at most a few dozen edges).
+Two jobs.  It is the differentiation oracle: formal partial derivatives,
+evaluation and ``hessian_matrix`` give an independent route to the
+Hessians that ``spectra.tilde_hessian`` assembles from forest counts, and
+the tests compare the two.  And it supplies the Lefschetz operators: a
+monomial x^a acts on a polynomial as the iterated partial d^a, which the
+catalecticants and higher Hessians of ``lefschetz`` are built from.
+Exponent vectors are dense tuples; variable counts stay small here (at
+most a few dozen edges).
 """
 
 from __future__ import annotations

@@ -12,20 +12,18 @@ eigensolver is involved anywhere.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, repeat
+from math import lcm
+from operator import mul
 from typing import NamedTuple, Union
 
 from .errors import StructureViolation, VerificationFailure
-from .forests import (
-    PairCounts,
-    count_forests_constrained,
-    forest_generating_polynomial,
-    theorem_range,
-)
+from .forests import PairCounts, _forest_index_tuples, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, classify_edge_pair, edge_name
-from .linalg import ExactMatrix, exact_determinant
-from .polynomials import all_ones_point, hessian_matrix
+from .linalg import ExactMatrix
 
 
 @dataclass(frozen=True)
@@ -131,17 +129,24 @@ def _merge(pairs: list[tuple[Fraction, int]]) -> Spectrum:
 def tilde_hessian(g: Graph, k: int, cross_check: bool = False) -> ExactMatrix:
     """Hessian of the k-forest generating function at all-ones.
 
-    Computed by formal differentiation of the generating polynomial.  With
-    ``cross_check`` the independent counting route is computed as well and
-    any disagreement raises, entry by entry.
+    The generating function is square free with unit coefficients, so entry
+    (e, e') of its Hessian at all-ones is the number of k-forests containing
+    both edges, and the diagonal is zero.  The entries are integer
+    co-occurrence counts taken straight from the enumerated forests, with
+    no polynomial built.  With ``cross_check`` the independent counting
+    route is computed as well and any disagreement raises.
     """
-    phi = forest_generating_polynomial(g, k)
-    h = hessian_matrix(phi, all_ones_point(phi))
+    m = g.edge_count
+    pairs = Counter(chain.from_iterable(map(combinations, _forest_index_tuples(g, k), repeat(2))))
+    rows = [[0] * m for _ in range(m)]
+    for (i, j), count in pairs.items():
+        rows[i][j] = rows[j][i] = count
+    h = ExactMatrix.from_rows(rows)
     if cross_check:
         other = tilde_hessian_by_counting(g, k)
         if h != other:
             raise VerificationFailure(
-                f"differentiation and counting Hessians disagree on {g.name}, k={k}"
+                f"co-occurrence and counting Hessians disagree on {g.name}, k={k}"
             )
     return h
 
@@ -237,6 +242,11 @@ def closed_form_spectrum(params: StructuredParams) -> Spectrum:
     )
 
 
+def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
 def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     """Exact certification of a claimed spectrum of a symmetric matrix.
 
@@ -245,6 +255,11 @@ def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     sums for j = 1..#distinct.  For a diagonalizable matrix, (a) confines
     the eigenvalues to the claimed set and (b) pins the multiplicities via
     an invertible Vandermonde system.
+
+    Both checks run on integers: with L the lcm of every denominator among
+    the entries and the claimed eigenvalues, L*mat has eigenvalues
+    L*lambda, its annihilating product is L^d times the original one, and
+    its j-th trace power sum is L^j times the original one.
     """
     if not mat.is_square:
         raise ValueError("spectrum verification needs a square matrix")
@@ -253,19 +268,26 @@ def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
             f"multiplicities sum to {spectrum.dimension}, matrix has dimension {mat.nrows}"
         )
     n = mat.nrows
-    identity = ExactMatrix.identity(n)
-    product = identity
-    for value, _m in spectrum.pairs:
-        product = product @ (mat - identity.scale(value))
-    if not product.is_zero():
+    scale = lcm(
+        *(x.denominator for row in mat.rows for x in row),
+        *(v.denominator for v in spectrum.eigenvalues()),
+    )
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat.rows]
+    pairs = [(v.numerator * (scale // v.denominator), m) for v, m in spectrum.pairs]
+    product: list[list[int]] = []
+    for value, _m in pairs:
+        shifted = [
+            [x - value if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)
+        ]
+        product = _matmul(product, shifted) if product else shifted
+    if any(map(any, product)):
         return False
-    power = mat
-    for j in range(1, len(spectrum.pairs) + 1):
-        claimed = sum((m * value**j for value, m in spectrum.pairs), Fraction(0))
-        if power.trace() != claimed:
+    power = a
+    for j in range(1, len(pairs) + 1):
+        if sum(power[i][i] for i in range(n)) != sum(m * value**j for value, m in pairs):
             return False
-        if j < len(spectrum.pairs):
-            power = power @ mat
+        if j < len(pairs):
+            power = _matmul(power, a)
     return True
 
 
@@ -357,12 +379,10 @@ __all__ = [
     "Spectrum",
     "StructuredParams",
     "closed_form_spectrum",
-    "exact_determinant",
     "predicted_signs",
     "sign_profile",
     "spectrum_determinant",
     "structured_params",
-    "theorem_range",
     "tilde_hessian",
     "tilde_hessian_by_counting",
     "verify_spectrum",

@@ -126,6 +126,21 @@ def test_criterion_03_complete_range_certified():
     print(f"criterion 3: PASS ({instances} complete instances certified, {elapsed:.2f}s)")
 
 
+def test_criterion_03b_k8_certified():
+    # the desk-scale limit moved outward: K_8 across the whole theorem range
+    start = time.perf_counter()
+    g = complete_graph(8)
+    for k in range(1, 6):
+        h, spectrum = _spectrum_bundle(g, k)
+        assert verify_spectrum(h, spectrum), k
+        assert sign_profile(spectrum) == (1, 0, 27), k
+        det = exact_determinant(h)
+        assert det == spectrum_determinant(spectrum) and det != 0, k
+    elapsed = time.perf_counter() - start
+    assert elapsed < 120.0
+    print(f"criterion 3b: PASS (K_8 certified for k=1..5, {elapsed:.2f}s)")
+
+
 def test_criterion_04_bipartite_range_certified():
     start = time.perf_counter()
     instances = 0
@@ -273,6 +288,6 @@ def test_criterion_10_cross_route_agreement():
                 instances += 1
     elapsed = time.perf_counter() - start
     print(
-        f"criterion 10: PASS (differentiation and counting Hessians agree entrywise "
+        f"criterion 10: PASS (co-occurrence and counting Hessians agree entrywise "
         f"on {instances} instances, {elapsed:.2f}s)"
     )

@@ -1,9 +1,22 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, strategies as st
 
-from forest_spectra import ExactMatrix, exact_determinant, exact_rank
+from forest_spectra import (
+    ExactMatrix,
+    Spectrum,
+    closed_form_spectrum,
+    complete_graph,
+    exact_determinant,
+    exact_rank,
+    structured_params,
+    tilde_hessian,
+    verify_spectrum,
+)
 from forest_spectra.linalg import RowEchelon
 
 from conftest import cofactor_determinant
@@ -88,3 +101,95 @@ def test_matrix_shape_validation():
     with pytest.raises(ValueError):
         a + b
     assert (a @ b).rows == ((5,),)
+
+
+# -- integer kernel against independent oracles ------------------------------
+
+small_ints = st.integers(-4, 4)
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def square_rows(draw, entries, max_n=5):
+    n = draw(st.integers(0, max_n))
+    rows = draw(st.lists(st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n))
+    if n >= 2 and draw(st.booleans()):
+        # force singularity: one row becomes a multiple of another
+        i, j = draw(st.permutations(range(n)))[:2]
+        c = draw(entries)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
+@st.composite
+def rect_rows(draw, entries):
+    nr, nc = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
+
+
+def _sympy_rank(m: ExactMatrix) -> int:
+    entries = [sympy.Rational(x.numerator, x.denominator) for row in m.rows for x in row]
+    return sympy.Matrix(m.nrows, m.ncols, entries).rank()
+
+
+@given(st.one_of(square_rows(small_ints), square_rows(small_fractions)))
+def test_integer_and_rational_determinants_match_cofactor_oracle(rows):
+    det = exact_determinant(ExactMatrix.from_rows(rows))
+    assert type(det) is Fraction  # never a float: guards the exact // in Bareiss
+    assert det == cofactor_determinant(rows)
+
+
+@given(st.one_of(rect_rows(small_ints), rect_rows(small_fractions), square_rows(small_ints)))
+def test_rank_matches_sympy(rows):
+    m = ExactMatrix.from_rows(rows)
+    rank = exact_rank(m)
+    assert type(rank) is int
+    assert rank == _sympy_rank(m)
+
+
+def _k5_hessian_and_spectrum():
+    g = complete_graph(5)
+    h = tilde_hessian(g, 1)
+    return h, closed_form_spectrum(structured_params(h, g))
+
+
+def test_verify_spectrum_certifies_rational_scaling():
+    h, spectrum = _k5_hessian_and_spectrum()
+    third = Fraction(1, 3)
+    scaled = Spectrum(tuple((v * third, m) for v, m in spectrum.pairs))
+    assert any(v.denominator == 3 for v in scaled.eigenvalues())
+    assert verify_spectrum(h.scale(third), scaled)
+
+
+def test_verify_spectrum_refuses_wrong_multiplicity_after_scaling():
+    h, spectrum = _k5_hessian_and_spectrum()
+    third = Fraction(1, 3)
+    (v0, m0), (v1, m1), *rest = spectrum.pairs
+    rest = [(v * third, m) for v, m in rest]
+    wrong = Spectrum(((v0 * third, m0 + 1), (v1 * third, m1 - 1), *rest))
+    assert wrong.dimension == h.nrows
+    assert not verify_spectrum(h.scale(third), wrong)
+
+
+def test_verify_spectrum_refuses_shifted_eigenvalue_after_scaling():
+    h, spectrum = _k5_hessian_and_spectrum()
+    third = Fraction(1, 3)
+    pairs = [(v * third, m) for v, m in spectrum.pairs]
+    for shift in (Fraction(1, 3), Fraction(1, 7)):
+        shifted = Spectrum(((pairs[0][0] + shift, pairs[0][1]), *pairs[1:]))
+        assert not verify_spectrum(h.scale(third), shifted)
+
+
+@given(st.lists(small_fractions, min_size=1, max_size=5))
+def test_verify_spectrum_on_rational_diagonal(diagonal):
+    n = len(diagonal)
+    mat = ExactMatrix.from_rows(
+        [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    )
+    counts = Counter(diagonal)
+    assert verify_spectrum(mat, Spectrum(tuple(counts.items())))
+    if len(counts) > 1:
+        # move one multiplicity from the second eigenvalue to the first
+        (v0, m0), (v1, m1), *rest = counts.items()
+        moved = [(v0, m0 + 1)] + ([(v1, m1 - 1)] if m1 > 1 else []) + rest
+        assert not verify_spectrum(mat, Spectrum(tuple(moved)))

@@ -8,11 +8,14 @@ from forest_spectra import (
     ExactMatrix,
     PairCounts,
     Spectrum,
+    all_ones_point,
     closed_form_spectrum,
     complete_bipartite_graph,
     complete_graph,
     edge_pair_counts,
     exact_determinant,
+    forest_generating_polynomial,
+    hessian_matrix,
     predicted_signs,
     sign_profile,
     spectrum_determinant,
@@ -58,6 +61,29 @@ def test_tilde_hessian_k22():
     assert h == ExactMatrix.from_rows(
         [[0 if i == j else 2 for j in range(4)] for i in range(4)]
     )
+
+
+ORACLE_GRAPHS = [complete_graph(n) for n in range(3, 8)] + [
+    complete_bipartite_graph(m, n) for m in range(2, 5) for n in range(m, 5)
+]
+
+
+@pytest.mark.parametrize(
+    "g, k",
+    [(g, k) for g in ORACLE_GRAPHS for k in range(1, g.vertex_count + 1)],
+    ids=lambda x: x.name if hasattr(x, "name") else f"k{x}",
+)
+def test_tilde_hessian_matches_differentiation_oracle(g, k):
+    # every k, theorem range or not: the co-occurrence counts are the
+    # second partials of the forest polynomial at all-ones
+    phi = forest_generating_polynomial(g, k)
+    assert tilde_hessian(g, k) == hessian_matrix(phi, all_ones_point(phi))
+
+
+def test_tilde_hessian_rejects_component_count_out_of_range():
+    for k in (0, 5):
+        with pytest.raises(ValueError):
+            tilde_hessian(complete_graph(4), k)
 
 
 def test_tilde_hessian_linear_polynomial_is_zero():
