@@ -37,6 +37,8 @@ from typing import Callable, Iterable, Sequence
 from .forests import (
     Forest,
     PairCounts,
+    _bipartite_anchors,
+    _complete_anchors,
     enumerate_forests_constrained,
     split_tree_at_edge,
     theorem_range,
@@ -44,17 +46,12 @@ from .forests import (
 from .graphs import (
     BIPARTITE,
     COMPLETE,
-    Edge,
     Graph,
     complete_graph_on,
     edge,
-    vertex,
 )
 
-_A = vertex(1)
-_B = vertex(1, right=True)
-_C = vertex(2)
-_D = vertex(2, right=True)
+_A, _B, _C, _D = _bipartite_anchors()
 _AB = edge(_A, _B)
 _AD = edge(_A, _D)
 _CB = edge(_C, _B)
@@ -221,18 +218,13 @@ class BipartiteForestFamilies:
         }
 
 
-def _complete_anchor_edges() -> tuple[Edge, Edge, Edge]:
-    v = [vertex(i) for i in range(1, 5)]
-    return edge(v[0], v[1]), edge(v[1], v[2]), edge(v[2], v[3])
-
-
 def _build_split_families(labels: Iterable[int]) -> SplitFamilies:
     labels = tuple(sorted(set(labels)))
     if not {1, 2, 3, 4} <= set(labels):
         raise ValueError("vertex subset must contain 1, 2, 3 and 4")
     g = complete_graph_on(labels)
-    e12, e23, e34 = _complete_anchor_edges()
-    v1, v3, v4 = vertex(1), vertex(3), vertex(4)
+    e12, e23, e34 = _complete_anchors()
+    (v1, _), (v3, v4) = e12, e34
     trees_wedge = enumerate_forests_constrained(g, 1, required=(e12, e23))
     trees_matching = enumerate_forests_constrained(g, 1, required=(e12, e34))
     split_wedge = tuple(
@@ -252,7 +244,7 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     n = g.left_size
     if n < 4:
         raise ValueError(f"anchor vertices 1..4 need n >= 4, got n={n}")
-    e12, e23, e34 = _complete_anchor_edges()
+    e12, e23, e34 = _complete_anchors()
     with_wedge = enumerate_forests_constrained(g, k, required=(e12, e23))
     with_matching = enumerate_forests_constrained(g, k, required=(e12, e34))
     spare = [v[1] for v in g.vertices[4:]]
@@ -357,8 +349,8 @@ def bijection_forestbij(w_labels: Iterable[int]) -> BijectionReport:
     """
     fam = _build_split_families(w_labels)
     g = fam.graph
-    e12, e23, e34 = _complete_anchor_edges()
-    v1, v3, v4 = vertex(1), vertex(3), vertex(4)
+    e12, e23, e34 = _complete_anchors()
+    (v1, _), (v3, v4) = e12, e34
 
     def forward(f: Forest) -> Forest:
         wedge_tree = f.component_containing(v1)

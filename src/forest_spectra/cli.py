@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -51,29 +50,9 @@ from .spectra import (
     verify_spectrum,
 )
 
-THREADS_ENV = "FOREST_SPECTRA_THREADS"
-
 
 def _rat(x) -> str:
     return str(Fraction(x))
-
-
-def thread_cap() -> int | None:
-    """Upper bound on internal worker parallelism, from the environment.
-
-    The library's computations are sequential at desk scale, so any valid
-    cap is honored trivially; an invalid value is still rejected.
-    """
-    raw = os.environ.get(THREADS_ENV)
-    if raw is None:
-        return None
-    try:
-        value = int(raw)
-    except ValueError:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {raw!r}")
-    if value < 1:
-        raise ValueError(f"{THREADS_ENV} must be a positive integer, got {value}")
-    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -402,7 +381,6 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:
-        cap = thread_cap()
         verdict, input_, result = _HANDLERS[args.command](args)
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
@@ -417,8 +395,6 @@ def run(argv: Sequence[str]) -> int:
         }
         print(json.dumps(report, indent=2, sort_keys=True))
         return 1
-    if cap is not None:
-        input_["thread_cap"] = cap
     report = {
         "command": args.command,
         "input": input_,

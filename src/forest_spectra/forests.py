@@ -379,20 +379,19 @@ def _forests_by_size(n: int, k: int) -> int:
     return count_forests_constrained(complete_graph(n), k)
 
 
-@lru_cache(maxsize=None)
 def _split_family_size(w: int) -> int:
     """Number of two-component forests on K_w whose marked tree carries both
-    anchored adjacent edges while vertex 4 sits in the other component."""
-    g = complete_graph(w)
-    e12, e23, _ = _complete_anchors()
-    v1, v4 = vertex(1), vertex(4)
-    count = 0
-    verts = frozenset(g.vertices)
-    for tup in _forest_index_tuples(g, 2, required=(e12, e23)):
-        f = Forest(g, verts, frozenset(g.edges[i] for i in tup))
-        if not f.same_component(v1, v4):
-            count += 1
-    return count
+    anchored adjacent edges while vertex 4 sits in the other component.
+
+    The tree through 1, 2, 3 takes s - 3 of the w - 4 other vertices; by
+    Moon it is one of 3 s^(s-4) trees (one for s = 3), and the tree through
+    4 is one of Cayley's (w-s)^(w-s-2) (one for a single vertex).
+    """
+    return sum(
+        comb(w - 4, s - 3) * (3 * s ** (s - 4) if s > 3 else 1)
+        * ((w - s) ** (w - s - 2) if w - s > 1 else 1)
+        for s in range(3, w)
+    )
 
 
 def pq_decomposition(n: int, k: int) -> Decomposition:

@@ -1,22 +1,24 @@
 """Strong Lefschetz checks for the algebra cut out by a homogeneous form.
 
-The graded algebra A = K[x]/Ann(phi) is handled through pure linear
-algebra on the polynomial: the degree-k piece of A is the row space of the
-catalecticant pairing (rows: degree-k monomial operators; columns:
-degree-(s-k) monomials of phi's ambient space), a graded basis is chosen
-greedily in the canonical monomial order, and the k-th Hessian is the
-matrix of the basis pairs applied to phi and evaluated at a point.  The
-multiplication map by L^(s-2k) from degree k to degree s-k is bijective
-exactly when that Hessian determinant at L's coefficient vector is
-nonzero, so the strong Lefschetz property at a point is a finite list of
-exact determinants.
+Everything rests on one derivative map: a single pass over phi's terms
+yields every nonzero d^u phi with |u| = k (the term c x^b reaches d^u phi
+exactly when x^u divides x^b).  The degree-k piece of A = K[x]/Ann(phi) is
+the row space of the catalecticant built from it, a graded basis is the
+greedy choice of its independent rows in the canonical monomial order
+(descending lexicographic on exponent vectors), and the k-th Hessian reads
+entry (i, j) off the degree-2k map at b_i + b_j, evaluated at a point.
+Multiplication by L^(s-2k) from degree k to s-k is bijective exactly when
+that Hessian's determinant at L's coefficient vector is nonzero, so the
+strong Lefschetz property at a point is a finite list of exact determinants.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations
+from math import perm, prod
+from operator import add, sub
 from typing import Hashable, Mapping
 
 from .errors import VerificationFailure
@@ -27,9 +29,9 @@ from .graphs import (
     complete_graph,
 )
 from .forests import enumerate_forests, theorem_range
-from .linalg import ExactMatrix, RowEchelon, Rational, exact_determinant, exact_rank
+from .linalg import ExactMatrix, Rational, exact_determinant, exact_rank, independent_rows
 from .matroids import Matroid
-from .polynomials import Polynomial, apply_monomial_operator, evaluate
+from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
     Spectrum,
     closed_form_spectrum,
@@ -110,17 +112,6 @@ class DegreeOneLefschetzReport:
         return self.determinant != 0
 
 
-def _monomials(nvars: int, degree: int) -> list[tuple[int, ...]]:
-    """All exponent vectors of the given total degree, canonical order."""
-    out = []
-    for combo in combinations_with_replacement(range(nvars), degree):
-        exps = [0] * nvars
-        for i in combo:
-            exps[i] += 1
-        out.append(tuple(exps))
-    return out
-
-
 def _socle_degree(phi: Polynomial) -> int:
     if phi.is_zero():
         raise ValueError("the zero polynomial has no algebra")
@@ -129,30 +120,40 @@ def _socle_degree(phi: Polynomial) -> int:
     return phi.homogeneous_degree()
 
 
-def _operator_row(phi: Polynomial, u: tuple[int, ...], colidx: dict) -> list[Fraction]:
-    row = [Fraction(0)] * len(colidx)
-    for exps, c in apply_monomial_operator(phi, u).terms.items():
-        row[colidx[exps]] = c
-    return row
+def _derivatives(phi: Polynomial, k: int) -> dict[ExponentVector, dict[ExponentVector, Fraction]]:
+    """Every nonzero d^u phi with |u| = k, as its terms, keyed by u in the
+    canonical monomial order.  The term c x^b adds c b!/(b-u)! x^(b-u) to
+    d^u phi for each degree-k u dividing x^b; no other u has a nonzero
+    derivative, and distinct b give distinct b - u, so nothing cancels."""
+    out: dict[ExponentVector, dict[ExponentVector, Fraction]] = {}
+    for b, c in phi.terms.items():
+        factors = [i for i, e in enumerate(b) for _ in range(e)]
+        for combo in set(combinations(factors, k)):
+            u = tuple(map(combo.count, range(len(b))))
+            out.setdefault(u, {})[tuple(map(sub, b, u))] = c * prod(map(perm, b, u))
+    return {u: out[u] for u in sorted(out, reverse=True)}
+
+
+def _catalecticant(phi: Polynomial, k: int) -> tuple[tuple[ExponentVector, ...], ExactMatrix]:
+    """The operators u with d^u phi != 0, and the catalecticant they span."""
+    s = _socle_degree(phi)
+    if not 0 <= k <= s:
+        raise ValueError(f"degree {k} out of range 0..{s}")
+    derivs = _derivatives(phi, k)
+    cols = sorted({w for terms in derivs.values() for w in terms}, reverse=True)
+    rows = ([terms.get(w, 0) for w in cols] for terms in derivs.values())
+    return tuple(derivs), ExactMatrix.from_rows(rows)
 
 
 def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
     """Pairing between degree-k operators and phi's degree-(s-k) content.
 
-    Row u, column w: the coefficient of x^w in (d^u phi).  The row space
-    rank is the dimension of the degree-k graded piece, and a degree-k form
-    annihilates phi exactly when its coefficient vector lies in the left
-    kernel.
+    Row u, column w: the coefficient of x^w in (d^u phi).  Only nonzero rows
+    and columns are kept, each in canonical order.  The rank is the
+    dimension of the degree-k graded piece, and a degree-k form supported on
+    the rows annihilates phi exactly when it lies in the left kernel.
     """
-    s = _socle_degree(phi)
-    if not 0 <= k <= s:
-        raise ValueError(f"degree {k} out of range 0..{s}")
-    nvars = len(phi.variables)
-    cols = _monomials(nvars, s - k)
-    colidx = {m: i for i, m in enumerate(cols)}
-    return ExactMatrix.from_rows(
-        _operator_row(phi, u, colidx) for u in _monomials(nvars, k)
-    )
+    return _catalecticant(phi, k)[1]
 
 
 def hilbert_function(phi: Polynomial) -> HilbertProfile:
@@ -172,18 +173,8 @@ def graded_basis(phi: Polynomial, k: int) -> GradedBasis:
     catalecticant rows are independent of the rows kept so far.  Degree 0
     always yields the single constant monomial.
     """
-    s = _socle_degree(phi)
-    if not 0 <= k <= s:
-        raise ValueError(f"degree {k} out of range 0..{s}")
-    nvars = len(phi.variables)
-    cols = _monomials(nvars, s - k)
-    colidx = {m: i for i, m in enumerate(cols)}
-    echelon = RowEchelon(len(cols))
-    kept = []
-    for u in _monomials(nvars, k):
-        if echelon.add(_operator_row(phi, u, colidx)):
-            kept.append(u)
-    return GradedBasis(k, phi.variables, tuple(kept))
+    ops, mat = _catalecticant(phi, k)
+    return GradedBasis(k, phi.variables, tuple(ops[i] for i in independent_rows(mat)))
 
 
 def higher_hessian(
@@ -194,15 +185,14 @@ def higher_hessian(
     if k < 0 or 2 * k > s:
         raise ValueError(f"the criterion consumes degrees k <= s/2; got k={k}, s={s}")
     basis = graded_basis(phi, k).monomials
-    n = len(basis)
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i, n):
-            op = tuple(a + b for a, b in zip(basis[i], basis[j]))
-            value = evaluate(apply_monomial_operator(phi, op), point)
-            rows[i][j] = value
-            rows[j][i] = value
-    return ExactMatrix.from_rows(rows)
+    values = _point_values(phi, point)
+    at_point = {
+        u: sum(c * prod(x**e for x, e in zip(values, w) if e) for w, c in terms.items())
+        for u, terms in _derivatives(phi, 2 * k).items()
+    }
+    return ExactMatrix.from_rows(
+        [at_point.get(tuple(map(add, bi, bj)), 0) for bj in basis] for bi in basis
+    )
 
 
 def slp_check(phi: Polynomial, coeffs: Mapping[Hashable, Rational]) -> SlpReport:

@@ -1,10 +1,10 @@
 """Exact matrices over the rationals, and the integer kernel under them.
 
 ``ExactMatrix`` holds ``Fraction`` entries and keeps the public surface
-rational.  Determinants and ranks are decided on integers: each row is
-cleared of its denominators and a single Bareiss (1968) fraction-free
-elimination runs on Python ``int``s with exact ``//``.  No floating point
-anywhere; the theorems downstream are about exact nonvanishing.
+rational.  Determinants, ranks and independent rows are decided on
+integers: each row is cleared of its denominators and one Bareiss (1968)
+fraction-free elimination runs on Python ``int``s with exact ``//``.  No
+floating point; the theorems downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
@@ -128,19 +128,20 @@ def _integer_rows(mat: ExactMatrix) -> tuple[list[list[int]], int]:
     return rows, scale
 
 
-def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int]:
+def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     """Bareiss (1968) fraction-free elimination of an integer matrix, in
     place, with column scanning.
 
     Every division is exact, so ``//`` keeps all intermediates integral.
-    Returns the rank and the last pivot times the sign of the row swaps;
-    for a nonsingular square matrix the latter is the determinant.
+    Returns the pivot columns and the last pivot times the sign of the row
+    swaps; for a nonsingular square matrix the latter is the determinant.
     """
     nrows = len(a)
     sign = 1
     prev = 1
-    row = 0
+    pivots: list[int] = []
     for col in range(ncols):
+        row = len(pivots)
         if row == nrows:
             break
         piv = next((r for r in range(row, nrows) if a[r][col]), None)
@@ -158,8 +159,8 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[int, int]:
                 (x * pivot - factor * y) // prev for x, y in zip(arow[col + 1 :], ptail)
             ]
         prev = pivot
-        row += 1
-    return row, sign * prev
+        pivots.append(col)
+    return pivots, sign * prev
 
 
 def exact_determinant(mat: ExactMatrix) -> Fraction:
@@ -168,19 +169,26 @@ def exact_determinant(mat: ExactMatrix) -> Fraction:
     if not mat.is_square:
         raise ValueError("determinant needs a square matrix")
     a, scale = _integer_rows(mat)
-    rank, det = _bareiss(a, mat.ncols)
-    return Fraction(det if rank == mat.nrows else 0, scale)
+    pivots, det = _bareiss(a, mat.ncols)
+    return Fraction(det if len(pivots) == mat.nrows else 0, scale)
 
 
 def exact_rank(mat: ExactMatrix) -> int:
     """Rank by integer Bareiss elimination; scaling a row by its
     denominators and dropping zero rows leave the rank unchanged."""
     a, _scale = _integer_rows(mat)
-    return _bareiss([row for row in a if any(row)], mat.ncols)[0]
+    return len(_bareiss([row for row in a if any(row)], mat.ncols)[0])
+
+
+def independent_rows(mat: ExactMatrix) -> list[int]:
+    """Indices of the rows independent of the rows above them: the pivot
+    columns of the transpose, whose denominators are cleared row by row."""
+    a, _scale = _integer_rows(mat.transpose())
+    return _bareiss(a, mat.nrows)[0]
 
 
 class RowEchelon:
-    """Incremental rational row reduction for independence testing."""
+    """Incremental rational row reduction; the test reference for ``independent_rows``."""
 
     def __init__(self, width: int) -> None:
         self.width = width
@@ -190,18 +198,14 @@ class RowEchelon:
     def rank(self) -> int:
         return len(self.pivots)
 
-    def reduce(self, row: Sequence[Rational]) -> list[Fraction]:
+    def add(self, row: Sequence[Rational]) -> bool:
+        """Insert a row; True if it was independent of the rows so far."""
         work = [_frac(x) for x in row]
         for col, base in self.pivots.items():
             c = work[col]
             if c:
                 for j in range(col, self.width):
                     work[j] -= c * base[j]
-        return work
-
-    def add(self, row: Sequence[Rational]) -> bool:
-        """Insert a row; True if it was independent of the rows so far."""
-        work = self.reduce(row)
         lead = next((j for j, x in enumerate(work) if x != 0), None)
         if lead is None:
             return False

@@ -1,12 +1,11 @@
 """Multivariate polynomials with exact rational coefficients.
 
-Two jobs.  It is the differentiation oracle: formal partial derivatives,
-evaluation and ``hessian_matrix`` give an independent route to the
-Hessians that ``spectra.tilde_hessian`` assembles from forest counts, and
-the tests compare the two.  And it supplies the Lefschetz operators: a
-monomial x^a acts on a polynomial as the iterated partial d^a, which the
-catalecticants and higher Hessians of ``lefschetz`` are built from.
-Exponent vectors are dense tuples; variable counts stay small here (at
+It is the differentiation oracle.  Formal partial derivatives, evaluation
+and ``hessian_matrix`` give an independent route to the Hessians that
+``spectra.tilde_hessian`` assembles from forest counts; the iterated
+partial d^a of a monomial operator x^a, with ``evaluate``, gives an
+independent route to the derivative map of ``lefschetz``.  The tests
+compare both pairs.  Exponent vectors are dense tuples; variable counts stay small here (at
 most a few dozen edges).
 """
 

@@ -126,15 +126,6 @@ def test_reports_are_deterministic(capsys):
     assert first == second
 
 
-def test_thread_cap_env(capsys, monkeypatch):
-    monkeypatch.setenv("FOREST_SPECTRA_THREADS", "2")
-    code, report = capture(capsys, ["enumerate", "--complete", "4", "--k", "4"])
-    assert code == 0
-    assert report["input"]["thread_cap"] == 2
-    monkeypatch.setenv("FOREST_SPECTRA_THREADS", "zero")
-    assert run(["enumerate", "--complete", "4", "--k", "4"]) == 2
-
-
 def test_verification_failure_exits_1(capsys, monkeypatch):
     # a theorem-check mismatch surfaces as a failed report with exit code 1
     from forest_spectra.cli import _HANDLERS

@@ -1,18 +1,24 @@
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import add
 
 import pytest
 import sympy
+from hypothesis import given, settings, strategies as st
 
 from forest_spectra import (
+    ExactMatrix,
     Matroid,
     Polynomial,
     all_ones_point,
     apply_diff_operator,
+    apply_monomial_operator,
     basis_generating_polynomial,
     catalecticant_matrix,
     check_degree_one_lefschetz,
     complete_bipartite_graph,
     complete_graph,
+    evaluate,
     exact_rank,
     forest_generating_polynomial,
     graded_basis,
@@ -24,6 +30,8 @@ from forest_spectra import (
     tilde_hessian,
     truncate,
 )
+from forest_spectra.linalg import RowEchelon
+
 VARS = ("a", "b", "c")
 
 
@@ -249,3 +257,83 @@ def test_hilbert_symmetry_for_small_matroids():
         for r in range(1, m.rank + 1):
             profile = hilbert_function(basis_generating_polynomial(truncate(m, r)))
             assert profile.symmetric
+
+
+# -- the derivative map against the monomial-by-monomial route ---------------
+
+
+def degree_monomials(nvars, degree):
+    """Every exponent vector of the given degree, in canonical order."""
+    return [
+        tuple(combo.count(i) for i in range(nvars))
+        for combo in combinations_with_replacement(range(nvars), degree)
+    ]
+
+
+def reference_basis(phi, k):
+    """Greedy Fraction row reduction over every degree-k monomial, each row
+    built by applying the monomial operator to phi."""
+    nvars, s = len(phi.variables), phi.homogeneous_degree()
+    cols = degree_monomials(nvars, s - k)
+    echelon = RowEchelon(len(cols))
+    return tuple(
+        u
+        for u in degree_monomials(nvars, k)
+        if echelon.add([apply_monomial_operator(phi, u).coefficient(w) for w in cols])
+    )
+
+
+def reference_hessian(phi, k, point):
+    basis = reference_basis(phi, k)
+    return ExactMatrix.from_rows(
+        [evaluate(apply_monomial_operator(phi, tuple(map(add, a, b))), point) for b in basis]
+        for a in basis
+    )
+
+
+@st.composite
+def rational_forms(draw):
+    """Homogeneous forms in 2..4 variables with repeated exponents allowed."""
+    nvars = draw(st.integers(2, 4))
+    degree = draw(st.integers(1, 4))
+    monomials = draw(
+        st.lists(st.sampled_from(degree_monomials(nvars, degree)), min_size=1, max_size=6, unique=True)
+    )
+    coeffs = st.fractions(min_value=-4, max_value=4, max_denominator=5).filter(bool)
+    terms = {m: draw(coeffs) for m in monomials}
+    return Polynomial(("a", "b", "c", "d")[:nvars], terms)
+
+
+positive_rationals = st.fractions(min_value=Fraction(1, 5), max_value=3, max_denominator=5)
+
+
+@settings(max_examples=60)
+@given(rational_forms(), st.data())
+def test_derivative_map_matches_monomial_operators(phi, data):
+    s = phi.homogeneous_degree()
+    point = {v: data.draw(positive_rationals) for v in phi.variables}
+    bases = [reference_basis(phi, k) for k in range(s + 1)]
+    assert hilbert_function(phi).dims == tuple(len(b) for b in bases)
+    for k in range(s + 1):
+        assert graded_basis(phi, k).monomials == bases[k]
+    for k in range(s // 2 + 1):
+        assert higher_hessian(phi, k, point) == reference_hessian(phi, k, point)
+
+
+def test_derivative_map_on_repeated_exponents():
+    # phi = a^3 + 3 a b^2: d_a d_a phi = 6a, d_b d_b phi = 6a, d_a d_b phi = 6b
+    phi = tri({(3, 0, 0): 1, (1, 2, 0): 3})
+    assert graded_basis(phi, 1).monomials == ((1, 0, 0), (0, 1, 0))
+    h = higher_hessian(phi, 1, {"a": 2, "b": Fraction(1, 3), "c": 5})
+    assert h.rows == ((12, 2), (2, 12))
+    assert hilbert_function(phi).dims == (1, 2, 2, 1)
+
+
+def test_catalecticant_keeps_only_nonzero_rows_and_columns():
+    phi = truncated_polynomial(complete_graph(4), 3)
+    for k in range(4):
+        m = catalecticant_matrix(phi, k)
+        assert all(any(row) for row in m.rows)
+        assert all(any(col) for col in m.transpose().rows)
+        assert exact_rank(m) == len(reference_basis(phi, k))
+    assert catalecticant_matrix(tri({(1, 1, 0): 1}), 1).rows == ((0, 1), (1, 0))

@@ -17,7 +17,7 @@ from forest_spectra import (
     tilde_hessian,
     verify_spectrum,
 )
-from forest_spectra.linalg import RowEchelon
+from forest_spectra.linalg import RowEchelon, independent_rows
 
 from conftest import cofactor_determinant
 
@@ -127,6 +127,17 @@ def rect_rows(draw, entries):
     return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc), min_size=nr, max_size=nr))
 
 
+@st.composite
+def dependent_rect_rows(draw, entries):
+    rows = draw(rect_rows(entries))
+    for _ in range(draw(st.integers(0, 3)) if len(rows) >= 2 else 0):
+        # a row becomes a multiple (possibly zero) of another row
+        i, j = draw(st.permutations(range(len(rows))))[:2]
+        c = draw(entries)
+        rows[i] = [c * x for x in rows[j]]
+    return rows
+
+
 def _sympy_rank(m: ExactMatrix) -> int:
     entries = [sympy.Rational(x.numerator, x.denominator) for row in m.rows for x in row]
     return sympy.Matrix(m.nrows, m.ncols, entries).rank()
@@ -145,6 +156,27 @@ def test_rank_matches_sympy(rows):
     rank = exact_rank(m)
     assert type(rank) is int
     assert rank == _sympy_rank(m)
+
+
+@given(
+    st.one_of(
+        rect_rows(small_ints),
+        rect_rows(small_fractions),
+        dependent_rect_rows(small_ints),
+        dependent_rect_rows(small_fractions),
+        square_rows(small_ints),
+        square_rows(small_fractions),
+    )
+)
+def test_independent_rows_match_greedy_echelon(rows):
+    m = ExactMatrix.from_rows(rows)
+    echelon = RowEchelon(m.ncols)
+    assert independent_rows(m) == [i for i, row in enumerate(m.rows) if echelon.add(row)]
+
+
+def test_independent_rows_skip_dependent_and_zero_rows():
+    m = ExactMatrix.from_rows([[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [1, 3, 3], [0, 0, 1]])
+    assert independent_rows(m) == [1, 3, 5]
 
 
 def _k5_hessian_and_spectrum():
