@@ -339,15 +339,22 @@ def build_families(g: Graph, k: int) -> CompleteForestFamilies | BipartiteForest
 # the bijections
 
 
-def bijection_forestbij(w_labels: Iterable[int]) -> BijectionReport:
+def bijection_forestbij(
+    w_labels: Iterable[int],
+    families: SplitFamilies | None = None,
+) -> BijectionReport:
     """Two-component families on the complete graph over a vertex subset.
 
     Domain: forests whose one tree carries the wedge 1-2, 2-3 while vertex 4
     sits in the other tree.  Codomain: forests with 1-2 and 3-4 in different
     trees.  Forward: split the wedge tree at 2-3 and reattach the 3-side to
     the 4-tree along 3-4.  Backward: split at 3-4 and reattach along 2-3.
+    ``families`` reuses split families already built for the same labels.
     """
-    fam = _build_split_families(w_labels)
+    labels = tuple(sorted(set(w_labels)))
+    fam = families if families is not None else _build_split_families(labels)
+    if fam.labels != labels:
+        raise ValueError(f"split families on {fam.labels} passed for labels {labels}")
     g = fam.graph
     e12, e23, e34 = _complete_anchors()
     (v1, _), (v3, v4) = e12, e34

@@ -204,6 +204,8 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
 
 def _cmd_bijections(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
+    if g.kind != COMPLETE and args.w is not None:
+        raise ValueError("--w applies only to --complete")
     k = args.k
     input_: dict = {"graph": g.name, "k": k}
     if g.kind == COMPLETE:
@@ -213,7 +215,9 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
             raise ValueError(f"--w must be between 4 and {n}, got {w}")
         input_["w"] = w
         fam = build_families(g, k)
-        record = bijection_forestbij(range(1, w + 1))
+        labels = tuple(range(1, w + 1))
+        split = next(sf for sf in fam.per_subset if sf.labels == labels)
+        record = bijection_forestbij(labels, families=split)
         subset_checks = [
             {
                 "labels": list(sf.labels),

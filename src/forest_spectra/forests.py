@@ -29,12 +29,36 @@ from .graphs import (
 from .polynomials import Polynomial
 
 
+def _acyclic(vertices: frozenset[Vertex], edges: frozenset[Edge]) -> bool:
+    """Union-find over ``edges``: False on a cycle or on an endpoint outside
+    ``vertices``; the caller tells the two apart."""
+    parent = dict.fromkeys(vertices)  # None marks a root
+    try:
+        for a, b in edges:
+            while (up := parent[a]) is not None:
+                a = up
+            while (up := parent[b]) is not None:
+                b = up
+            if a == b:
+                return False
+            parent[a] = b
+    except KeyError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class Forest:
     """An acyclic edge subset spanning a fixed vertex subset of a graph.
 
     ``vertices`` is usually the full vertex set of ``graph``; restricted
     vertex sets appear when trees are split or families live on K_W.
+
+    Construction validates everything, cheaply: edge membership is one
+    subset test against the graph's edge index and acyclicity one
+    union-find pass.  Only when either fails does a per-edge scan run, to
+    name the first defect with the same message as an edge-by-edge check.
+    The component map is built lazily, on the first component query.
     """
 
     graph: Graph
@@ -46,20 +70,20 @@ class Forest:
             raise ValueError("a forest needs at least one vertex")
         if not self.vertices <= set(self.graph.vertices):
             raise ValueError("forest vertices must belong to the graph")
+        if self.edges <= self.graph.edge_index.keys() and _acyclic(self.vertices, self.edges):
+            return
         for e in self.edges:
             self.graph.require_edge(e)
             if not (e[0] in self.vertices and e[1] in self.vertices):
                 raise ValueError(f"edge {edge_name(e)} leaves the vertex set")
-        # acyclic iff #components == #vertices - #edges
-        if self.component_count != len(self.vertices) - len(self.edges):
-            raise ValueError("edge set contains a cycle")
+        raise ValueError("edge set contains a cycle")
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
 
     @property
     def component_count(self) -> int:
-        return len(self._component_map()[1])
+        return len(self.vertices) - len(self.edges)
 
     def _component_map(self) -> tuple[dict[Vertex, int], list[Vertex]]:
         cached = self.__dict__.get("_comps")
@@ -292,7 +316,7 @@ def enumerate_forests_constrained(
     edges = g.edges
     verts = frozenset(g.vertices)
     return tuple(
-        Forest(g, verts, frozenset(edges[i] for i in tup))
+        Forest(g, verts, frozenset(map(edges.__getitem__, tup)))
         for tup in _forest_index_tuples(g, k, required, forbidden)
     )
 

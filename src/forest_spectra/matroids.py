@@ -74,53 +74,47 @@ def truncate(m: Matroid, r: int) -> Matroid:
 
 
 def verify_exchange_axiom(m: Matroid) -> bool:
-    """Exhaustive basis-exchange check.
+    """Exhaustive basis-exchange check from a basis-incidence bitset.
 
     True iff all bases are equicardinal and for every ordered basis pair
     (B1, B2) and every x in B1 \\ B2 some y in B2 \\ B1 has B1 - x + y a
-    basis.  Quantifies over everything; bases are packed into bitmasks so
-    the inner loop is integer arithmetic.
+    basis.  ``meets[e]`` is an int whose bit j is set iff basis j contains
+    e.  The valid partners P of (B1, x) lie outside B1, so some y in
+    B2 \\ B1 works iff B2 meets P, and B2 is exempt iff it contains x: the
+    axiom holds at (B1, x) iff ``meets[x] | OR_{y in P} meets[y]`` has every
+    basis bit set.  P + x is the set of completions of B1 - x to a basis,
+    so the test depends only on that (r-1)-set and runs once per set.  The
+    quantifiers are those of the pairwise statement; memory is O(|E| * B)
+    bits.
     """
     sizes = {len(b) for b in m.bases}
     if len(sizes) > 1:
         return False
     index = {x: i for i, x in enumerate(m.ground)}
-    masks = []
-    for b in m.bases:
+    meets = [0] * len(m.ground)
+    # completions[S]: bitmask of the elements e with S + e a basis
+    completions: dict[int, int] = {}
+    for j, b in enumerate(m.bases):
+        bit = 1 << j
         mask = 0
         for x in b:
+            meets[index[x]] |= bit
             mask |= 1 << index[x]
-        masks.append(mask)
-    basis_set = set(masks)
-    # For each basis and each x in it, precompute the mask of valid partners y.
-    swap_targets: dict[tuple[int, int], int] = {}
-    full = (1 << len(m.ground)) - 1
-    for bm in masks:
-        rest = bm
+        rest = mask
         while rest:
             xbit = rest & -rest
             rest ^= xbit
-            base = bm ^ xbit
-            partners = 0
-            cand = full & ~bm
-            while cand:
-                ybit = cand & -cand
-                cand ^= ybit
-                if (base | ybit) in basis_set:
-                    partners |= ybit
-            swap_targets[(bm, xbit)] = partners
-    for b1 in masks:
-        for b2 in masks:
-            diff1 = b1 & ~b2
-            if not diff1:
-                continue
-            diff2 = b2 & ~b1
-            rest = diff1
-            while rest:
-                xbit = rest & -rest
-                rest ^= xbit
-                if not swap_targets[(b1, xbit)] & diff2:
-                    return False
+            rest_of_b = mask ^ xbit
+            completions[rest_of_b] = completions.get(rest_of_b, 0) | xbit
+    every = (1 << len(m.bases)) - 1
+    for ends in completions.values():
+        covered = 0
+        while ends:
+            ybit = ends & -ends
+            ends ^= ybit
+            covered |= meets[ybit.bit_length() - 1]
+        if covered != every:
+            return False
     return True
 
 

@@ -3,7 +3,7 @@
 Everything here is deliberately naive and independent of the package's
 algorithms: subsets come from itertools.combinations, connectivity from a
 BFS over an adjacency dict (no union-find), determinants from cofactor
-expansion.  Tests freeze values computed by these oracles and compare the
+expansion, the basis-exchange axiom from its pairwise definition.  Tests freeze values computed by these oracles and compare the
 package against them.
 """
 
@@ -92,3 +92,48 @@ def cofactor_determinant(rows) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(a) * cofactor_determinant(minor)
     return total
+
+
+def pairwise_exchange_axiom(m) -> bool:
+    """Basis exchange by the definition: every ordered basis pair (B1, B2)
+    and every x in B1 \\ B2 need some y in B2 \\ B1 with B1 - x + y a basis.
+    Bases are bitmasks; the partners of each (B1, x) are precomputed."""
+    if len({len(b) for b in m.bases}) > 1:
+        return False
+    index = {x: i for i, x in enumerate(m.ground)}
+    masks = []
+    for b in m.bases:
+        mask = 0
+        for x in b:
+            mask |= 1 << index[x]
+        masks.append(mask)
+    basis_set = set(masks)
+    swap_targets: dict[tuple[int, int], int] = {}
+    full = (1 << len(m.ground)) - 1
+    for bm in masks:
+        rest = bm
+        while rest:
+            xbit = rest & -rest
+            rest ^= xbit
+            base = bm ^ xbit
+            partners = 0
+            cand = full & ~bm
+            while cand:
+                ybit = cand & -cand
+                cand ^= ybit
+                if (base | ybit) in basis_set:
+                    partners |= ybit
+            swap_targets[(bm, xbit)] = partners
+    for b1 in masks:
+        for b2 in masks:
+            diff1 = b1 & ~b2
+            if not diff1:
+                continue
+            diff2 = b2 & ~b1
+            rest = diff1
+            while rest:
+                xbit = rest & -rest
+                rest ^= xbit
+                if not swap_targets[(b1, xbit)] & diff2:
+                    return False
+    return True

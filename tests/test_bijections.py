@@ -90,6 +90,18 @@ def test_forestbij_image_edges():
         assert swapped in set(fam.split_matching)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_forestbij_reuses_split_families(k):
+    for sf in build_families(complete_graph(6), k).per_subset:
+        assert bijection_forestbij(sf.labels, families=sf) == bijection_forestbij(sf.labels)
+
+
+def test_forestbij_rejects_families_for_other_labels():
+    sf = build_families(complete_graph(5), 1).per_subset[0]
+    with pytest.raises(ValueError):
+        bijection_forestbij((1, 2, 3, 4, 5), families=sf)
+
+
 def test_forestbij_label_guard():
     with pytest.raises(ValueError):
         bijection_forestbij((1, 2, 3))

@@ -73,6 +73,13 @@ def test_bijections_complete(capsys):
     assert all(s["split_sizes_equal"] for s in report["result"]["subsets"])
 
 
+def test_bijections_bipartite_rejects_w(capsys):
+    assert run(["bijections", "--bipartite", "2", "3", "--k", "1", "--w", "4"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == "error: --w applies only to --complete"
+
+
 def test_slp_k4(capsys):
     code, report = capture(capsys, ["slp", "--complete", "4", "--r", "3"])
     assert code == 0

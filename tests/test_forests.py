@@ -1,5 +1,6 @@
 import networkx as nx
 import pytest
+from hypothesis import given, strategies as st
 
 from forest_spectra import (
     Forest,
@@ -7,6 +8,7 @@ from forest_spectra import (
     complete_bipartite_graph,
     complete_graph,
     edge,
+    edge_name,
     edge_pair_counts,
     enumerate_forests,
     enumerate_forests_constrained,
@@ -18,7 +20,13 @@ from forest_spectra import (
 )
 from forest_spectra.errors import InsufficientVertices
 
-from conftest import brute_acyclic_subset_count, brute_count, brute_forests
+from conftest import (
+    brute_acyclic_subset_count,
+    brute_count,
+    brute_forests,
+    bfs_component_count,
+    is_acyclic,
+)
 
 E12 = edge(vertex(1), vertex(2))
 E23 = edge(vertex(2), vertex(3))
@@ -269,6 +277,90 @@ def test_forest_rejects_cycles():
     e13 = edge(vertex(1), vertex(3))
     with pytest.raises(ValueError):
         spanning_forest(g, [E12, E23, e13])
+
+
+def _verts(*labels):
+    return frozenset(vertex(i) for i in labels)
+
+
+def _edges(*pairs):
+    return frozenset(edge(vertex(a), vertex(b)) for a, b in pairs)
+
+
+_TRIANGLE = ((1, 2), (2, 3), (1, 3))
+
+
+@pytest.mark.parametrize(
+    "graph,vertices,edges,message",
+    [
+        (complete_graph(3), frozenset(), frozenset(), "a forest needs at least one vertex"),
+        (complete_graph(3), _verts(1, 4), frozenset(), "forest vertices must belong to the graph"),
+        (
+            complete_bipartite_graph(2, 2),
+            frozenset(complete_bipartite_graph(2, 2).vertices),
+            _edges((1, 2)),
+            "1-2 is not an edge of K_{2,2}",
+        ),
+        (complete_graph(4), _verts(1, 2), _edges((1, 2), (2, 3)), "edge 2-3 leaves the vertex set"),
+        (complete_graph(3), _verts(1, 2, 3), _edges(*_TRIANGLE), "edge set contains a cycle"),
+        (complete_graph(4), _verts(1, 2, 3), _edges(*_TRIANGLE), "edge set contains a cycle"),
+        # two defects: the first check in the order above names the input
+        (complete_graph(3), frozenset(), _edges(*_TRIANGLE), "a forest needs at least one vertex"),
+        (complete_graph(4), _verts(1, 2, 3), _edges(*_TRIANGLE, (3, 4)), "edge 3-4 leaves the vertex set"),
+        (
+            complete_bipartite_graph(2, 2),
+            frozenset(complete_bipartite_graph(2, 2).vertices),
+            frozenset(complete_bipartite_graph(2, 2).edges) | _edges((1, 2)),
+            "1-2 is not an edge of K_{2,2}",
+        ),
+    ],
+    ids=[
+        "empty",
+        "foreign-vertex",
+        "non-edge",
+        "leaves-vertex-set",
+        "cycle",
+        "cycle-restricted",
+        "empty-and-cycle",
+        "cycle-and-leaving-edge",
+        "cycle-and-non-edge",
+    ],
+)
+def test_forest_rejections_name_the_defect(graph, vertices, edges, message):
+    with pytest.raises(ValueError) as err:
+        Forest(graph, vertices, edges)
+    assert str(err.value) == message
+
+
+def _first_defect(g, verts, edges):
+    """The message an edge-by-edge validation gives, or None for a forest."""
+    if not verts:
+        return "a forest needs at least one vertex"
+    if not verts <= set(g.vertices):
+        return "forest vertices must belong to the graph"
+    for e in edges:
+        if not g.has_edge(e):
+            return f"{edge_name(e)} is not an edge of {g.name}"
+        if not set(e) <= verts:
+            return f"edge {edge_name(e)} leaves the vertex set"
+    return None if is_acyclic(verts, edges) else "edge set contains a cycle"
+
+
+@given(data=st.data())
+def test_forest_accepts_exactly_the_valid_inputs(data):
+    g = data.draw(st.sampled_from([complete_graph(4), complete_bipartite_graph(2, 3)]))
+    foreign = vertex(9)
+    verts = data.draw(st.frozensets(st.sampled_from(g.vertices + (foreign,))))
+    extra = (edge(vertex(1), vertex(2)), edge(vertex(1), foreign))
+    edges = data.draw(st.frozensets(st.sampled_from(g.edges + extra)))
+    defect = _first_defect(g, verts, edges)
+    if defect is None:
+        f = Forest(g, verts, edges)
+        assert f.component_count == bfs_component_count(verts, edges)
+    else:
+        with pytest.raises(ValueError) as err:
+            Forest(g, verts, edges)
+        assert str(err.value) == defect
 
 
 def test_replace_edges_validates():

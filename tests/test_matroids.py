@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forest_spectra import (
     Matroid,
@@ -11,6 +12,8 @@ from forest_spectra import (
     truncate,
     verify_exchange_axiom,
 )
+
+from conftest import pairwise_exchange_axiom
 
 
 def test_graphic_matroid_k4():
@@ -67,6 +70,10 @@ def test_exchange_axiom_tiny_cases():
 def test_exchange_axiom_detects_non_matroid():
     # two disjoint pairs: exchanging one element of {a,b} into {c,d} fails
     bad = Matroid(("a", "b", "c", "d"), (frozenset("ab"), frozenset("cd")))
+    assert not verify_exchange_axiom(bad)
+    # the one failing pair is (ad, bc): a leaves ad, and neither bd nor cd
+    # is a basis; bc is the last basis in canonical order
+    bad = Matroid(("a", "b", "c", "d"), tuple(map(frozenset, ("ab", "ac", "ad", "bc"))))
     assert not verify_exchange_axiom(bad)
 
 
@@ -126,3 +133,42 @@ def test_exchange_axiom_all_constructed_small():
         m = graphic_matroid(g)
         for r in range(1, m.rank + 1):
             assert verify_exchange_axiom(truncate(m, r))
+
+
+_FULL_TRUNCATIONS = [
+    truncate(m, r)
+    for m in map(graphic_matroid, (complete_graph(4), complete_graph(5), complete_bipartite_graph(2, 3)))
+    for r in range(1, m.rank + 1)
+]
+
+
+@given(
+    m=st.sampled_from(_FULL_TRUNCATIONS),
+    keep=st.lists(st.booleans(), min_size=125, max_size=125),
+)
+def test_exchange_axiom_matches_oracle_on_truncation_subfamilies(m, keep):
+    bases = tuple(b for b, kept in zip(m.bases, keep) if kept) or m.bases[:1]
+    sub = Matroid(m.ground, bases)
+    assert verify_exchange_axiom(sub) == pairwise_exchange_axiom(sub)
+
+
+@settings(max_examples=300)
+@given(data=st.data(), equicardinal=st.booleans())
+def test_exchange_axiom_matches_oracle_on_set_systems(data, equicardinal):
+    n = data.draw(st.integers(1, 7))
+    ground = tuple(range(n))
+    if equicardinal:
+        size = data.draw(st.integers(0, n))
+        element = st.frozensets(st.sampled_from(ground), min_size=size, max_size=size)
+    else:
+        element = st.frozensets(st.sampled_from(ground))
+    bases = data.draw(st.lists(element, min_size=1, max_size=12))
+    m = Matroid(ground, tuple(bases))
+    assert verify_exchange_axiom(m) == pairwise_exchange_axiom(m)
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 4])
+def test_exchange_axiom_holds_on_every_truncation_of_k5(r):
+    m = truncate(graphic_matroid(complete_graph(5)), r)
+    assert verify_exchange_axiom(m)
+    assert pairwise_exchange_axiom(m)
