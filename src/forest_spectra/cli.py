@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -270,12 +271,43 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
     return ("verified" if all(checks) else "failed"), input_, result
 
 
+_EXPONENT_LITERAL = re.compile(r"\s*[-+]?([\d_]*)(?:\.([\d_]*))?[eE]([-+]?[\d_]+)\s*")
+
+
+def _parse_rational(text: str) -> Fraction:
+    """``Fraction(text)``, refusing a numerator or denominator of more digits
+    than Python allows in a decimal integer literal.
+
+    ``Fraction`` builds 10^e for a decimal exponent e before anything else
+    can look at the value, so an exponent that settles the question is
+    refused from the literal.  With n significant mantissa digits and e
+    counted from the last of them, |value| >= 10^(n+e-1) and a reduced
+    denominator exceeds 10^(-e-n); a zero mantissa is refused on the
+    exponent alone.  What passes builds cheaply and is measured exactly.
+    """
+    limit = sys.get_int_max_str_digits()
+    if not limit:  # 0 lifts Python's limit
+        return Fraction(text)
+    too_long = f"{text!r} would have more than {limit} digits in its numerator or denominator"
+    m = _EXPONENT_LITERAL.fullmatch(text)
+    if m:
+        whole, frac = m[1].replace("_", ""), (m[2] or "").replace("_", "")
+        n = len((whole + frac).lstrip("0"))
+        e = int(m[3]) - len(frac)
+        if n + e > limit or -e - n >= limit:
+            raise ValueError(too_long)
+    value = Fraction(text)
+    if max(abs(value.numerator), value.denominator) >= 10**limit:
+        raise ValueError(too_long)
+    return value
+
+
 def _parse_point(raw: str, variables) -> dict:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != len(variables):
         raise ValueError(f"--point needs {len(variables)} coefficients, got {len(parts)}")
     try:
-        values = [Fraction(p) for p in parts]
+        values = [_parse_rational(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"bad rational in --point: {err}")
     return dict(zip(variables, values))

@@ -1,12 +1,18 @@
 """Strong Lefschetz checks for the algebra cut out by a homogeneous form.
 
-Everything rests on one derivative map: a single pass over phi's terms
-yields every nonzero d^u phi with |u| = k (the term c x^b reaches d^u phi
-exactly when x^u divides x^b).  The degree-k piece of A = K[x]/Ann(phi) is
-the row space of the catalecticant built from it, a graded basis is the
-greedy choice of its independent rows in the canonical monomial order
-(descending lexicographic on exponent vectors), and the k-th Hessian reads
-entry (i, j) off the degree-2k map at b_i + b_j, evaluated at a point.
+Everything rests on one cache per form phi of degree s, built on first use
+and kept on the immutable ``phi``, all of it on Python ``int``s.  With M
+the lcm of phi's coefficient denominators, a single pass over the terms of
+M phi yields every nonzero d^u (M phi) of every degree k = 0..s (the term
+c x^b reaches d^u exactly when x^u divides x^b).  One integer Bareiss
+elimination per degree then picks the graded basis: the operators whose
+catalecticant rows are independent of the rows above them, in the
+canonical monomial order (descending lexicographic on exponent vectors).
+The basis sizes are the Hilbert function, so ranks and bases come from the
+same elimination, and each degree's derivative map is built once.  The
+k-th Hessian reads entry (i, j) off the degree-2k map at b_i + b_j,
+evaluated on integers at the point with its denominators cleared.
+
 Multiplication by L^(s-2k) from degree k to s-k is bijective exactly when
 that Hessian's determinant at L's coefficient vector is nonzero, so the
 strong Lefschetz property at a point is a finite list of exact determinants.
@@ -16,8 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import perm, prod
+from itertools import product
+from math import lcm, perm, prod
 from operator import add, sub
 from typing import Hashable, Mapping
 
@@ -29,7 +35,7 @@ from .graphs import (
     complete_graph,
 )
 from .forests import enumerate_forests, theorem_range
-from .linalg import ExactMatrix, Rational, exact_determinant, exact_rank, independent_rows
+from .linalg import ExactMatrix, Rational, _bareiss, exact_determinant
 from .matroids import Matroid
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
@@ -120,29 +126,65 @@ def _socle_degree(phi: Polynomial) -> int:
     return phi.homogeneous_degree()
 
 
-def _derivatives(phi: Polynomial, k: int) -> dict[ExponentVector, dict[ExponentVector, Fraction]]:
-    """Every nonzero d^u phi with |u| = k, as its terms, keyed by u in the
-    canonical monomial order.  The term c x^b adds c b!/(b-u)! x^(b-u) to
-    d^u phi for each degree-k u dividing x^b; no other u has a nonzero
-    derivative, and distinct b give distinct b - u, so nothing cancels."""
-    out: dict[ExponentVector, dict[ExponentVector, Fraction]] = {}
-    for b, c in phi.terms.items():
-        factors = [i for i, e in enumerate(b) for _ in range(e)]
-        for combo in set(combinations(factors, k)):
-            u = tuple(map(combo.count, range(len(b))))
-            out.setdefault(u, {})[tuple(map(sub, b, u))] = c * prod(map(perm, b, u))
-    return {u: out[u] for u in sorted(out, reverse=True)}
+DerivativeMap = dict[ExponentVector, dict[ExponentVector, int]]
 
 
-def _catalecticant(phi: Polynomial, k: int) -> tuple[tuple[ExponentVector, ...], ExactMatrix]:
-    """The operators u with d^u phi != 0, and the catalecticant they span."""
-    s = _socle_degree(phi)
-    if not 0 <= k <= s:
-        raise ValueError(f"degree {k} out of range 0..{s}")
-    derivs = _derivatives(phi, k)
+@dataclass(frozen=True)
+class _Graded:
+    """Everything the public functions read about one form phi of degree s.
+
+    ``derivatives[k]`` maps each u with |u| = k and d^u phi != 0, in the
+    canonical order, to the terms of d^u (M phi), where M is ``scale``, the
+    lcm of phi's coefficient denominators; ``bases[k]`` is the degree-k
+    graded basis.
+    """
+
+    socle: int
+    scale: int
+    derivatives: tuple[DerivativeMap, ...]
+    bases: tuple[tuple[ExponentVector, ...], ...]
+
+    def check_degree(self, k: int) -> None:
+        if not 0 <= k <= self.socle:
+            raise ValueError(f"degree {k} out of range 0..{self.socle}")
+
+
+def _graded(phi: Polynomial) -> _Graded:
+    """The per-form cache, built on first use and stored on ``phi``.
+
+    The term c x^b of M phi adds c b!/(b-u)! x^(b-u) to d^u (M phi) for
+    each u dividing x^b; no other u has a nonzero derivative, and distinct
+    b give distinct b - u, so nothing cancels and the rule is exact for
+    repeated exponents too.
+    """
+    cached = phi.__dict__.get("_graded")
+    if cached is None:
+        s = _socle_degree(phi)
+        scale = lcm(*(c.denominator for c in phi.terms.values()))
+        maps: list[DerivativeMap] = [{} for _ in range(s + 1)]
+        for b, c in phi.terms.items():
+            c = c.numerator * (scale // c.denominator)
+            for u in product(*(range(e + 1) for e in b)):
+                maps[sum(u)].setdefault(u, {})[tuple(map(sub, b, u))] = c * prod(map(perm, b, u))
+        derivatives = tuple({u: m[u] for u in sorted(m, reverse=True)} for m in maps)
+        cached = _Graded(s, scale, derivatives, tuple(map(_basis, derivatives)))
+        object.__setattr__(phi, "_graded", cached)
+    return cached
+
+
+def _catalecticant(derivs: DerivativeMap) -> list[list[int]]:
+    """Row u, column w: the coefficient of x^w in d^u (M phi), over the
+    nonzero rows and columns, each in canonical order."""
     cols = sorted({w for terms in derivs.values() for w in terms}, reverse=True)
-    rows = ([terms.get(w, 0) for w in cols] for terms in derivs.values())
-    return tuple(derivs), ExactMatrix.from_rows(rows)
+    return [[terms.get(w, 0) for w in cols] for terms in derivs.values()]
+
+
+def _basis(derivs: DerivativeMap) -> tuple[ExponentVector, ...]:
+    """The operators whose catalecticant rows are independent of the rows
+    above them: the pivot columns of the transpose's Bareiss elimination."""
+    ops = tuple(derivs)
+    transposed = [list(col) for col in zip(*_catalecticant(derivs))]
+    return tuple(ops[j] for j in _bareiss(transposed, len(ops))[0])
 
 
 def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
@@ -151,15 +193,20 @@ def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
     Row u, column w: the coefficient of x^w in (d^u phi).  Only nonzero rows
     and columns are kept, each in canonical order.  The rank is the
     dimension of the degree-k graded piece, and a degree-k form supported on
-    the rows annihilates phi exactly when it lies in the left kernel.
+    the rows annihilates phi exactly when it lies in the left kernel.  Read
+    off the cached integer map of M phi and divided by M.
     """
-    return _catalecticant(phi, k)[1]
+    g = _graded(phi)
+    g.check_degree(k)
+    rows = _catalecticant(g.derivatives[k])
+    return ExactMatrix(tuple(tuple(Fraction(x, g.scale) for x in row) for row in rows))
 
 
 def hilbert_function(phi: Polynomial) -> HilbertProfile:
-    """Graded dimensions h_k = rank of the degree-k catalecticant."""
-    s = _socle_degree(phi)
-    dims = tuple(exact_rank(catalecticant_matrix(phi, k)) for k in range(s + 1))
+    """Graded dimensions h_k, the sizes of the cached graded bases: each is
+    the rank of the degree-k catalecticant, from the same elimination that
+    picked the basis."""
+    dims = tuple(map(len, _graded(phi).bases))
     profile = HilbertProfile(dims)
     if not profile.symmetric:
         raise VerificationFailure(f"Hilbert function {dims} is not symmetric")
@@ -167,31 +214,45 @@ def hilbert_function(phi: Polynomial) -> HilbertProfile:
 
 
 def graded_basis(phi: Polynomial, k: int) -> GradedBasis:
-    """Deterministic monomial basis of the degree-k piece.
+    """Deterministic monomial basis of the degree-k piece, from the cache.
 
-    Greedy: scan monomials in canonical order and keep those whose
-    catalecticant rows are independent of the rows kept so far.  Degree 0
-    always yields the single constant monomial.
+    Greedy: in canonical order, keep the monomials whose catalecticant rows
+    are independent of the rows kept so far; the pivot columns of one
+    integer Bareiss elimination of the transposed catalecticant are exactly
+    these.  Degree 0 always yields the single constant monomial.
     """
-    ops, mat = _catalecticant(phi, k)
-    return GradedBasis(k, phi.variables, tuple(ops[i] for i in independent_rows(mat)))
+    g = _graded(phi)
+    g.check_degree(k)
+    return GradedBasis(k, phi.variables, g.bases[k])
 
 
 def higher_hessian(
     phi: Polynomial, k: int, point: Mapping[Hashable, Rational]
 ) -> ExactMatrix:
-    """Matrix of (e_i e_j)(d) phi over the degree-k graded basis, at a point."""
-    s = _socle_degree(phi)
+    """Matrix of (e_i e_j)(d) phi over the degree-k graded basis, at a point.
+
+    Evaluated on integers: with D the lcm of the point's denominators and
+    X = D x, each cached degree-2k derivative of M phi takes an integer
+    value at X, and the entry is that value over M D^(s-2k).
+    """
+    g = _graded(phi)
+    s = g.socle
     if k < 0 or 2 * k > s:
         raise ValueError(f"the criterion consumes degrees k <= s/2; got k={k}, s={s}")
-    basis = graded_basis(phi, k).monomials
     values = _point_values(phi, point)
+    d = lcm(*(x.denominator for x in values))
+    xs = [x.numerator * (d // x.denominator) for x in values]
     at_point = {
-        u: sum(c * prod(x**e for x, e in zip(values, w) if e) for w, c in terms.items())
-        for u, terms in _derivatives(phi, 2 * k).items()
+        u: sum(c * prod(map(pow, xs, w)) for w, c in terms.items())
+        for u, terms in g.derivatives[2 * k].items()
     }
-    return ExactMatrix.from_rows(
-        [at_point.get(tuple(map(add, bi, bj)), 0) for bj in basis] for bi in basis
+    den = g.scale * d ** (s - 2 * k)
+    basis = g.bases[k]
+    return ExactMatrix(
+        tuple(
+            tuple(Fraction(at_point.get(tuple(map(add, bi, bj)), 0), den) for bj in basis)
+            for bi in basis
+        )
     )
 
 
@@ -203,7 +264,7 @@ def slp_check(phi: Polynomial, coeffs: Mapping[Hashable, Rational]) -> SlpReport
     all are nonzero.  Degenerate determinants are verdicts, not errors.
     """
     s = _socle_degree(phi)
-    point = tuple(Fraction(coeffs[v]) for v in phi.variables)
+    point = tuple(_point_values(phi, coeffs))
     checks = []
     for k in range(s // 2 + 1):
         h = higher_hessian(phi, k, coeffs)

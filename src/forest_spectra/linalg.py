@@ -1,10 +1,11 @@
 """Exact matrices over the rationals, and the integer kernel under them.
 
 ``ExactMatrix`` holds ``Fraction`` entries and keeps the public surface
-rational.  Determinants, ranks and independent rows are decided on
-integers: each row is cleared of its denominators and one Bareiss (1968)
-fraction-free elimination runs on Python ``int``s with exact ``//``.  No
-floating point; the theorems downstream are about exact nonvanishing.
+rational.  Determinants and ranks are decided on integers: each row is
+cleared of its denominators and one Bareiss (1968) fraction-free
+elimination runs on Python ``int``s with exact ``//``; its pivot columns
+also give ``lefschetz`` its graded bases.  No floating point; the theorems
+downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
@@ -180,15 +181,9 @@ def exact_rank(mat: ExactMatrix) -> int:
     return len(_bareiss([row for row in a if any(row)], mat.ncols)[0])
 
 
-def independent_rows(mat: ExactMatrix) -> list[int]:
-    """Indices of the rows independent of the rows above them: the pivot
-    columns of the transpose, whose denominators are cleared row by row."""
-    a, _scale = _integer_rows(mat.transpose())
-    return _bareiss(a, mat.nrows)[0]
-
-
 class RowEchelon:
-    """Incremental rational row reduction; the test reference for ``independent_rows``."""
+    """Incremental rational row reduction; the test reference for the pivots
+    of ``_bareiss`` and for ``lefschetz.graded_basis``."""
 
     def __init__(self, width: int) -> None:
         self.width = width

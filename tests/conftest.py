@@ -9,8 +9,11 @@ package against them.
 
 from __future__ import annotations
 
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from hypothesis import settings
 
@@ -137,3 +140,18 @@ def pairwise_exchange_axiom(m) -> bool:
                 if not swap_targets[(b1, xbit)] & diff2:
                     return False
     return True
+
+
+def load_perfbench(name: str):
+    """The benchmark module ``perfbench/<name>.py``, loaded by path: the
+    benchmark's files are scripts, not a package, and the tests only read
+    them.  The module is registered under ``perfbench_<name>`` first, as
+    ``dataclasses`` looks a class's module up there."""
+    key = f"perfbench_{name}"
+    if key not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(key, path)
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[key] = module
+        spec.loader.exec_module(module)
+    return sys.modules[key]

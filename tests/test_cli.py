@@ -1,8 +1,11 @@
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
-from forest_spectra.cli import run
+import pytest
+
+from forest_spectra.cli import _parse_rational, run
 
 
 def capture(capsys, argv):
@@ -101,6 +104,37 @@ def test_slp_custom_point(capsys):
 def test_slp_bad_point_exits_2(capsys):
     assert run(["slp", "--complete", "4", "--r", "3", "--point", "1,2"]) == 2
     assert run(["slp", "--complete", "4", "--r", "3", "--point", "1,1,1,1,1,x"]) == 2
+
+
+def test_slp_point_with_a_huge_exponent_exits_2(capsys):
+    # Fraction would build 10^5000 first; the literal is refused unbuilt
+    for literal in ("1e5000", "-2.5E-5000"):
+        assert run(["slp", "--complete", "4", "--r", "3", "--point", f"1,1,{literal},1,1,1"]) == 2
+        assert capsys.readouterr().err.startswith("error: bad rational in --point: ")
+
+
+def test_slp_point_accepts_exponents_decimals_and_ratios(capsys):
+    code, report = capture(
+        capsys, ["slp", "--complete", "4", "--r", "3", "--point", "1e400,0.5,2/3,-1,1_0,7e-3"]
+    )
+    assert code == 0
+    assert report["result"]["point"] == [str(10**400), "1/2", "2/3", "-1", "10", "7/1000"]
+
+
+def test_point_literal_digits_follow_python_limit():
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(640)  # the smallest limit Python accepts
+        assert _parse_rational("1e639") == 10**639
+        assert _parse_rational("5e-640") == Fraction(1, 2 * 10**639)
+        assert _parse_rational("0e640") == 0
+        for literal in ("1e640", "1e-640", "0.1e-639", "0e641", "1" * 330 + "." + "1" * 330):
+            with pytest.raises(ValueError, match="more than 640 digits"):
+                _parse_rational(literal)
+        sys.set_int_max_str_digits(0)  # no limit
+        assert _parse_rational("1e5000") == 10**5000
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 def test_matroid_verify(capsys):

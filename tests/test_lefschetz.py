@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 from operator import add
 
@@ -19,6 +21,7 @@ from forest_spectra import (
     complete_bipartite_graph,
     complete_graph,
     evaluate,
+    exact_determinant,
     exact_rank,
     forest_generating_polynomial,
     graded_basis,
@@ -31,6 +34,8 @@ from forest_spectra import (
     truncate,
 )
 from forest_spectra.linalg import RowEchelon
+
+from conftest import load_perfbench
 
 VARS = ("a", "b", "c")
 
@@ -270,25 +275,42 @@ def degree_monomials(nvars, degree):
     ]
 
 
-def reference_basis(phi, k):
-    """Greedy Fraction row reduction over every degree-k monomial, each row
-    built by applying the monomial operator to phi."""
+def operator_rows(phi, k):
+    """Every degree-k operator u, in canonical order, with its catalecticant
+    row: d^u phi by the monomial operator, read on every degree-(s-k)
+    monomial."""
     nvars, s = len(phi.variables), phi.homogeneous_degree()
     cols = degree_monomials(nvars, s - k)
-    echelon = RowEchelon(len(cols))
-    return tuple(
-        u
-        for u in degree_monomials(nvars, k)
-        if echelon.add([apply_monomial_operator(phi, u).coefficient(w) for w in cols])
-    )
+    out = []
+    for u in degree_monomials(nvars, k):
+        derivative = apply_monomial_operator(phi, u)
+        out.append((u, [derivative.coefficient(w) for w in cols]))
+    return out
+
+
+def reference_basis(phi, k):
+    """Greedy Fraction row reduction over every degree-k monomial."""
+    rows = operator_rows(phi, k)
+    echelon = RowEchelon(len(rows[0][1]))
+    return tuple(u for u, row in rows if echelon.add(row))
+
+
+def reference_catalecticant(phi, k):
+    """The full catalecticant with its zero rows and columns dropped."""
+    rows = [row for _u, row in operator_rows(phi, k) if any(row)]
+    keep = [j for j in range(len(rows[0])) if any(row[j] for row in rows)]
+    return ExactMatrix.from_rows([row[j] for j in keep] for row in rows)
 
 
 def reference_hessian(phi, k, point):
     basis = reference_basis(phi, k)
-    return ExactMatrix.from_rows(
-        [evaluate(apply_monomial_operator(phi, tuple(map(add, a, b))), point) for b in basis]
-        for a in basis
-    )
+    values = {}
+    for a in basis:
+        for b in basis:
+            u = tuple(map(add, a, b))
+            if u not in values:
+                values[u] = evaluate(apply_monomial_operator(phi, u), point)
+    return ExactMatrix.from_rows([values[tuple(map(add, a, b))] for b in basis] for a in basis)
 
 
 @st.composite
@@ -316,6 +338,7 @@ def test_derivative_map_matches_monomial_operators(phi, data):
     assert hilbert_function(phi).dims == tuple(len(b) for b in bases)
     for k in range(s + 1):
         assert graded_basis(phi, k).monomials == bases[k]
+        assert catalecticant_matrix(phi, k) == reference_catalecticant(phi, k)
     for k in range(s // 2 + 1):
         assert higher_hessian(phi, k, point) == reference_hessian(phi, k, point)
 
@@ -337,3 +360,110 @@ def test_catalecticant_keeps_only_nonzero_rows_and_columns():
         assert all(any(col) for col in m.transpose().rows)
         assert exact_rank(m) == len(reference_basis(phi, k))
     assert catalecticant_matrix(tri({(1, 1, 0): 1}), 1).rows == ((0, 1), (1, 0))
+
+
+# -- integer evaluation against the Fraction route -------------------------
+
+
+@pytest.mark.parametrize("call", [slp_check, lambda phi, point: higher_hessian(phi, 1, point)],
+                         ids=["slp_check", "higher_hessian"])
+def test_point_missing_a_variable_is_a_value_error(call):
+    phi = tri({(1, 1, 0): 1, (0, 1, 1): 1})
+    with pytest.raises(ValueError, match="point misses 1 variable"):
+        call(phi, {"a": 1, "b": 2})
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+@pytest.mark.parametrize("graph", [complete_graph(5), complete_bipartite_graph(3, 3)], ids=["K5", "K33"])
+def test_seeded_point_determinants_match_fraction_route(graph, seed):
+    # the benchmark's seeded slp instances: r = 4, points from its own drawer
+    phi = truncated_polynomial(graph, 4)
+    drawn = load_perfbench("workloads")._seeded_point(random.Random(seed), len(phi.variables))
+    point = dict(zip(phi.variables, map(Fraction, drawn.split(","))))
+    dets = [c.determinant for c in slp_check(phi, point).checks]
+    assert dets == [exact_determinant(reference_hessian(phi, k, point)) for k in range(3)]
+    assert all(dets)
+
+
+def test_rational_form_at_mixed_point_matches_fraction_route():
+    # coefficient denominators 2, 3, 4 and a point with denominators 3, 5, 7,
+    # a zero and negative coordinates: every scale factor is exercised
+    phi = Polynomial(
+        ("a", "b", "c", "d"),
+        {
+            (2, 1, 1, 0): Fraction(1, 2),
+            (1, 1, 1, 1): Fraction(-3, 4),
+            (0, 2, 0, 2): Fraction(5, 3),
+            (1, 0, 3, 0): 2,
+            (0, 0, 2, 2): Fraction(-7, 2),
+        },
+    )
+    point = {"a": Fraction(-2, 3), "b": Fraction(4, 5), "c": 0, "d": Fraction(-9, 7)}
+    report = slp_check(phi, point)
+    assert report.point == (Fraction(-2, 3), Fraction(4, 5), 0, Fraction(-9, 7))
+    for check in report.checks:
+        h = reference_hessian(phi, check.degree, point)
+        assert higher_hessian(phi, check.degree, point) == h
+        assert check.determinant == exact_determinant(h) != 0
+
+
+def test_results_do_not_depend_on_call_order():
+    def fresh():
+        return truncated_polynomial(complete_bipartite_graph(2, 3), 4)
+
+    point = {v: Fraction(i + 2, 3) for i, v in enumerate(fresh().variables)}
+
+    def everything(phi):
+        return (
+            hilbert_function(phi),
+            [graded_basis(phi, k) for k in range(5)],
+            [catalecticant_matrix(phi, k) for k in range(5)],
+            [higher_hessian(phi, k, point) for k in range(3)],
+        )
+
+    expected = everything(fresh())
+    phi = fresh()
+    assert higher_hessian(phi, 2, point) == expected[3][2]
+    phi = fresh()
+    assert graded_basis(phi, 3) == expected[1][3]
+    assert everything(phi) == expected
+    phi = fresh()
+    with pytest.raises(ValueError):
+        catalecticant_matrix(phi, 5)
+    assert everything(phi) == expected
+
+
+# -- Lorentzian signature away from the all-ones point ---------------------
+
+LORENTZIAN_CASES = (
+    [(complete_graph(4), r) for r in (2, 3)]
+    + [(complete_graph(5), r) for r in (2, 3, 4)]
+    + [(complete_bipartite_graph(2, 3), r) for r in (2, 3, 4)]
+    + [(complete_bipartite_graph(3, 3), r) for r in (2, 3, 4, 5)]
+)
+
+
+@lru_cache(maxsize=None)
+def lorentzian_form(i):
+    return truncated_polynomial(*LORENTZIAN_CASES[i])
+
+
+def positive_eigenvalue_count(matrix):
+    """Sign changes of the characteristic polynomial's coefficients.  By
+    Descartes' rule they bound the positive roots, with equality when every
+    root is real, as for a symmetric matrix."""
+    charpoly = sympy.Matrix([[sympy.Rational(x) for x in row] for row in matrix.rows]).charpoly()
+    signs = [c > 0 for c in charpoly.all_coeffs() if c]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
+
+
+@settings(max_examples=60)
+@given(st.integers(0, len(LORENTZIAN_CASES) - 1), st.data())
+def test_degree_one_hessian_has_one_positive_eigenvalue_at_positive_points(i, data):
+    # basis polynomials of matroids are Lorentzian (Branden-Huh 2020), so the
+    # Hessian at any positive point has exactly one positive eigenvalue
+    phi = lorentzian_form(i)
+    point = {v: data.draw(positive_rationals) for v in phi.variables}
+    h = higher_hessian(phi, 1, point)
+    assert h.symmetric and h.nrows == len(phi.variables)
+    assert positive_eigenvalue_count(h) == 1

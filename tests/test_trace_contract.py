@@ -7,21 +7,12 @@ package's modules globally and must not run inside the test suite.
 """
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
+from conftest import load_perfbench
 
-def _load_tracer():
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-TRACER = _load_tracer()
+TRACER = load_perfbench("tracer")
 FUNCTIONS = sorted({(module, attr) for module, attr, _span, _counter in TRACER.FUNCTIONS})
 METHODS = [(module, cls, attr) for module, cls, attr, _span, _counter in TRACER.METHODS]
 
