@@ -15,8 +15,13 @@ families inside the k-forests are
 
 A forest in one of these families is carved into pieces by deleting its
 two anchor edges; classifying where c (or d) lands yields a partition of
-the family minus its overlap with ``disjoint``, and the partition pieces
-are matched by explicit edge swaps:
+the family minus its overlap with ``disjoint``.  In share_left, c lands
+with a (piece 1), b (2), d (4) or none of them (3); in share_right, d lands
+with a (1), b (2), c (4) or none (3); in disjoint, c with a or b gives
+pieces 1 and 2, otherwise d with a or b gives 4 and 5, otherwise 3.  The
+case tables ``_LEFT_CASES``, ``_RIGHT_CASES`` and ``_DISJOINT_CASES`` are
+the one copy of these rules in the code.  The partition pieces are matched
+by explicit edge swaps:
 
     pieces 1-3 of share_left  <->  pieces 1-3 of disjoint: swap 1-2' for 2-2'
     piece 4 (c in the 2'-side piece): relabel a <-> c, swap 2-1' for 1-1'
@@ -37,8 +42,9 @@ from typing import Callable, Iterable, Sequence
 from .forests import (
     Forest,
     PairCounts,
-    _bipartite_anchors,
-    _complete_anchors,
+    _anchor_pairs,
+    _root,
+    _union_find,
     enumerate_forests_constrained,
     split_tree_at_edge,
     theorem_range,
@@ -46,16 +52,21 @@ from .forests import (
 from .graphs import (
     BIPARTITE,
     COMPLETE,
+    Edge,
     Graph,
+    complete_bipartite_graph,
     complete_graph_on,
-    edge,
 )
 
-_A, _B, _C, _D = _bipartite_anchors()
-_AB = edge(_A, _B)
-_AD = edge(_A, _D)
-_CB = edge(_C, _B)
-_CD = edge(_C, _D)
+(_AB, _AD), (_, _CB), (_, _CD) = _anchor_pairs(complete_bipartite_graph(2, 2))
+(_A, _B), (_C, _D) = _AB, _CD
+
+# The piece rules, one table per family: (cut edges, probes).  Delete the cut
+# edges; the first probe (piece, (u, v)) whose u and v share a component names
+# the piece, and piece 3 is the default.
+_LEFT_CASES = ((_AB, _AD), ((1, (_C, _A)), (2, (_C, _B)), (4, (_C, _D))))
+_RIGHT_CASES = ((_AB, _CB), ((1, (_D, _A)), (2, (_D, _B)), (4, (_D, _C))))
+_DISJOINT_CASES = ((_AB, _CD), ((1, (_C, _A)), (2, (_C, _B)), (4, (_D, _A)), (5, (_D, _B))))
 
 
 @dataclass(frozen=True)
@@ -223,18 +234,18 @@ def _build_split_families(labels: Iterable[int]) -> SplitFamilies:
     if not {1, 2, 3, 4} <= set(labels):
         raise ValueError("vertex subset must contain 1, 2, 3 and 4")
     g = complete_graph_on(labels)
-    e12, e23, e34 = _complete_anchors()
-    (v1, _), (v3, v4) = e12, e34
-    trees_wedge = enumerate_forests_constrained(g, 1, required=(e12, e23))
-    trees_matching = enumerate_forests_constrained(g, 1, required=(e12, e34))
+    wedge, matching = _anchor_pairs(g)
+    (v1, _), (v3, v4) = matching
+    trees_wedge = enumerate_forests_constrained(g, 1, required=wedge)
+    trees_matching = enumerate_forests_constrained(g, 1, required=matching)
     split_wedge = tuple(
         f
-        for f in enumerate_forests_constrained(g, 2, required=(e12, e23))
+        for f in enumerate_forests_constrained(g, 2, required=wedge)
         if not f.same_component(v1, v4)
     )
     split_matching = tuple(
         f
-        for f in enumerate_forests_constrained(g, 2, required=(e12, e34))
+        for f in enumerate_forests_constrained(g, 2, required=matching)
         if not f.same_component(v1, v3)
     )
     return SplitFamilies(labels, g, trees_wedge, trees_matching, split_wedge, split_matching)
@@ -244,9 +255,9 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     n = g.left_size
     if n < 4:
         raise ValueError(f"anchor vertices 1..4 need n >= 4, got n={n}")
-    e12, e23, e34 = _complete_anchors()
-    with_wedge = enumerate_forests_constrained(g, k, required=(e12, e23))
-    with_matching = enumerate_forests_constrained(g, k, required=(e12, e34))
+    with_wedge, with_matching = (
+        enumerate_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)
+    )
     spare = [v[1] for v in g.vertices[4:]]
     subsets = []
     for size in range(len(spare) + 1):
@@ -255,38 +266,12 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     return CompleteForestFamilies(g, k, with_wedge, with_matching, tuple(subsets))
 
 
-def _left_piece_case(f: Forest) -> int:
-    cut = f.replace_edges(remove=(_AB, _AD))
-    if cut.same_component(_C, _A):
-        return 1
-    if cut.same_component(_C, _B):
-        return 2
-    if cut.same_component(_C, _D):
-        return 4
-    return 3
-
-
-def _right_piece_case(f: Forest) -> int:
-    cut = f.replace_edges(remove=(_AB, _CB))
-    if cut.same_component(_D, _A):
-        return 1
-    if cut.same_component(_D, _B):
-        return 2
-    if cut.same_component(_D, _C):
-        return 4
-    return 3
-
-
-def _disjoint_piece_case(f: Forest) -> int:
-    cut = f.replace_edges(remove=(_AB, _CD))
-    if cut.same_component(_C, _A):
-        return 1
-    if cut.same_component(_C, _B):
-        return 2
-    if cut.same_component(_D, _A):
-        return 4
-    if cut.same_component(_D, _B):
-        return 5
+def _piece_case(f: Forest, cases) -> int:
+    cut, probes = cases
+    parent = _union_find(f.vertices, f.edges.difference(cut))
+    for piece, (u, v) in probes:
+        if _root(parent, u) == _root(parent, v):
+            return piece
     return 3
 
 
@@ -295,9 +280,9 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         raise ValueError(
             f"anchor vertices need m, n >= 2, got ({g.left_size}, {g.right_size})"
         )
-    share_left = enumerate_forests_constrained(g, k, required=(_AB, _AD))
-    share_right = enumerate_forests_constrained(g, k, required=(_AB, _CB))
-    disjoint = enumerate_forests_constrained(g, k, required=(_AB, _CD))
+    share_left, share_right, disjoint = (
+        enumerate_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)
+    )
     core = tuple(f for f in share_left if _CD in f.edges)
     core_right = tuple(f for f in share_right if _CD in f.edges)
     left_rest = [f for f in share_left if _CD not in f.edges]
@@ -305,10 +290,10 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
     disjoint_rest = [f for f in disjoint if _AD not in f.edges]
     disjoint_rest_right = [f for f in disjoint if _CB not in f.edges]
 
-    def split(family, case, count):
+    def split(family, cases, count):
         parts: list[list[Forest]] = [[] for _ in range(count)]
         for f in family:
-            parts[case(f) - 1].append(f)
+            parts[_piece_case(f, cases) - 1].append(f)
         return tuple(tuple(part) for part in parts)
 
     return BipartiteForestFamilies(
@@ -319,10 +304,10 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         disjoint=disjoint,
         core=core,
         core_right=core_right,
-        share_left_parts=split(left_rest, _left_piece_case, 4),
-        share_right_parts=split(right_rest, _right_piece_case, 4),
-        disjoint_parts=split(disjoint_rest, _disjoint_piece_case, 5),
-        disjoint_parts_right=split(disjoint_rest_right, _disjoint_piece_case, 5),
+        share_left_parts=split(left_rest, _LEFT_CASES, 4),
+        share_right_parts=split(right_rest, _RIGHT_CASES, 4),
+        disjoint_parts=split(disjoint_rest, _DISJOINT_CASES, 5),
+        disjoint_parts_right=split(disjoint_rest_right, _DISJOINT_CASES, 5),
     )
 
 
@@ -356,7 +341,7 @@ def bijection_forestbij(
     if fam.labels != labels:
         raise ValueError(f"split families on {fam.labels} passed for labels {labels}")
     g = fam.graph
-    e12, e23, e34 = _complete_anchors()
+    (e12, e23), (_, e34) = _anchor_pairs(g)
     (v1, _), (v3, v4) = e12, e34
 
     def forward(f: Forest) -> Forest:
@@ -375,6 +360,12 @@ def bijection_forestbij(
     return _verify_bijection(name, fam.split_wedge, fam.split_matching, forward, backward)
 
 
+def _swap(old: Edge, new: Edge) -> Callable[[Forest], Forest]:
+    """The map replacing edge ``old`` by ``new``; it raises ValueError where
+    ``old`` is absent or ``new`` closes a cycle."""
+    return lambda f: f.replace_edges(remove=(old,), add=(new,))
+
+
 def _require_bipartite(g: Graph) -> None:
     if g.kind != BIPARTITE:
         raise ValueError("this bijection lives on complete bipartite graphs")
@@ -391,19 +382,12 @@ def bijections_pr123(
     if i not in (1, 2, 3):
         raise ValueError(f"piece index must be 1, 2 or 3, got {i}")
     fam = families if families is not None else _build_bipartite(g, k)
-
-    def forward(f: Forest) -> Forest:
-        return f.replace_edges(remove=(_AD,), add=(_CD,))
-
-    def backward(f: Forest) -> Forest:
-        return f.replace_edges(remove=(_CD,), add=(_AD,))
-
     return _verify_bijection(
         f"share-left piece {i} <-> disjoint piece {i} on {g.name}, k={k}",
         fam.share_left_parts[i - 1],
         fam.disjoint_parts[i - 1],
-        forward,
-        backward,
+        _swap(_AD, _CD),
+        _swap(_CD, _AD),
     )
 
 
@@ -440,19 +424,12 @@ def bijection_q2r5(
     """Share-right piece 2 <-> disjoint piece 5: swap 2-1' for 2-2'."""
     _require_bipartite(g)
     fam = families if families is not None else _build_bipartite(g, k)
-
-    def forward(f: Forest) -> Forest:
-        return f.replace_edges(remove=(_CB,), add=(_CD,))
-
-    def backward(f: Forest) -> Forest:
-        return f.replace_edges(remove=(_CD,), add=(_CB,))
-
     return _verify_bijection(
         f"share-right piece 2 <-> disjoint piece 5 on {g.name}, k={k}",
         fam.share_right_parts[1],
         fam.disjoint_parts[4],
-        forward,
-        backward,
+        _swap(_CB, _CD),
+        _swap(_CD, _CB),
     )
 
 

@@ -21,7 +21,6 @@ from .graphs import (
     Edge,
     Graph,
     Vertex,
-    complete_graph,
     edge,
     edge_name,
     vertex,
@@ -29,22 +28,29 @@ from .graphs import (
 from .polynomials import Polynomial
 
 
-def _acyclic(vertices: frozenset[Vertex], edges: frozenset[Edge]) -> bool:
-    """Union-find over ``edges``: False on a cycle or on an endpoint outside
-    ``vertices``; the caller tells the two apart."""
-    parent = dict.fromkeys(vertices)  # None marks a root
+def _root(parent: dict[Vertex, Vertex | None], v: Vertex) -> Vertex:
+    while (up := parent[v]) is not None:
+        v = up
+    return v
+
+
+def _union_find(
+    vertices: Iterable[Vertex], edges: Iterable[Edge]
+) -> dict[Vertex, Vertex | None] | None:
+    """Union-find over ``edges``: the parent map (None marks a root), or None
+    on a cycle or on an endpoint outside ``vertices``; the caller tells the
+    two apart.  Two vertices share a component iff they have one ``_root``."""
+    parent: dict[Vertex, Vertex | None] = dict.fromkeys(vertices)
     try:
         for a, b in edges:
-            while (up := parent[a]) is not None:
-                a = up
-            while (up := parent[b]) is not None:
-                b = up
+            a = _root(parent, a)
+            b = _root(parent, b)
             if a == b:
-                return False
+                return None
             parent[a] = b
     except KeyError:
-        return False
-    return True
+        return None
+    return parent
 
 
 @dataclass(frozen=True)
@@ -70,7 +76,7 @@ class Forest:
             raise ValueError("a forest needs at least one vertex")
         if not self.vertices <= set(self.graph.vertices):
             raise ValueError("forest vertices must belong to the graph")
-        if self.edges <= self.graph.edge_index.keys() and _acyclic(self.vertices, self.edges):
+        if self.edges <= self.graph.edge_index.keys() and _union_find(self.vertices, self.edges) is not None:
             return
         for e in self.edges:
             self.graph.require_edge(e)
@@ -86,34 +92,28 @@ class Forest:
         return len(self.vertices) - len(self.edges)
 
     def _component_map(self) -> tuple[dict[Vertex, int], list[Vertex]]:
+        """Component id of each vertex and each component's smallest vertex;
+        ids count up in sorted vertex order."""
         cached = self.__dict__.get("_comps")
         if cached is None:
-            adj: dict[Vertex, list[Vertex]] = {v: [] for v in self.vertices}
-            for a, b in self.edges:
-                adj[a].append(b)
-                adj[b].append(a)
+            parent = _union_find(self.vertices, self.edges)
+            ids: dict[Vertex, int] = {}
             comp: dict[Vertex, int] = {}
             reps: list[Vertex] = []
             for v in sorted(self.vertices):
-                if v in comp:
-                    continue
-                cid = len(reps)
-                reps.append(v)
-                stack = [v]
-                comp[v] = cid
-                while stack:
-                    x = stack.pop()
-                    for y in adj[x]:
-                        if y not in comp:
-                            comp[y] = cid
-                            stack.append(y)
+                cid = comp[v] = ids.setdefault(_root(parent, v), len(ids))
+                if cid == len(reps):
+                    reps.append(v)
             cached = (comp, reps)
             object.__setattr__(self, "_comps", cached)
         return cached
 
-    def component_containing(self, v: Vertex) -> "Forest":
+    def _require_vertex(self, v: Vertex) -> None:
         if v not in self.vertices:
             raise ValueError(f"vertex {v} is not in this forest")
+
+    def component_containing(self, v: Vertex) -> "Forest":
+        self._require_vertex(v)
         comp, _ = self._component_map()
         cid = comp[v]
         verts = frozenset(u for u in self.vertices if comp[u] == cid)
@@ -126,6 +126,8 @@ class Forest:
         return tuple(self.component_containing(rep) for rep in reps)
 
     def same_component(self, u: Vertex, v: Vertex) -> bool:
+        self._require_vertex(u)
+        self._require_vertex(v)
         comp, _ = self._component_map()
         return comp[u] == comp[v]
 
@@ -338,13 +340,21 @@ def forest_generating_polynomial(g: Graph, k: int) -> Polynomial:
 # anchored pair counts and their decomposition
 
 
-def _complete_anchors() -> tuple[Edge, Edge, Edge]:
-    v1, v2, v3, v4 = (vertex(i) for i in range(1, 5))
-    return edge(v1, v2), edge(v2, v3), edge(v3, v4)
+def _anchor_pairs(g: Graph) -> tuple[tuple[Edge, Edge], ...]:
+    """The anchored edge pairs of ``g``, in :class:`PairCounts` order.
 
-
-def _bipartite_anchors() -> tuple[Vertex, Vertex, Vertex, Vertex]:
-    return vertex(1), vertex(1, right=True), vertex(2), vertex(2, right=True)
+    Complete graphs (on any labels containing 1..4): the wedge 1-2, 2-3 and
+    the matching 1-2, 3-4.  Bipartite graphs, with anchor vertices
+    a, b, c, d = 1, 1', 2, 2': a-b with a-d (shared left vertex), with c-b
+    (shared right vertex) and with c-d (disjoint).
+    """
+    if g.kind == COMPLETE:
+        v1, v2, v3, v4 = (vertex(i) for i in range(1, 5))
+        e12 = edge(v1, v2)
+        return (e12, edge(v2, v3)), (e12, edge(v3, v4))
+    a, b, c, d = vertex(1), vertex(1, right=True), vertex(2), vertex(2, right=True)
+    ab = edge(a, b)
+    return (ab, edge(a, d)), (ab, edge(c, b)), (ab, edge(c, d))
 
 
 def theorem_range(g: Graph, k: int) -> bool:
@@ -367,20 +377,13 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
             raise InsufficientVertices(f"need n >= 4 for anchor edges, got n={n}")
         if not 0 < k < n - 2:
             raise ValueError(f"k={k} outside the range 0 < k < n-2 = {n - 2}")
-        e12, e23, e34 = _complete_anchors()
-        p = count_forests_constrained(g, k, required=(e12, e23))
-        q = count_forests_constrained(g, k, required=(e12, e34))
-        return PairCounts(p, q)
-    m, n = g.left_size, g.right_size
-    if m < 2 or n < 2:
-        raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
-    if not 0 < k < m + n - 2:
-        raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
-    a, b, c, d = _bipartite_anchors()
-    p = count_forests_constrained(g, k, required=(edge(a, b), edge(a, d)))
-    q = count_forests_constrained(g, k, required=(edge(a, b), edge(c, b)))
-    r = count_forests_constrained(g, k, required=(edge(a, b), edge(c, d)))
-    return PairCounts(p, q, r)
+    else:
+        m, n = g.left_size, g.right_size
+        if m < 2 or n < 2:
+            raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
+        if not 0 < k < m + n - 2:
+            raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
+    return PairCounts(*(count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)))
 
 
 def moon_tree_counts(w: int) -> tuple[int, int]:
@@ -395,12 +398,20 @@ def moon_tree_counts(w: int) -> tuple[int, int]:
 @lru_cache(maxsize=None)
 def _forests_by_size(n: int, k: int) -> int:
     """Number of spanning forests of K_n with k components; defined as 1 for
-    the empty vertex set with k = 0 (the boundary the subset sums need)."""
+    the empty vertex set with k = 0 (the boundary the subset sums need).
+
+    The tree through vertex 1 has s vertices: C(n-1, s-1) choices of the
+    others, Cayley's s^(s-2) trees on them (one for s <= 2), and a forest
+    with k - 1 components on the rest.
+    """
     if n == 0:
         return 1 if k == 0 else 0
     if k < 1 or k > n:
         return 0
-    return count_forests_constrained(complete_graph(n), k)
+    return sum(
+        comb(n - 1, s - 1) * (s ** (s - 2) if s > 2 else 1) * _forests_by_size(n - s, k - 1)
+        for s in range(1, n - k + 2)
+    )
 
 
 def _split_family_size(w: int) -> int:

@@ -69,7 +69,7 @@ def truncate(m: Matroid, r: int) -> Matroid:
         raise ValueError(f"target rank {r} out of range 1..{m.rank}")
     if r == m.rank:
         return m
-    subsets = {frozenset(c) for b in m.bases for c in combinations(sorted(b, key=repr), r)}
+    subsets = {frozenset(c) for b in m.bases for c in combinations(b, r)}
     return Matroid(m.ground, tuple(subsets))
 
 

@@ -57,6 +57,57 @@ def test_partition_identities(mn, k):
     assert len(all_disjoint) == len(set(all_disjoint))
 
 
+A, B, C, D = vertex(1), vertex(1, right=True), vertex(2), vertex(2, right=True)
+AB, AD, CB, CD = edge(A, B), edge(A, D), edge(C, B), edge(C, D)
+
+
+def _bfs_labels(verts, edges):
+    """Component label of every vertex, by BFS."""
+    adj = {v: [] for v in verts}
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    label = {}
+    for v in verts:
+        if v in label:
+            continue
+        label[v], stack = v, [v]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y not in label:
+                    label[y] = v
+                    stack.append(y)
+    return label
+
+
+def _docstring_piece(family, f):
+    """The piece the bijections module docstring assigns: delete the two
+    anchor edges, then see where c (share_left, disjoint) or d lands."""
+    cut = {"share_left": {AB, AD}, "share_right": {AB, CB}, "disjoint": {AB, CD}}[family]
+    comp = _bfs_labels(f.vertices, f.edges - cut)
+    if family == "share_left":
+        return {comp[A]: 1, comp[B]: 2, comp[D]: 4}.get(comp[C], 3)
+    if family == "share_right":
+        return {comp[A]: 1, comp[B]: 2, comp[C]: 4}.get(comp[D], 3)
+    return {comp[A]: 1, comp[B]: 2}.get(comp[C]) or {comp[A]: 4, comp[B]: 5}.get(comp[D], 3)
+
+
+@pytest.mark.parametrize("mn", [(m, n) for m in range(2, 5) for n in range(m, 5)], ids=str)
+def test_every_piece_follows_the_docstring_rule(mn):
+    g = complete_bipartite_graph(*mn)
+    for k in range(1, g.vertex_count - 1):
+        fam = build_families(g, k)
+        for family, parts in (
+            ("share_left", fam.share_left_parts),
+            ("share_right", fam.share_right_parts),
+            ("disjoint", fam.disjoint_parts),
+            ("disjoint", fam.disjoint_parts_right),
+        ):
+            for piece, part in enumerate(parts, 1):
+                for f in part:
+                    assert _docstring_piece(family, f) == piece, (g.name, k, family, str(f))
+
+
 def test_complete_families_k4():
     fam = build_families(complete_graph(4), 2)
     assert len(fam.with_wedge) == 1 and len(fam.with_matching) == 1

@@ -1,6 +1,6 @@
 import networkx as nx
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from forest_spectra import (
     Forest,
@@ -19,6 +19,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices
+from forest_spectra.forests import _forests_by_size
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -230,6 +231,15 @@ def test_pq_identity_against_counts(n, k):
     assert counts.q == 4 * d.t + d.f
 
 
+@pytest.mark.parametrize("n", range(9))
+def test_forests_by_size_recursion_matches_counting(n):
+    expected = [1 if n == 0 else 0]
+    if n:
+        g = complete_graph(n)
+        expected += [count_forests_constrained(g, j) for j in range(1, n + 1)]
+    assert [_forests_by_size(n, j) for j in range(n + 2)] == expected + [0]
+
+
 def test_pq_decomposition_range_errors():
     with pytest.raises(ValueError):
         pq_decomposition(3, 1)
@@ -361,6 +371,69 @@ def test_forest_accepts_exactly_the_valid_inputs(data):
         with pytest.raises(ValueError) as err:
             Forest(g, verts, edges)
         assert str(err.value) == defect
+
+
+def _bfs_partition(verts, edges):
+    """Vertex sets of the components, ordered by their smallest vertex."""
+    adj = {v: set() for v in verts}
+    for a, b in edges:
+        adj[a].add(b)
+        adj[b].add(a)
+    parts, seen = [], set()
+    for v in sorted(verts):
+        if v in seen:
+            continue
+        part, stack = {v}, [v]
+        while stack:
+            for y in adj[stack.pop()] - part:
+                part.add(y)
+                stack.append(y)
+        seen |= part
+        parts.append(frozenset(part))
+    return parts
+
+
+@given(data=st.data())
+def test_component_queries_match_bfs_partition(data):
+    g = data.draw(st.sampled_from([complete_graph(4), complete_bipartite_graph(2, 3)]))
+    verts = data.draw(
+        st.one_of(st.just(frozenset(g.vertices)), st.frozensets(st.sampled_from(g.vertices), min_size=1))
+    )
+    inside = [e for e in g.edges if set(e) <= verts]
+    edges = data.draw(st.frozensets(st.sampled_from(inside))) if inside else frozenset()
+    assume(is_acyclic(verts, edges))
+    f = Forest(g, verts, edges)
+    parts = _bfs_partition(verts, edges)
+    comps = f.components()
+    assert len(comps) == bfs_component_count(verts, edges) == f.component_count
+    assert [c.vertices for c in comps] == parts
+    for c in comps:
+        assert bfs_component_count(c.vertices, c.edges) == 1
+        assert len(c.edges) == len(c.vertices) - 1
+    assert sum(len(c.edges) for c in comps) == len(edges)
+    assert frozenset().union(*(c.edges for c in comps)) == edges
+    for u in verts:
+        (part,) = [p for p in parts if u in p]
+        assert f.component_containing(u) == comps[parts.index(part)]
+        for v in verts:
+            assert f.same_component(u, v) == (v in part)
+
+
+def test_component_queries_reject_vertices_outside_the_forest():
+    g = complete_graph(4)
+    foreign = vertex(9)
+    message = f"vertex {foreign} is not in this forest"
+    f = spanning_forest(g, [E12])
+    for u, v in ((vertex(1), foreign), (foreign, vertex(1))):
+        with pytest.raises(ValueError) as err:
+            f.same_component(u, v)
+        assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        f.component_containing(foreign)
+    assert str(err.value) == message
+    restricted = Forest(g, _verts(1, 2), _edges((1, 2)))
+    with pytest.raises(ValueError, match="is not in this forest"):
+        restricted.same_component(vertex(1), vertex(3))
 
 
 def test_replace_edges_validates():

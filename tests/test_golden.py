@@ -1,0 +1,46 @@
+"""The fixed instances of every benchmark ladder reproduce their golden
+reports, so a drift in a ``spectrum``, ``slp``, ``bijections``,
+``matroid`` or ``enumerate`` report fails the test suite, not only the
+benchmark.
+
+``perfbench/golden.json`` records each instance's verdict and the SHA-256
+of its report without ``timing_ms``; the digest is taken by the
+benchmark's own ``one_pass._facts``.  The seeded ``--point`` instances are
+left out: their golden entries hold only point-free fields, and
+``test_lefschetz`` checks their determinants against the ``Fraction``
+route instead.  The benchmark's files are read, never written.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from forest_spectra.cli import run
+
+from conftest import load_perfbench
+
+ONE_PASS = load_perfbench("one_pass")
+WORKLOADS = load_perfbench("workloads")
+GOLDEN_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+GOLDEN = json.loads(GOLDEN_PATH.read_text())
+FIXED = [
+    (workload, inst)
+    for workload in sorted(WORKLOADS.WHY)
+    for inst in WORKLOADS.instances(workload, 0)
+    if not inst.seeded
+]
+
+
+def test_each_ladder_has_its_fixed_instances():
+    counts = {w: sum(1 for workload, _ in FIXED if workload == w) for w in WORKLOADS.WHY}
+    assert counts == {"spectrum-ladder": 39, "slp-ladder": 9, "families-ladder": 29}
+
+
+@pytest.mark.parametrize("workload,inst", FIXED, ids=[inst.key for _, inst in FIXED])
+def test_report_matches_golden(workload, inst, capsys):
+    code = run(list(inst.argv))
+    facts = ONE_PASS._facts(capsys.readouterr().out, code, inst.seeded)
+    assert facts["exit_code"] == 0
+    expected = GOLDEN[workload][inst.key]
+    assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
