@@ -43,6 +43,27 @@ def bfs_component_count(vertices, edge_subset) -> int:
     return comps
 
 
+def bfs_partition(vertices, edge_subset) -> list[frozenset]:
+    """Vertex sets of the components, ordered by their smallest vertex."""
+    adj = {v: set() for v in vertices}
+    for a, b in edge_subset:
+        adj[a].add(b)
+        adj[b].add(a)
+    parts: list[frozenset] = []
+    seen: set = set()
+    for v in sorted(vertices):
+        if v in seen:
+            continue
+        part, stack = {v}, [v]
+        while stack:
+            for y in adj[stack.pop()] - part:
+                part.add(y)
+                stack.append(y)
+        seen |= part
+        parts.append(frozenset(part))
+    return parts
+
+
 def is_acyclic(vertices, edge_subset) -> bool:
     return bfs_component_count(vertices, edge_subset) == len(vertices) - len(edge_subset)
 

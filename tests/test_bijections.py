@@ -15,6 +15,8 @@ from forest_spectra import (
 )
 from forest_spectra.bijections import _verify_bijection
 
+from conftest import bfs_partition
+
 
 def test_families_k22():
     fam = build_families(complete_bipartite_graph(2, 2), 1)
@@ -61,30 +63,11 @@ A, B, C, D = vertex(1), vertex(1, right=True), vertex(2), vertex(2, right=True)
 AB, AD, CB, CD = edge(A, B), edge(A, D), edge(C, B), edge(C, D)
 
 
-def _bfs_labels(verts, edges):
-    """Component label of every vertex, by BFS."""
-    adj = {v: [] for v in verts}
-    for a, b in edges:
-        adj[a].append(b)
-        adj[b].append(a)
-    label = {}
-    for v in verts:
-        if v in label:
-            continue
-        label[v], stack = v, [v]
-        while stack:
-            for y in adj[stack.pop()]:
-                if y not in label:
-                    label[y] = v
-                    stack.append(y)
-    return label
-
-
 def _docstring_piece(family, f):
     """The piece the bijections module docstring assigns: delete the two
     anchor edges, then see where c (share_left, disjoint) or d lands."""
     cut = {"share_left": {AB, AD}, "share_right": {AB, CB}, "disjoint": {AB, CD}}[family]
-    comp = _bfs_labels(f.vertices, f.edges - cut)
+    comp = {v: i for i, part in enumerate(bfs_partition(f.vertices, f.edges - cut)) for v in part}
     if family == "share_left":
         return {comp[A]: 1, comp[B]: 2, comp[D]: 4}.get(comp[C], 3)
     if family == "share_right":

@@ -26,6 +26,7 @@ from conftest import (
     brute_count,
     brute_forests,
     bfs_component_count,
+    bfs_partition,
     is_acyclic,
 )
 
@@ -373,26 +374,6 @@ def test_forest_accepts_exactly_the_valid_inputs(data):
         assert str(err.value) == defect
 
 
-def _bfs_partition(verts, edges):
-    """Vertex sets of the components, ordered by their smallest vertex."""
-    adj = {v: set() for v in verts}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    parts, seen = [], set()
-    for v in sorted(verts):
-        if v in seen:
-            continue
-        part, stack = {v}, [v]
-        while stack:
-            for y in adj[stack.pop()] - part:
-                part.add(y)
-                stack.append(y)
-        seen |= part
-        parts.append(frozenset(part))
-    return parts
-
-
 @given(data=st.data())
 def test_component_queries_match_bfs_partition(data):
     g = data.draw(st.sampled_from([complete_graph(4), complete_bipartite_graph(2, 3)]))
@@ -403,7 +384,7 @@ def test_component_queries_match_bfs_partition(data):
     edges = data.draw(st.frozensets(st.sampled_from(inside))) if inside else frozenset()
     assume(is_acyclic(verts, edges))
     f = Forest(g, verts, edges)
-    parts = _bfs_partition(verts, edges)
+    parts = bfs_partition(verts, edges)
     comps = f.components()
     assert len(comps) == bfs_component_count(verts, edges) == f.component_count
     assert [c.vertices for c in comps] == parts
