@@ -27,6 +27,7 @@ from .bijections import (
 )
 from .errors import VerificationFailure
 from .forests import (
+    _forests_by_size,
     count_forests_constrained,
     edge_pair_counts,
     enumerate_forests,
@@ -384,6 +385,11 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
     return ("verified" if all(checks) else "failed"), input_, result
 
 
+# a listing holds one Forest per forest and prints every edge name, so the
+# largest lists would exhaust memory long before they finish
+MAX_LISTED_FORESTS = 1_000_000
+
+
 def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
@@ -391,6 +397,13 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     if args.count_only:
         result = {"count": count_forests_constrained(g, k)}
     else:
+        # enumerate takes only --complete, so the closed form gives the size
+        count = _forests_by_size(g.left_size, k)
+        if count > MAX_LISTED_FORESTS:
+            raise ValueError(
+                f"{g.name} has {count} {k}-component forests, more than the "
+                f"{MAX_LISTED_FORESTS} a listing may hold; use --count-only to count them"
+            )
         forests = enumerate_forests(g, k)
         result = {
             "count": len(forests),

@@ -2,10 +2,17 @@
 
 A spanning forest here always covers the full vertex set of its host graph
 (isolated vertices count as components), so a forest with e edges on v
-vertices has exactly v - e components.  Enumeration is exhaustive: recursive
-edge inclusion with union-find cycle rejection, pruned by remaining-edge
-feasibility.  Counts are plain Python integers, which are arbitrary
-precision; w^(w-4) and forest counts overflow fixed-width types quickly.
+vertices has exactly v - e components.
+
+Counting is a frontier DP (frontier-based search, as in Sekine, Imai and
+Tani for Tutte polynomials): one pass over the edges, memoised over the
+connectivity states of the vertices still in play, with the required edges
+contracted up front and no forest ever built.  Enumeration is the search:
+recursive edge inclusion with union-find cycle rejection, pruned by
+remaining-edge feasibility; the same search, counting leaves instead of
+listing them, gives the edge-pair counts of the Hessians.  Counts are plain
+Python integers, which are arbitrary precision; w^(w-4) and forest counts
+overflow fixed-width types quickly.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
+from operator import add
 from typing import Iterable, Sequence
 
 from .errors import InsufficientVertices
@@ -188,7 +196,8 @@ def spanning_forest(graph: Graph, edges: Iterable[Edge]) -> Forest:
 
 
 # ---------------------------------------------------------------------------
-# core search: recursion over the next included edge, union-find with undo
+# core kernels: the frontier count, and the recursion over the next included
+# edge (union-find with undo) that lists forests or counts their edge pairs
 
 
 def _find(parent: list[int], x: int) -> int:
@@ -197,22 +206,63 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _count_from(parent: list[int], comps: int, free: Sequence[tuple[int, int]], i: int, k: int) -> int:
-    need = comps - k
-    if need == 0:
-        return 1
-    m = len(free)
-    total = 0
-    while i <= m - need:
-        u, v = free[i]
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru != rv:
-            parent[ru] = rv
-            total += _count_from(parent, comps - 1, free, i + 1, k)
-            parent[ru] = ru
-        i += 1
-    return total
+def _count_by_frontier(arcs: dict[tuple[int, int], int], need: int) -> int:
+    """Number of ``need``-edge acyclic subsets of a multigraph whose ``arcs``
+    map each joined vertex pair to its number of parallel edges.
+
+    Frontier-based search: walk the arcs in order, keeping one state per
+    canonical block labelling of the frontier, the vertices already met that
+    still have arcs to come.  The labelling is canonical by first
+    appearance: each frontier vertex carries the position of the first
+    frontier vertex of its block.  Each state carries its number of paths
+    per count of edges taken below ``need``.  Skipping an arc keeps the
+    labelling; taking one of its edges merges two blocks, and a path where
+    both ends share a block would close a cycle, so it has no taking branch.
+    A path that reaches ``need`` edges is a forest whatever the rest of the
+    walk skips, so it is counted at once and leaves the walk.  A vertex
+    leaves the frontier after its last arc, so the state count is bounded by
+    Bell numbers of the frontier width, not by the number of forests.
+    """
+    if need <= 1:
+        return sum(arcs.values()) if need else 1  # any one edge is a forest
+    last = {}
+    for i, (u, v) in enumerate(arcs):
+        last[u] = last[v] = i
+    frontier: list[int] = []
+    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * (need - 1)}
+    done = 0
+    for i, ((u, v), ways) in enumerate(arcs.items()):
+        entering = [w for w in (u, v) if w not in frontier]
+        if entering:
+            frontier += entering
+            tail = tuple(range(len(frontier) - len(entering), len(frontier)))
+            states = {key + tail: counts for key, counts in states.items()}
+        pu = frontier.index(u)
+        pv = frontier.index(v)
+        nxt = dict(states)  # skipping the arc
+        for key, counts in states.items():
+            a, b = key[pu], key[pv]
+            if a == b:
+                continue
+            done += ways * counts[-1]
+            if any(counts[:-1]):
+                if a > b:
+                    a, b = b, a
+                out = tuple(a if x == b else x for x in key)
+                vec = [0] + [ways * c for c in counts[:-1]]
+                old = nxt.get(out)
+                nxt[out] = vec if old is None else list(map(add, old, vec))
+        states = nxt
+        keep = [p for p, w in enumerate(frontier) if last[w] != i]
+        if len(keep) < len(frontier):
+            frontier = [frontier[p] for p in keep]
+            states = {}
+            for key, counts in nxt.items():
+                labels: dict[int, int] = {}
+                out = tuple(labels.setdefault(key[p], j) for j, p in enumerate(keep))
+                old = states.get(out)
+                states[out] = counts if old is None else list(map(add, old, counts))
+    return done
 
 
 def _collect_from(
@@ -242,7 +292,53 @@ def _collect_from(
         i += 1
 
 
+def _pairs_from(
+    parent: list[int],
+    comps: int,
+    free: Sequence[tuple[int, int, int]],
+    i: int,
+    k: int,
+    chosen: list[int],
+    rows: list[list[int]],
+) -> int:
+    """The search of :func:`_collect_from`, counting instead of listing: it
+    returns the number L of forests below this node, and taking edge x with
+    ``chosen`` on the stack adds L to ``rows[x][y]`` for every y in
+    ``chosen``.  Every forest through x and y passes exactly one such node,
+    so the lower triangle of ``rows`` ends up holding the pair counts."""
+    need = comps - k
+    if need == 0:
+        return 1
+    m = len(free)
+    leaves = 0
+    while i <= m - need:
+        u, v, x = free[i]
+        ru = _find(parent, u)
+        rv = _find(parent, v)
+        if ru != rv:
+            if need == 1:
+                below = 1  # every edge that joins two trees ends one forest
+            else:
+                parent[ru] = rv
+                chosen.append(x)
+                below = _pairs_from(parent, comps - 1, free, i + 1, k, chosen, rows)
+                chosen.pop()
+                parent[ru] = ru
+            row = rows[x]
+            for y in chosen:
+                row[y] += below
+            leaves += below
+        i += 1
+    return leaves
+
+
 def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]):
+    """Validate a constrained search and start it: the union-find parent
+    list over vertex indices with the required edges merged, the number of
+    components left, the other allowed edges as (u, v, edge index) triples
+    in canonical order, and the sorted required edge indices as a tuple.
+    None when no forest qualifies: the required edges close a cycle or
+    leave fewer than k components."""
     if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
         raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
     req = list(dict.fromkeys(required))
@@ -262,27 +358,36 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
         ra = _find(parent, vidx[a])
         rb = _find(parent, vidx[b])
         if ra == rb:
-            return None  # required edges already close a cycle
+            return None
         parent[ra] = rb
         comps -= 1
+    if comps < k:
+        return None
     skip = set(req) | forb
-    eidx = g.edge_index
-    return parent, comps, vidx, [e for e in g.edges if e not in skip], eidx, req
+    free = [(vidx[a], vidx[b], x) for x, (a, b) in enumerate(g.edges) if (a, b) not in skip]
+    return parent, comps, free, tuple(sorted(map(g.edge_index.__getitem__, req)))
 
 
 def count_forests_constrained(
     g: Graph, k: int, required: Iterable[Edge] = (), forbidden: Iterable[Edge] = ()
 ) -> int:
     """Number of k-component spanning forests containing every required
-    edge and avoiding every forbidden edge."""
+    edge and avoiding every forbidden edge, by :func:`_count_by_frontier`."""
     state = _setup(g, k, required, forbidden)
     if state is None:
         return 0
-    parent, comps, vidx, free, _eidx, _req = state
-    if comps < k:
-        return 0
-    pairs = [(vidx[a], vidx[b]) for a, b in free]
-    return _count_from(parent, comps, pairs, 0, k)
+    parent, comps, free, _req = state
+    # the required edges are contracted: arcs join their union-find roots,
+    # parallel free edges become one arc, and a free edge inside one root's
+    # block could only close a cycle
+    arcs: dict[tuple[int, int], int] = {}
+    for u, v, _x in free:
+        ru = _find(parent, u)
+        rv = _find(parent, v)
+        if ru != rv:
+            pair = (ru, rv) if ru < rv else (rv, ru)
+            arcs[pair] = arcs.get(pair, 0) + 1
+    return _count_by_frontier(arcs, comps - k)
 
 
 def _forest_index_tuples(
@@ -291,16 +396,21 @@ def _forest_index_tuples(
     state = _setup(g, k, required, forbidden)
     if state is None:
         return []
-    parent, comps, vidx, free, eidx, req = state
-    if comps < k:
-        return []
-    triples = [(vidx[a], vidx[b], eidx[e]) for e in free for a, b in [e]]
+    parent, comps, free, req = state
     out: list[tuple[int, ...]] = []
-    _collect_from(parent, comps, triples, 0, k, [], out)
-    base = tuple(sorted(eidx[e] for e in req))
-    if base:
-        return [tuple(sorted(base + c)) for c in out]
+    _collect_from(parent, comps, free, 0, k, [], out)
+    if req:
+        return [tuple(sorted(req + c)) for c in out]
     return out
+
+
+def _pair_count_rows(g: Graph, k: int) -> list[list[int]]:
+    """Entry (x, y) with y < x is the number of k-forests of ``g`` through
+    edges x and y; the diagonal and upper triangle are zero."""
+    parent, comps, free, _req = _setup(g, k, (), ())  # never None unconstrained
+    rows = [[0] * g.edge_count for _ in range(g.edge_count)]
+    _pairs_from(parent, comps, free, 0, k, [], rows)
+    return rows
 
 
 def enumerate_forests(g: Graph, k: int) -> tuple[Forest, ...]:

@@ -12,16 +12,14 @@ eigensolver is involved anywhere.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
 from math import lcm
 from operator import mul
 from typing import NamedTuple, Union
 
 from .errors import StructureViolation, VerificationFailure
-from .forests import PairCounts, _forest_index_tuples, count_forests_constrained
+from .forests import PairCounts, _pair_count_rows, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, classify_edge_pair, edge_name
 from .linalg import ExactMatrix
 
@@ -131,15 +129,14 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
 
     The generating function is square free with unit coefficients, so entry
     (e, e') of its Hessian at all-ones is the number of k-forests containing
-    both edges, and the diagonal is zero.  The entries are integer
-    co-occurrence counts taken straight from the enumerated forests, with
-    no polynomial built.
+    both edges, and the diagonal is zero.  The entries are integer pair
+    counts taken on the forest search tree, with no forest and no
+    polynomial built.
     """
-    m = g.edge_count
-    pairs = Counter(chain.from_iterable(map(combinations, _forest_index_tuples(g, k), repeat(2))))
-    rows = [[0] * m for _ in range(m)]
-    for (i, j), count in pairs.items():
-        rows[i][j] = rows[j][i] = count
+    rows = _pair_count_rows(g, k)
+    for i, row in enumerate(rows):
+        for j in range(i):
+            rows[j][i] = row[j]
     return ExactMatrix.from_rows(rows)
 
 

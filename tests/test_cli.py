@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -157,6 +158,36 @@ def test_enumerate_lists_forests(capsys):
     assert code == 0
     assert report["result"]["count"] == 16
     assert report["result"]["forests"][0] == ["1-2", "1-3", "1-4"]
+
+
+def test_enumerate_refuses_an_oversized_listing(capsys, monkeypatch):
+    # the listing must be refused from the closed-form count, before any
+    # forest is built: building them here would mean 61,917,364,224 forests
+    import forest_spectra.cli as cli
+
+    def never(*args):
+        raise AssertionError("the oversized listing reached the enumeration")
+
+    monkeypatch.setattr(cli, "enumerate_forests", never)
+    start = time.perf_counter()
+    code = run(["enumerate", "--complete", "12", "--k", "1"])
+    elapsed = time.perf_counter() - start
+    err = capsys.readouterr().err
+    assert code == 2
+    assert elapsed < 1.0
+    assert "61917364224" in err and "--count-only" in err
+    assert 61917364224 > cli.MAX_LISTED_FORESTS
+
+
+def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
+    import forest_spectra.cli as cli
+
+    monkeypatch.setattr(cli, "MAX_LISTED_FORESTS", 16)
+    code, report = capture(capsys, ["enumerate", "--complete", "4", "--k", "1"])
+    assert code == 0 and report["result"]["count"] == 16
+    monkeypatch.setattr(cli, "MAX_LISTED_FORESTS", 15)
+    assert run(["enumerate", "--complete", "4", "--k", "1"]) == 2
+    assert "16 1-component forests" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(capsys):

@@ -133,10 +133,64 @@ def test_constrained_overlap_rejected():
         count_forests_constrained(g, 1, required=(E12,), forbidden=(E12,))
 
 
+COUNTING_GRAPHS = [complete_graph(n) for n in range(3, 8)] + [
+    complete_bipartite_graph(m, n) for m in range(2, 5) for n in range(m, 5)
+]
+
+
+@pytest.mark.parametrize("g", COUNTING_GRAPHS, ids=lambda g: g.name)
+def test_counts_match_enumeration(g):
+    for k in range(1, g.vertex_count + 1):
+        assert count_forests_constrained(g, k) == len(enumerate_forests_constrained(g, k)), k
+
+
+@given(data=st.data())
+def test_constrained_counts_match_subset_oracle(data):
+    g = data.draw(st.sampled_from([complete_graph(5), complete_bipartite_graph(3, 3)]))
+    k = data.draw(st.integers(1, g.vertex_count))
+    # each edge is free, required or forbidden, so the two sets never overlap
+    roles = data.draw(st.lists(st.sampled_from("frx"), min_size=g.edge_count, max_size=g.edge_count))
+    required = [e for e, role in zip(g.edges, roles) if role == "r"]
+    forbidden = [e for e, role in zip(g.edges, roles) if role == "x"]
+    assert count_forests_constrained(g, k, required, forbidden) == brute_count(g, k, required, forbidden)
+
+
+def _edges_on(*pairs, right=False):
+    return tuple(edge(vertex(a), vertex(b, right=right)) for a, b in pairs)
+
+
 def test_required_cycle_gives_zero():
+    cases = [
+        (complete_graph(4), _edges_on((1, 2), (2, 3), (1, 3))),
+        (complete_graph(6), _edges_on((1, 2), (2, 3), (3, 4), (1, 4), (5, 6))),
+        (complete_bipartite_graph(2, 2), _edges_on((1, 1), (1, 2), (2, 1), (2, 2), right=True)),
+        (complete_bipartite_graph(3, 3), _edges_on((1, 1), (2, 1), (2, 2), (1, 2), right=True)),
+    ]
+    for g, required in cases:
+        for k in range(1, g.vertex_count + 1):
+            assert count_forests_constrained(g, k, required=required) == 0, (g.name, k)
+            assert enumerate_forests_constrained(g, k, required=required) == (), (g.name, k)
+
+
+@pytest.mark.parametrize(
+    "k, required, forbidden, message",
+    [
+        (0, (), (), "component count k=0 out of range 1..4"),
+        (5, (), (), "component count k=5 out of range 1..4"),
+        (1.0, (), (), "component count k=1.0 out of range 1..4"),
+        (1, (E12, E23), (E23, E12), "required and forbidden edges overlap: 1-2, 2-3"),
+        (1, (edge(vertex(1), vertex(5)),), (), "1-5 is not an edge of K_4"),
+        (1, (), (edge(vertex(1), vertex(1, right=True)),), "1-1' is not an edge of K_4"),
+        # validation runs before the search: a bad k wins over a foreign edge
+        (9, (edge(vertex(1), vertex(5)),), (), "component count k=9 out of range 1..4"),
+    ],
+)
+def test_constrained_rejections_keep_their_messages(k, required, forbidden, message):
     g = complete_graph(4)
-    e13 = edge(vertex(1), vertex(3))
-    assert count_forests_constrained(g, 1, required=(E12, E23, e13)) == 0
+    for search in (count_forests_constrained, enumerate_forests_constrained):
+        with pytest.raises(ValueError) as err:
+            search(g, k, required=required, forbidden=forbidden)
+        assert str(err.value) == message
 
 
 def test_pair_counts_k4():
@@ -232,13 +286,20 @@ def test_pq_identity_against_counts(n, k):
     assert counts.q == 4 * d.t + d.f
 
 
-@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("n", range(11))
 def test_forests_by_size_recursion_matches_counting(n):
     expected = [1 if n == 0 else 0]
     if n:
         g = complete_graph(n)
         expected += [count_forests_constrained(g, j) for j in range(1, n + 1)]
     assert [_forests_by_size(n, j) for j in range(n + 2)] == expected + [0]
+
+
+def test_bipartite_spanning_tree_counts_match_scoins_formula():
+    for m in range(1, 6):
+        for n in range(1, 6):
+            g = complete_bipartite_graph(m, n)
+            assert count_forests_constrained(g, 1) == m ** (n - 1) * n ** (m - 1), (m, n)
 
 
 def test_pq_decomposition_range_errors():

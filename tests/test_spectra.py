@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -26,6 +27,7 @@ from forest_spectra import (
     verify_spectrum,
 )
 from forest_spectra.errors import StructureViolation, VerificationFailure
+from forest_spectra.forests import _forests_by_size
 
 from conftest import cofactor_determinant
 
@@ -92,8 +94,27 @@ def test_tilde_hessian_linear_polynomial_is_zero():
 
 
 def test_both_routes_agree_with_cross_check():
-    g = complete_graph(5)
-    assert tilde_hessian(g, 2) == tilde_hessian_by_counting(g, 2)
+    # the search-tree pair counts against one frontier count per entry, at
+    # every k, theorem range or not
+    graphs = [complete_graph(n) for n in (4, 5, 6)]
+    graphs += [complete_bipartite_graph(m, n) for m in (2, 3) for n in range(m, 4)]
+    for g in graphs:
+        for k in range(1, g.vertex_count + 1):
+            assert tilde_hessian(g, k) == tilde_hessian_by_counting(g, k), (g.name, k)
+
+
+@pytest.mark.parametrize("k", range(1, 6))
+def test_k8_hessian_matches_pair_counts_and_forest_totals(k):
+    # K_8 lies beyond the differentiation oracle's graphs: the walker's
+    # matrix is checked against the counting kernel and the forest recursion
+    g = complete_graph(8)
+    h = tilde_hessian(g, k)
+    params = structured_params(h, g)  # raises unless uniform per pair class
+    counts = edge_pair_counts(g, k)
+    assert (params.alpha, params.beta, params.gamma) == (0, counts.p, counts.q)
+    # each forest has 8 - k edges, so C(8 - k, 2) pairs above the diagonal
+    upper = sum(h[i, j] for i in range(h.nrows) for j in range(i + 1, h.ncols))
+    assert upper == comb(8 - k, 2) * _forests_by_size(8, k)
 
 
 def test_structured_params_complete():
