@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from forest_spectra import (
@@ -8,8 +10,10 @@ from forest_spectra import (
     build_families,
     complete_bipartite_graph,
     complete_graph,
+    complete_graph_on,
     edge,
     edge_pair_counts,
+    spanning_forest,
     verify_count_inequalities,
     vertex,
 )
@@ -246,3 +250,133 @@ def test_inequalities_out_of_range():
     fam = build_families(complete_bipartite_graph(2, 2), 2)
     with pytest.raises(ValueError):
         verify_count_inequalities(fam)
+
+
+# ---------------------------------------------------------------------------
+# failure reports on hand-built families holding out-of-domain elements: the
+# exact (kind, element, detail) of every failure is part of the contract
+
+
+def _forest(g, *names):
+    def v(label):
+        return vertex(int(label[:-1]), right=True) if label.endswith("'") else vertex(int(label))
+
+    return spanning_forest(g, [edge(v(a), v(b)) for a, b in (n.split("-") for n in names)])
+
+
+def _failures(record):
+    return [(f.kind, f.element.edge_names(), f.detail) for f in record.failures]
+
+
+def test_forestbij_failure_reports_are_exact():
+    from forest_spectra.bijections import _build_split_families
+
+    labels = (1, 2, 3, 4, 5, 6)
+    g = complete_graph_on(labels)
+    real = _build_split_families(labels)
+    fam = dataclasses.replace(
+        real,
+        split_wedge=(
+            real.split_wedge[0],
+            _forest(g, "1-2", "2-3", "2-4", "5-6"),  # 1 and 4 in one tree; 3-4 closes a cycle
+            _forest(g, "1-2", "2-3", "3-4", "5-6"),  # 1 and 4 in one tree through 3-4
+            _forest(g, "1-2", "3-4", "4-5", "5-6"),  # no 2-3
+            _forest(g, "1-2", "2-3", "5-6"),  # three trees: 5-6 is dropped
+            _forest(g, "1-2", "2-3"),  # the same image
+        ),
+        split_matching=(
+            real.split_matching[0],
+            _forest(g, "1-2", "3-4"),
+            _forest(g, "1-2", "3-4", "5-6"),  # comes back without 5-6
+            _forest(g, "1-2", "3-4", "4-5"),  # comes back outside the domain
+            _forest(g, "1-2", "4-5", "5-6"),  # no 3-4
+            _forest(g, "1-2", "1-3", "3-4", "5-6"),  # 1-2 and 3-4 in one tree; 2-3 closes a cycle
+        ),
+    )
+    record = bijection_forestbij(labels, families=fam)
+    assert (record.domain_size, record.codomain_size, record.verified) == (6, 6, False)
+    assert _failures(record) == [
+        ("forward-undefined", ("1-2", "2-3", "2-4", "5-6"), "edge set contains a cycle"),
+        ("image-outside-codomain", ("1-2", "2-3", "3-4", "5-6"), "Forest(1-2,2-3,3-4)"),
+        ("forward-undefined", ("1-2", "3-4", "4-5", "5-6"), "edge 2-3 is not in the tree"),
+        ("round-trip", ("1-2", "2-3", "5-6"), "came back as Forest(1-2,2-3)"),
+        ("not-injective", ("1-2", "2-3"), "Forest(1-2,3-4)"),
+        ("round-trip", ("1-2", "3-4", "5-6"), "came back as Forest(1-2,3-4)"),
+        ("preimage-outside-domain", ("1-2", "3-4", "4-5"), "Forest(1-2,2-3,4-5)"),
+        ("backward-undefined", ("1-2", "4-5", "5-6"), "edge 3-4 is not in the tree"),
+        ("backward-undefined", ("1-2", "1-3", "3-4", "5-6"), "edge set contains a cycle"),
+    ]
+
+
+def _with_extras(parts, piece, *extra):
+    """``parts`` with piece ``piece`` (1-based) cut to its first element
+    and ``extra`` appended."""
+    parts = list(parts)
+    parts[piece - 1] = parts[piece - 1][:1] + extra
+    return tuple(parts)
+
+
+def test_bipartite_failure_reports_are_exact():
+    g = complete_bipartite_graph(3, 3)
+    real = build_families(g, 1)
+    left = _with_extras(
+        real.share_left_parts,
+        1,
+        _forest(g, "1-1'", "2-1'", "3-1'", "1-3'", "3-2'"),  # no 1-2'
+        _forest(g, "1-1'", "1-2'", "2-3'", "3-3'", "3-2'"),  # 2 reaches 2': 2-2' closes a cycle
+        _forest(g, "1-1'", "1-2'", "2-2'", "3-1'", "3-3'"),  # already holds 2-2'
+    )
+    left = _with_extras(
+        left,
+        4,
+        _forest(g, "1-2'", "2-1'", "3-1'", "3-3'", "2-2'"),  # no 1-1', so no 2-1' after the relabel
+        _forest(g, "1-1'", "1-2'", "2-3'", "3-3'", "3-1'"),  # the relabel, then 1-1', closes a cycle
+    )
+    disjoint = _with_extras(
+        real.disjoint_parts,
+        1,
+        _forest(g, "1-1'", "2-2'", "3-1'", "3-3'"),  # the core element's image
+        _forest(g, "1-1'", "1-2'", "2-1'", "3-1'", "3-3'"),  # no 2-2'
+        _forest(g, "1-1'", "2-2'", "1-3'", "3-3'", "3-2'"),  # 1 reaches 2': 1-2' closes a cycle
+    )
+    disjoint = _with_extras(disjoint, 4, _forest(g, "1-1'", "1-2'", "2-2'", "3-1'", "3-3'"))
+    disjoint = _with_extras(disjoint, 5, _forest(g, "1-1'", "1-2'", "2-1'", "3-1'", "3-3'"))
+    right = _with_extras(
+        real.share_right_parts,
+        2,
+        _forest(g, "1-1'", "1-2'", "1-3'", "2-3'", "3-2'"),  # no 2-1'
+        _forest(g, "1-1'", "2-1'", "2-3'", "3-3'", "3-2'"),  # 2 reaches 2': 2-2' closes a cycle
+    )
+    fam = dataclasses.replace(
+        real, share_left_parts=left, disjoint_parts=disjoint, share_right_parts=right
+    )
+    records = [bijections_pr123(g, 1, 1, families=fam)]
+    records.append(bijection_pr4(g, 1, families=fam))
+    records.append(bijection_q2r5(g, 1, families=fam))
+    assert [(r.domain_size, r.codomain_size, r.verified) for r in records] == [
+        (4, 4, False),
+        (3, 2, False),
+        (3, 2, False),
+    ]
+    assert [_failures(r) for r in records] == [
+        [
+            ("forward-undefined", ("1-1'", "1-3'", "2-1'", "3-1'", "3-2'"), "cannot remove absent edges: 1-2'"),
+            ("forward-undefined", ("1-1'", "1-2'", "2-3'", "3-2'", "3-3'"), "edge set contains a cycle"),
+            ("round-trip", ("1-1'", "1-2'", "2-2'", "3-1'", "3-3'"), "came back as Forest(1-1',1-2',3-1',3-3')"),
+            ("preimage-outside-domain", ("1-1'", "2-2'", "3-1'", "3-3'"), "Forest(1-1',1-2',3-1',3-3')"),
+            ("backward-undefined", ("1-1'", "1-2'", "2-1'", "3-1'", "3-3'"), "cannot remove absent edges: 2-2'"),
+            ("backward-undefined", ("1-1'", "1-3'", "2-2'", "3-2'", "3-3'"), "edge set contains a cycle"),
+        ],
+        [
+            ("forward-undefined", ("1-2'", "2-1'", "2-2'", "3-1'", "3-3'"), "cannot remove absent edges: 2-1'"),
+            ("forward-undefined", ("1-1'", "1-2'", "2-3'", "3-1'", "3-3'"), "edge set contains a cycle"),
+            ("preimage-outside-domain", ("1-1'", "1-2'", "2-2'", "3-1'", "3-3'"), "Forest(1-1',1-2',2-2',3-1',3-3')"),
+            ("size-mismatch", ("1-1'", "1-2'", "2-3'", "3-2'", "3-3'"), "domain 3 vs codomain 2"),
+        ],
+        [
+            ("forward-undefined", ("1-1'", "1-2'", "1-3'", "2-3'", "3-2'"), "cannot remove absent edges: 2-1'"),
+            ("forward-undefined", ("1-1'", "2-1'", "2-3'", "3-2'", "3-3'"), "edge set contains a cycle"),
+            ("backward-undefined", ("1-1'", "1-2'", "2-1'", "3-1'", "3-3'"), "cannot remove absent edges: 2-2'"),
+            ("size-mismatch", ("1-1'", "1-3'", "2-1'", "3-1'", "3-2'"), "domain 3 vs codomain 2"),
+        ],
+    ]
