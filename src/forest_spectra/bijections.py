@@ -31,22 +31,36 @@ The fifth disjoint piece (d in the 1'-side piece) needs a path from 1' to
 2' avoiding both anchor edges, so it is empty when the left side has only
 the two anchor vertices or when only one spare edge is available; this is
 exactly where r exceeds p weakly instead of strictly.
+
+Representation.  Inside, a forest is an ``int`` edge mask (bit i set iff
+edge i of the graph's canonical edge list is in it), straight from the
+edge-inclusion search: the families are filtered, split into pieces and
+mapped on masks, with one integer union-find (``forests._mask_union_find``)
+answering every connectivity question and re-validating every image.
+:class:`Forest` objects appear only at the boundary: the families expose
+their pieces as :class:`~forest_spectra.forests.MaskedForests`, tuple-like
+views that build a ``Forest`` when one is read; the bijection entry points
+accept families holding plain ``Forest`` tuples too and convert them to
+masks; and a failure report names its element as a ``Forest``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, Sequence
 
 from .forests import (
+    CYCLE_MESSAGE,
     Forest,
+    MaskedForests,
     PairCounts,
     _anchor_pairs,
-    _root,
-    _union_find,
-    enumerate_forests_constrained,
-    split_tree_at_edge,
+    _edge_ends,
+    _find,
+    _forest_masks,
+    _mask_bits,
+    _mask_union_find,
     theorem_range,
 )
 from .graphs import (
@@ -56,6 +70,8 @@ from .graphs import (
     Graph,
     complete_bipartite_graph,
     complete_graph_on,
+    edge,
+    edge_name,
 )
 
 (_AB, _AD), (_, _CB), (_, _CD) = _anchor_pairs(complete_bipartite_graph(2, 2))
@@ -92,58 +108,66 @@ class BijectionReport:
 
 def _verify_bijection(
     name: str,
-    domain: Sequence[Forest],
-    codomain: Sequence[Forest],
-    forward: Callable[[Forest], Forest],
-    backward: Callable[[Forest], Forest],
+    domain: Sequence[Hashable],
+    codomain: Sequence[Hashable],
+    forward: Callable[[Hashable], Hashable],
+    backward: Callable[[Hashable], Hashable],
+    forest: Callable[[Hashable], Forest] = lambda x: x,
 ) -> BijectionReport:
+    """Run ``forward`` on every domain element and ``backward`` on every
+    codomain element, checking totality (a map raising ValueError is
+    undefined there), codomain membership, injectivity and both round trips,
+    then the size match.  Elements are any hashable values; ``forest`` turns
+    one into the :class:`Forest` a failure report names."""
     failures: list[BijectionFailure] = []
+
+    def fail(kind: str, element: Hashable, detail: str) -> None:
+        failures.append(BijectionFailure(kind, forest(element), detail))
+
     domain_set = set(domain)
     codomain_set = set(codomain)
-    hit: set[Forest] = set()
+    hit: set = set()
     for x in domain:
         try:
             y = forward(x)
         except ValueError as err:
-            failures.append(BijectionFailure("forward-undefined", x, str(err)))
+            fail("forward-undefined", x, str(err))
             continue
         if y not in codomain_set:
-            failures.append(BijectionFailure("image-outside-codomain", x, str(y)))
+            fail("image-outside-codomain", x, str(forest(y)))
             continue
         if y in hit:
-            failures.append(BijectionFailure("not-injective", x, str(y)))
+            fail("not-injective", x, str(forest(y)))
             continue
         hit.add(y)
         try:
             back = backward(y)
         except ValueError as err:
-            failures.append(BijectionFailure("backward-undefined", y, str(err)))
+            fail("backward-undefined", y, str(err))
             continue
         if back != x:
-            failures.append(BijectionFailure("round-trip", x, f"came back as {back}"))
+            fail("round-trip", x, f"came back as {forest(back)}")
     for y in codomain:
         try:
             x = backward(y)
         except ValueError as err:
-            failures.append(BijectionFailure("backward-undefined", y, str(err)))
+            fail("backward-undefined", y, str(err))
             continue
         if x not in domain_set:
-            failures.append(BijectionFailure("preimage-outside-domain", y, str(x)))
+            fail("preimage-outside-domain", y, str(forest(x)))
             continue
         try:
             again = forward(x)
         except ValueError as err:
-            failures.append(BijectionFailure("forward-undefined", x, str(err)))
+            fail("forward-undefined", x, str(err))
             continue
         if again != y:
-            failures.append(BijectionFailure("round-trip", y, f"came back as {again}"))
+            fail("round-trip", y, f"came back as {forest(again)}")
     if len(domain) != len(codomain):
-        failures.append(
-            BijectionFailure(
-                "size-mismatch",
-                domain[0] if domain else codomain[0],
-                f"domain {len(domain)} vs codomain {len(codomain)}",
-            )
+        fail(
+            "size-mismatch",
+            domain[0] if domain else codomain[0],
+            f"domain {len(domain)} vs codomain {len(codomain)}",
         )
     return BijectionReport(name, len(domain), len(codomain), tuple(failures))
 
@@ -164,18 +188,18 @@ class SplitFamilies:
 
     labels: tuple[int, ...]
     graph: Graph
-    trees_wedge: tuple[Forest, ...]
-    trees_matching: tuple[Forest, ...]
-    split_wedge: tuple[Forest, ...]
-    split_matching: tuple[Forest, ...]
+    trees_wedge: Sequence[Forest]
+    trees_matching: Sequence[Forest]
+    split_wedge: Sequence[Forest]
+    split_matching: Sequence[Forest]
 
 
 @dataclass(frozen=True)
 class CompleteForestFamilies:
     graph: Graph
     k: int
-    with_wedge: tuple[Forest, ...]  # k-forests through 1-2 and 2-3
-    with_matching: tuple[Forest, ...]  # k-forests through 1-2 and 3-4
+    with_wedge: Sequence[Forest]  # k-forests through 1-2 and 2-3
+    with_matching: Sequence[Forest]  # k-forests through 1-2 and 3-4
     per_subset: tuple[SplitFamilies, ...]
 
     def pair_counts(self) -> PairCounts:
@@ -186,15 +210,15 @@ class CompleteForestFamilies:
 class BipartiteForestFamilies:
     graph: Graph
     k: int
-    share_left: tuple[Forest, ...]
-    share_right: tuple[Forest, ...]
-    disjoint: tuple[Forest, ...]
-    core: tuple[Forest, ...]  # share_left and disjoint at once
-    core_right: tuple[Forest, ...]  # share_right and disjoint at once
-    share_left_parts: tuple[tuple[Forest, ...], ...]  # 4 pieces
-    share_right_parts: tuple[tuple[Forest, ...], ...]  # 4 pieces
-    disjoint_parts: tuple[tuple[Forest, ...], ...]  # 5 pieces, rel. core
-    disjoint_parts_right: tuple[tuple[Forest, ...], ...]  # 5 pieces, rel. core_right
+    share_left: Sequence[Forest]
+    share_right: Sequence[Forest]
+    disjoint: Sequence[Forest]
+    core: Sequence[Forest]  # share_left and disjoint at once
+    core_right: Sequence[Forest]  # share_right and disjoint at once
+    share_left_parts: tuple[Sequence[Forest], ...]  # 4 pieces
+    share_right_parts: tuple[Sequence[Forest], ...]  # 4 pieces
+    disjoint_parts: tuple[Sequence[Forest], ...]  # 5 pieces, rel. core
+    disjoint_parts_right: tuple[Sequence[Forest], ...]  # 5 pieces, rel. core_right
 
     @property
     def share_left_rest(self) -> tuple[Forest, ...]:
@@ -236,19 +260,26 @@ def _build_split_families(labels: Iterable[int]) -> SplitFamilies:
     g = complete_graph_on(labels)
     wedge, matching = _anchor_pairs(g)
     (v1, _), (v3, v4) = matching
-    trees_wedge = enumerate_forests_constrained(g, 1, required=wedge)
-    trees_matching = enumerate_forests_constrained(g, 1, required=matching)
-    split_wedge = tuple(
-        f
-        for f in enumerate_forests_constrained(g, 2, required=wedge)
-        if not f.same_component(v1, v4)
+    ends, n = _edge_ends(g), g.vertex_count
+
+    def apart(pair: tuple[Edge, Edge], u, v) -> MaskedForests:
+        """The 2-forests through ``pair`` with u and v in different trees."""
+        u, v = g.vertices.index(u), g.vertices.index(v)
+        out = []
+        for x in _forest_masks(g, 2, required=pair):
+            parent = _mask_union_find(ends, n, x)
+            if _find(parent, u) != _find(parent, v):
+                out.append(x)
+        return MaskedForests(g, out)
+
+    return SplitFamilies(
+        labels,
+        g,
+        MaskedForests(g, _forest_masks(g, 1, required=wedge)),
+        MaskedForests(g, _forest_masks(g, 1, required=matching)),
+        apart(wedge, v1, v4),
+        apart(matching, v1, v3),
     )
-    split_matching = tuple(
-        f
-        for f in enumerate_forests_constrained(g, 2, required=matching)
-        if not f.same_component(v1, v3)
-    )
-    return SplitFamilies(labels, g, trees_wedge, trees_matching, split_wedge, split_matching)
 
 
 def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
@@ -256,7 +287,7 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     if n < 4:
         raise ValueError(f"anchor vertices 1..4 need n >= 4, got n={n}")
     with_wedge, with_matching = (
-        enumerate_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)
+        MaskedForests(g, _forest_masks(g, k, required=pair)) for pair in _anchor_pairs(g)
     )
     spare = [v[1] for v in g.vertices[4:]]
     subsets = []
@@ -266,13 +297,26 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     return CompleteForestFamilies(g, k, with_wedge, with_matching, tuple(subsets))
 
 
-def _piece_case(f: Forest, cases) -> int:
-    cut, probes = cases
-    parent = _union_find(f.vertices, f.edges.difference(cut))
-    for piece, (u, v) in probes:
-        if _root(parent, u) == _root(parent, v):
+def _piece_case(x: int, rule, ends: Sequence[tuple[int, int]], n: int) -> int:
+    """The piece of forest mask ``x`` under a case table compiled by
+    :func:`_piece_rule`."""
+    cut, probes = rule
+    parent = _mask_union_find(ends, n, x & ~cut)
+    for piece, u, v in probes:
+        if _find(parent, u) == _find(parent, v):
             return piece
     return 3
+
+
+def _piece_rule(g: Graph, cases):
+    """A case table in ``g``'s terms: the cut edges as a mask, the probes
+    as vertex positions."""
+    cut, probes = cases
+    index = g.edge_index
+    return (
+        sum(1 << index[e] for e in cut),
+        tuple((piece, g.vertices.index(u), g.vertices.index(v)) for piece, (u, v) in probes),
+    )
 
 
 def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
@@ -281,33 +325,33 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
             f"anchor vertices need m, n >= 2, got ({g.left_size}, {g.right_size})"
         )
     share_left, share_right, disjoint = (
-        enumerate_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)
+        _forest_masks(g, k, required=pair) for pair in _anchor_pairs(g)
     )
-    core = tuple(f for f in share_left if _CD in f.edges)
-    core_right = tuple(f for f in share_right if _CD in f.edges)
-    left_rest = [f for f in share_left if _CD not in f.edges]
-    right_rest = [f for f in share_right if _CD not in f.edges]
-    disjoint_rest = [f for f in disjoint if _AD not in f.edges]
-    disjoint_rest_right = [f for f in disjoint if _CB not in f.edges]
+    ad, cb, cd = (1 << g.edge_index[e] for e in (_AD, _CB, _CD))
+    ends, n = _edge_ends(g), g.vertex_count
+
+    def masked(masks: Iterable[int]) -> MaskedForests:
+        return MaskedForests(g, masks)
 
     def split(family, cases, count):
-        parts: list[list[Forest]] = [[] for _ in range(count)]
-        for f in family:
-            parts[_piece_case(f, cases) - 1].append(f)
-        return tuple(tuple(part) for part in parts)
+        rule = _piece_rule(g, cases)
+        parts: list[list[int]] = [[] for _ in range(count)]
+        for x in family:
+            parts[_piece_case(x, rule, ends, n) - 1].append(x)
+        return tuple(map(masked, parts))
 
     return BipartiteForestFamilies(
         graph=g,
         k=k,
-        share_left=share_left,
-        share_right=share_right,
-        disjoint=disjoint,
-        core=core,
-        core_right=core_right,
-        share_left_parts=split(left_rest, _LEFT_CASES, 4),
-        share_right_parts=split(right_rest, _RIGHT_CASES, 4),
-        disjoint_parts=split(disjoint_rest, _DISJOINT_CASES, 5),
-        disjoint_parts_right=split(disjoint_rest_right, _DISJOINT_CASES, 5),
+        share_left=masked(share_left),
+        share_right=masked(share_right),
+        disjoint=masked(disjoint),
+        core=masked(x for x in share_left if x & cd),
+        core_right=masked(x for x in share_right if x & cd),
+        share_left_parts=split((x for x in share_left if not x & cd), _LEFT_CASES, 4),
+        share_right_parts=split((x for x in share_right if not x & cd), _RIGHT_CASES, 4),
+        disjoint_parts=split((x for x in disjoint if not x & ad), _DISJOINT_CASES, 5),
+        disjoint_parts_right=split((x for x in disjoint if not x & cb), _DISJOINT_CASES, 5),
     )
 
 
@@ -321,7 +365,29 @@ def build_families(g: Graph, k: int) -> CompleteForestFamilies | BipartiteForest
 
 
 # ---------------------------------------------------------------------------
-# the bijections
+# the bijections, as maps on edge masks; each raises ValueError, with the
+# message the same map on Forest objects would give, where it is undefined
+
+
+def _acyclic(ends: Sequence[tuple[int, int]], n: int, mask: int) -> int:
+    """``mask`` itself; ValueError if its edges close a cycle."""
+    if _mask_union_find(ends, n, mask) is None:
+        raise ValueError(CYCLE_MESSAGE)
+    return mask
+
+
+def _verify_on(
+    name: str,
+    g: Graph,
+    domain: Sequence[Forest],
+    codomain: Sequence[Forest],
+    forward: Callable[[int], int],
+    backward: Callable[[int], int],
+) -> BijectionReport:
+    """:func:`_verify_bijection` on the masks of two families of ``g``."""
+    domain = MaskedForests.of(g, domain)
+    codomain = MaskedForests.of(g, codomain)
+    return _verify_bijection(name, domain.masks, codomain.masks, forward, backward, domain.forest)
 
 
 def bijection_forestbij(
@@ -334,7 +400,9 @@ def bijection_forestbij(
     sits in the other tree.  Codomain: forests with 1-2 and 3-4 in different
     trees.  Forward: split the wedge tree at 2-3 and reattach the 3-side to
     the 4-tree along 3-4.  Backward: split at 3-4 and reattach along 2-3.
-    ``families`` reuses split families already built for the same labels.
+    On a domain element both are the swap 2-3 <-> 3-4; elsewhere they keep
+    only the two trees named.  ``families`` reuses split families already
+    built for the same labels.
     """
     labels = tuple(sorted(set(w_labels)))
     fam = families if families is not None else _build_split_families(labels)
@@ -342,28 +410,53 @@ def bijection_forestbij(
         raise ValueError(f"split families on {fam.labels} passed for labels {labels}")
     g = fam.graph
     (e12, e23), (_, e34) = _anchor_pairs(g)
-    (v1, _), (v3, v4) = e12, e34
+    p1, p3, p4 = (g.vertices.index(v) for v in (e12[0], e34[0], e34[1]))
+    bit23, bit34 = 1 << g.edge_index[e23], 1 << g.edge_index[e34]
+    ends, n = _edge_ends(g), g.vertex_count
 
-    def forward(f: Forest) -> Forest:
-        wedge_tree = f.component_containing(v1)
-        other = f.component_containing(v4)
-        side2, side3 = split_tree_at_edge(wedge_tree, e23)
-        return Forest(g, f.vertices, side2.edges | side3.edges | other.edges | {e34})
+    def trees(x: int, u: int, v: int) -> tuple[int, int]:
+        """The edge masks of the trees of ``x`` through positions u and v."""
+        parent = _mask_union_find(ends, n, x)
+        ru, rv = _find(parent, u), _find(parent, v)
+        tree_u = tree_v = 0
+        for i in _mask_bits(x):
+            root = _find(parent, ends[i][0])
+            if root == ru:
+                tree_u |= 1 << i
+            if root == rv:
+                tree_v |= 1 << i
+        return tree_u, tree_v
 
-    def backward(f: Forest) -> Forest:
-        tree12 = f.component_containing(v1)
-        tree34 = f.component_containing(v3)
-        side3, side4 = split_tree_at_edge(tree34, e34)
-        return Forest(g, f.vertices, tree12.edges | side3.edges | side4.edges | {e23})
+    def forward(x: int) -> int:
+        wedge_tree, other = trees(x, p1, p4)
+        if not wedge_tree & bit23:
+            raise ValueError(f"edge {edge_name(e23)} is not in the tree")
+        return _acyclic(ends, n, wedge_tree & ~bit23 | other | bit34)
+
+    def backward(x: int) -> int:
+        tree12, tree34 = trees(x, p1, p3)
+        if not tree34 & bit34:
+            raise ValueError(f"edge {edge_name(e34)} is not in the tree")
+        return _acyclic(ends, n, tree12 | tree34 & ~bit34 | bit23)
 
     name = f"wedge/matching split forests on {{{','.join(map(str, fam.labels))}}}"
-    return _verify_bijection(name, fam.split_wedge, fam.split_matching, forward, backward)
+    return _verify_on(name, g, fam.split_wedge, fam.split_matching, forward, backward)
 
 
-def _swap(old: Edge, new: Edge) -> Callable[[Forest], Forest]:
-    """The map replacing edge ``old`` by ``new``; it raises ValueError where
-    ``old`` is absent or ``new`` closes a cycle."""
-    return lambda f: f.replace_edges(remove=(old,), add=(new,))
+def _swap(g: Graph, old: Edge, new: Edge) -> Callable[[int], int]:
+    """The mask map replacing edge ``old`` by ``new``; like
+    ``Forest.replace_edges`` it raises ValueError where ``old`` is absent or
+    ``new`` closes a cycle."""
+    ends, n = _edge_ends(g), g.vertex_count
+    bit_old, bit_new = 1 << g.edge_index[old], 1 << g.edge_index[new]
+    absent = f"cannot remove absent edges: {edge_name(old)}"
+
+    def swap(x: int) -> int:
+        if not x & bit_old:
+            raise ValueError(absent)
+        return _acyclic(ends, n, x & ~bit_old | bit_new)
+
+    return swap
 
 
 def _require_bipartite(g: Graph) -> None:
@@ -382,12 +475,13 @@ def bijections_pr123(
     if i not in (1, 2, 3):
         raise ValueError(f"piece index must be 1, 2 or 3, got {i}")
     fam = families if families is not None else _build_bipartite(g, k)
-    return _verify_bijection(
+    return _verify_on(
         f"share-left piece {i} <-> disjoint piece {i} on {g.name}, k={k}",
+        g,
         fam.share_left_parts[i - 1],
         fam.disjoint_parts[i - 1],
-        _swap(_AD, _CD),
-        _swap(_CD, _AD),
+        _swap(g, _AD, _CD),
+        _swap(g, _CD, _AD),
     )
 
 
@@ -402,13 +496,21 @@ def bijection_pr4(
     """
     _require_bipartite(g)
     fam = families if families is not None else _build_bipartite(g, k)
-    swap = {_A: _C, _C: _A}
+    moved = {_A: _C, _C: _A}
+    # bit of the image of edge i under the transposition, an automorphism, so
+    # it never closes a cycle
+    image = [1 << g.edge_index[edge(moved.get(a, a), moved.get(b, b))] for a, b in g.edges]
+    swap = _swap(g, _CB, _AB)
 
-    def either_way(f: Forest) -> Forest:
-        return f.relabel(swap).replace_edges(remove=(_CB,), add=(_AB,))
+    def either_way(x: int) -> int:
+        relabelled = 0
+        for i in _mask_bits(x):
+            relabelled |= image[i]
+        return swap(relabelled)
 
-    return _verify_bijection(
+    return _verify_on(
         f"share-left piece 4 <-> disjoint piece 4 on {g.name}, k={k}",
+        g,
         fam.share_left_parts[3],
         fam.disjoint_parts[3],
         either_way,
@@ -424,12 +526,13 @@ def bijection_q2r5(
     """Share-right piece 2 <-> disjoint piece 5: swap 2-1' for 2-2'."""
     _require_bipartite(g)
     fam = families if families is not None else _build_bipartite(g, k)
-    return _verify_bijection(
+    return _verify_on(
         f"share-right piece 2 <-> disjoint piece 5 on {g.name}, k={k}",
+        g,
         fam.share_right_parts[1],
         fam.disjoint_parts[4],
-        _swap(_CB, _CD),
-        _swap(_CD, _CB),
+        _swap(g, _CB, _CD),
+        _swap(g, _CD, _CB),
     )
 
 

@@ -27,13 +27,15 @@ from .bijections import (
 )
 from .errors import VerificationFailure
 from .forests import (
+    _forest_edge_sets,
+    _forest_masks,
     _forests_by_size,
+    _mask_bits,
     count_forests_constrained,
     edge_pair_counts,
-    enumerate_forests,
     theorem_range,
 )
-from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph
+from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
 from .lefschetz import check_degree_one_lefschetz, hilbert_function, slp_check
 from .linalg import exact_determinant
 from .matroids import (
@@ -314,10 +316,23 @@ def _parse_point(raw: str, variables) -> dict:
     return dict(zip(variables, values))
 
 
+def _truncated_graphic_matroid(command: str, g: Graph, r: int, lowest: int):
+    """The rank-r truncation of the graphic matroid of ``g``, for a command
+    that takes ranks from ``lowest`` up to that matroid's rank, V - 1."""
+    top = g.vertex_count - 1
+    if top < lowest:
+        edges = "1 edge" if top == 1 else f"{top} edges"
+        raise ValueError(
+            f"{g.name} admits no valid rank: {command} needs r >= {lowest}, "
+            f"and its spanning trees have {edges}"
+        )
+    return truncate(graphic_matroid(g), r)
+
+
 def _cmd_slp(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
-    matroid = truncate(graphic_matroid(g), r)
+    matroid = _truncated_graphic_matroid("slp", g, r, 2)  # the degree-one check needs r >= 2
     phi = basis_generating_polynomial(matroid)
     all_ones = args.point is None
     point = (
@@ -366,10 +381,9 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
-    matroid = truncate(graphic_matroid(g), r)
-    k = g.vertex_count - r
-    forests = enumerate_forests(g, k)
-    bases_match = set(matroid.bases) == {f.edges for f in forests}
+    matroid = _truncated_graphic_matroid("matroid", g, r, 1)
+    # an r-edge forest search independent of the truncation's r-subsets
+    bases_match = set(matroid.bases) == set(_forest_edge_sets(g, g.vertex_count - r))
     result = {
         "ground_size": len(matroid.ground),
         "rank": matroid.rank,
@@ -385,8 +399,8 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
     return ("verified" if all(checks) else "failed"), input_, result
 
 
-# a listing holds one Forest per forest and prints every edge name, so the
-# largest lists would exhaust memory long before they finish
+# a listing holds every forest and prints every edge name, so the largest
+# lists would exhaust memory long before they finish
 MAX_LISTED_FORESTS = 1_000_000
 
 
@@ -404,10 +418,13 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
                 f"{g.name} has {count} {k}-component forests, more than the "
                 f"{MAX_LISTED_FORESTS} a listing may hold; use --count-only to count them"
             )
-        forests = enumerate_forests(g, k)
+        # g.edges is sorted, so ascending edge indices list a forest's edge
+        # names in the order Forest.edge_names gives
+        names = [edge_name(e) for e in g.edges]
+        masks = _forest_masks(g, k)
         result = {
-            "count": len(forests),
-            "forests": [list(f.edge_names()) for f in forests],
+            "count": len(masks),
+            "forests": [[names[i] for i in _mask_bits(mask)] for mask in masks],
         }
     return "computed", input_, result
 

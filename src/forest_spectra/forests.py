@@ -10,13 +10,18 @@ connectivity states of the vertices still in play, with the required edges
 contracted up front and no forest ever built.  Enumeration is the search:
 recursive edge inclusion with union-find cycle rejection, pruned by
 remaining-edge feasibility; the same search, counting leaves instead of
-listing them, gives the edge-pair counts of the Hessians.  Counts are plain
+listing them, gives the edge-pair counts of the Hessians.  The search lists
+forests as ``int`` edge masks (bit i for edge i of ``g.edges``), and the
+layers above keep them so; validated :class:`Forest` objects are built only
+at the boundary, by the public enumerators and by :class:`MaskedForests`
+when one of its items is read.  Counts are plain
 Python integers, which are arbitrary precision; w^(w-4) and forest counts
 overflow fixed-width types quickly.
 """
 
 from __future__ import annotations
 
+from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -61,6 +66,9 @@ def _union_find(
     return parent
 
 
+CYCLE_MESSAGE = "edge set contains a cycle"
+
+
 @dataclass(frozen=True)
 class Forest:
     """An acyclic edge subset spanning a fixed vertex subset of a graph.
@@ -90,7 +98,7 @@ class Forest:
             self.graph.require_edge(e)
             if not (e[0] in self.vertices and e[1] in self.vertices):
                 raise ValueError(f"edge {edge_name(e)} leaves the vertex set")
-        raise ValueError("edge set contains a cycle")
+        raise ValueError(CYCLE_MESSAGE)
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
@@ -196,6 +204,100 @@ def spanning_forest(graph: Graph, edges: Iterable[Edge]) -> Forest:
 
 
 # ---------------------------------------------------------------------------
+# forests as int edge masks: bit i stands for edge i of ``g.edges``
+
+
+def _mask_bits(mask: int) -> list[int]:
+    """The set bits of ``mask`` as ascending edge indices."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _edge_ends(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Each edge's endpoints as positions in ``g.vertices``."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return tuple((pos[a], pos[b]) for a, b in g.edges)
+
+
+def _mask_union_find(ends: Sequence[tuple[int, int]], nverts: int, mask: int) -> list[int] | None:
+    """Union-find over the vertex positions 0..nverts-1 joined by the edges
+    of ``mask``, edge i joining ``ends[i]``: the parent list, or None if
+    those edges close a cycle.  Two positions share a component iff
+    :func:`_find` gives them one root; to ask that of a forest with some
+    edges deleted, pass its mask without them."""
+    parent = list(range(nverts))
+    while mask:
+        low = mask & -mask
+        u, v = ends[low.bit_length() - 1]
+        ru = _find(parent, u)
+        rv = _find(parent, v)
+        if ru == rv:
+            return None
+        parent[ru] = rv
+        mask ^= low
+    return parent
+
+
+class MaskedForests(abc.Sequence):
+    """Spanning forests of ``graph`` held as edge masks: a read-only tuple of
+    :class:`Forest` objects, each built (and validated) only when it is read.
+    Taking the length or handing ``masks`` to the mask kernels builds none.
+    """
+
+    __slots__ = ("graph", "masks", "_vertices")
+
+    def __init__(self, graph: Graph, masks: Iterable[int]) -> None:
+        self.graph = graph
+        self.masks = tuple(masks)
+        self._vertices = frozenset(graph.vertices)
+
+    @classmethod
+    def of(cls, graph: Graph, forests: Sequence[Forest]) -> "MaskedForests":
+        """``forests`` as masks over ``graph``; each must span ``graph``."""
+        if isinstance(forests, cls) and forests.graph == graph:
+            return forests
+        verts = frozenset(graph.vertices)
+        index = graph.edge_index
+        masks = []
+        for f in forests:
+            if f.graph != graph or f.vertices != verts:
+                raise ValueError(f"{f} is not a spanning forest of {graph.name}")
+            masks.append(sum(1 << index[e] for e in f.edges))
+        return cls(graph, masks)
+
+    def forest(self, mask: int) -> Forest:
+        edges = self.graph.edges
+        return Forest(self.graph, self._vertices, frozenset(edges[i] for i in _mask_bits(mask)))
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(map(self.forest, self.masks[i]))
+        return self.forest(self.masks[i])
+
+    def __iter__(self):
+        return map(self.forest, self.masks)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, MaskedForests):
+            return self.graph == other.graph and self.masks == other.masks
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.masks)
+
+    def __repr__(self) -> str:
+        return f"MaskedForests({self.graph.name}, {len(self.masks)} forests)"
+
+
+# ---------------------------------------------------------------------------
 # core kernels: the frontier count, and the recursion over the next included
 # edge (union-find with undo) that lists forests or counts their edge pairs
 
@@ -271,24 +373,25 @@ def _collect_from(
     free: Sequence[tuple[int, int, int]],
     i: int,
     k: int,
-    chosen: list[int],
-    out: list[tuple[int, ...]],
+    mask: int,
+    out: list[int],
 ) -> None:
     need = comps - k
     if need == 0:
-        out.append(tuple(chosen))
+        out.append(mask)
         return
     m = len(free)
     while i <= m - need:
-        u, v, idx = free[i]
+        u, v, x = free[i]
         ru = _find(parent, u)
         rv = _find(parent, v)
         if ru != rv:
-            parent[ru] = rv
-            chosen.append(idx)
-            _collect_from(parent, comps - 1, free, i + 1, k, chosen, out)
-            chosen.pop()
-            parent[ru] = ru
+            if need == 1:
+                out.append(mask | 1 << x)  # every edge that joins two trees ends one forest
+            else:
+                parent[ru] = rv
+                _collect_from(parent, comps - 1, free, i + 1, k, mask | 1 << x, out)
+                parent[ru] = ru
         i += 1
 
 
@@ -336,8 +439,8 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
     """Validate a constrained search and start it: the union-find parent
     list over vertex indices with the required edges merged, the number of
     components left, the other allowed edges as (u, v, edge index) triples
-    in canonical order, and the sorted required edge indices as a tuple.
-    None when no forest qualifies: the required edges close a cycle or
+    in canonical order, and the edge mask of the required edges.  None when
+    no forest qualifies: the required edges close a cycle or
     leave fewer than k components."""
     if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
         raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
@@ -351,12 +454,14 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
         g.require_edge(e)
     for e in forb:
         g.require_edge(e)
-    vidx = {v: i for i, v in enumerate(g.vertices)}
+    ends = _edge_ends(g)
+    index = g.edge_index
     parent = list(range(g.vertex_count))
     comps = g.vertex_count
-    for a, b in req:
-        ra = _find(parent, vidx[a])
-        rb = _find(parent, vidx[b])
+    for e in req:
+        a, b = ends[index[e]]
+        ra = _find(parent, a)
+        rb = _find(parent, b)
         if ra == rb:
             return None
         parent[ra] = rb
@@ -364,8 +469,8 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
     if comps < k:
         return None
     skip = set(req) | forb
-    free = [(vidx[a], vidx[b], x) for x, (a, b) in enumerate(g.edges) if (a, b) not in skip]
-    return parent, comps, free, tuple(sorted(map(g.edge_index.__getitem__, req)))
+    free = [(a, b, x) for x, (a, b) in enumerate(ends) if g.edges[x] not in skip]
+    return parent, comps, free, sum(1 << index[e] for e in req)
 
 
 def count_forests_constrained(
@@ -390,17 +495,18 @@ def count_forests_constrained(
     return _count_by_frontier(arcs, comps - k)
 
 
-def _forest_index_tuples(
+def _forest_masks(
     g: Graph, k: int, required: Iterable[Edge] = (), forbidden: Iterable[Edge] = ()
-) -> list[tuple[int, ...]]:
+) -> list[int]:
+    """The k-forests as edge masks (bit i set iff edge i of ``g.edges`` is
+    in the forest), in the search's order: lexicographic in the ascending
+    sequence of edge indices."""
     state = _setup(g, k, required, forbidden)
     if state is None:
         return []
     parent, comps, free, req = state
-    out: list[tuple[int, ...]] = []
-    _collect_from(parent, comps, free, 0, k, [], out)
-    if req:
-        return [tuple(sorted(req + c)) for c in out]
+    out: list[int] = []
+    _collect_from(parent, comps, free, 0, k, req, out)
     return out
 
 
@@ -425,12 +531,13 @@ def enumerate_forests_constrained(
     g: Graph, k: int, required: Iterable[Edge] = (), forbidden: Iterable[Edge] = ()
 ) -> tuple[Forest, ...]:
     """Constrained variant of :func:`enumerate_forests`, same order."""
+    return tuple(MaskedForests(g, _forest_masks(g, k, required, forbidden)))
+
+
+def _forest_edge_sets(g: Graph, k: int) -> list[frozenset[Edge]]:
+    """The edge sets of the k-forests, in the search's order."""
     edges = g.edges
-    verts = frozenset(g.vertices)
-    return tuple(
-        Forest(g, verts, frozenset(map(edges.__getitem__, tup)))
-        for tup in _forest_index_tuples(g, k, required, forbidden)
-    )
+    return [frozenset(edges[i] for i in _mask_bits(mask)) for mask in _forest_masks(g, k)]
 
 
 def forest_generating_polynomial(g: Graph, k: int) -> Polynomial:
@@ -438,9 +545,9 @@ def forest_generating_polynomial(g: Graph, k: int) -> Polynomial:
     monomial x_e1 ... x_er per forest, variables in canonical edge order."""
     m = g.edge_count
     terms = {}
-    for tup in _forest_index_tuples(g, k):
+    for mask in _forest_masks(g, k):
         exps = [0] * m
-        for i in tup:
+        for i in _mask_bits(mask):
             exps[i] = 1
         terms[tuple(exps)] = 1
     return Polynomial(g.edges, terms)

@@ -34,7 +34,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
 )
-from .forests import enumerate_forests, theorem_range
+from .forests import _forest_edge_sets, theorem_range
 from .linalg import ExactMatrix, Rational, _bareiss, exact_determinant
 from .matroids import Matroid
 from .polynomials import ExponentVector, Polynomial, _point_values
@@ -308,8 +308,7 @@ def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
     if not 2 <= r <= nv - 1:
         raise ValueError(f"rank {r} out of range 2..{nv - 1}")
     k = nv - r
-    expected = {f.edges for f in enumerate_forests(g, k)}
-    if set(m.bases) != expected:
+    if set(m.bases) != set(_forest_edge_sets(g, k)):
         raise ValueError(
             f"bases are not the {r}-edge forests of {g.name}; not a truncation"
         )

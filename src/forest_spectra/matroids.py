@@ -14,7 +14,7 @@ from itertools import combinations
 from typing import Hashable
 
 from .graphs import Graph
-from .forests import enumerate_forests
+from .forests import _forest_edge_sets
 from .polynomials import Polynomial
 
 
@@ -59,8 +59,7 @@ class Matroid:
 
 def graphic_matroid(g: Graph) -> Matroid:
     """Matroid on the edges of ``g`` whose bases are the spanning trees."""
-    trees = enumerate_forests(g, 1)
-    return Matroid(g.edges, tuple(t.edges for t in trees))
+    return Matroid(g.edges, tuple(_forest_edge_sets(g, 1)))
 
 
 def truncate(m: Matroid, r: int) -> Matroid:

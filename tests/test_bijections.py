@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 
 import pytest
 
@@ -19,7 +20,7 @@ from forest_spectra import (
 )
 from forest_spectra.bijections import _verify_bijection
 
-from conftest import bfs_partition
+from conftest import bfs_partition, brute_forests
 
 
 def test_families_k22():
@@ -380,3 +381,35 @@ def test_bipartite_failure_reports_are_exact():
             ("size-mismatch", ("1-1'", "1-3'", "2-1'", "3-1'", "3-2'"), "domain 3 vs codomain 2"),
         ],
     ]
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_split_families_match_the_brute_force_oracle(n):
+    v1, v2, v3, v4 = (vertex(i) for i in range(1, 5))
+    wedge = (edge(v1, v2), edge(v2, v3))
+    matching = (edge(v1, v2), edge(v3, v4))
+    per_subset = build_families(complete_graph(n), 1).per_subset
+    spare = range(5, n + 1)
+    assert {sf.labels for sf in per_subset} == {
+        (1, 2, 3, 4) + extra for size in range(n - 3) for extra in itertools.combinations(spare, size)
+    }
+    for sf in per_subset:
+        g = sf.graph
+
+        def apart(forests, u, v):
+            return [s for s in forests if not any({u, v} <= part for part in bfs_partition(g.vertices, s))]
+
+        assert [f.edges for f in sf.trees_wedge] == brute_forests(g, 1, wedge), sf.labels
+        assert [f.edges for f in sf.trees_matching] == brute_forests(g, 1, matching), sf.labels
+        assert [f.edges for f in sf.split_wedge] == apart(brute_forests(g, 2, wedge), v1, v4), sf.labels
+        assert [f.edges for f in sf.split_matching] == apart(brute_forests(g, 2, matching), v1, v3), sf.labels
+
+
+def test_hand_built_families_must_hold_spanning_forests():
+    g = complete_bipartite_graph(2, 2)
+    fam = build_families(g, 1)
+    other = build_families(complete_bipartite_graph(2, 3), 1)
+    foreign = dataclasses.replace(fam, share_left_parts=other.share_left_parts)
+    with pytest.raises(ValueError) as err:
+        bijections_pr123(g, 1, 2, families=foreign)
+    assert str(err.value) == "Forest(1-1',1-2',1-3',2-1') is not a spanning forest of K_{2,2}"

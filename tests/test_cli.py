@@ -168,7 +168,7 @@ def test_enumerate_refuses_an_oversized_listing(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the oversized listing reached the enumeration")
 
-    monkeypatch.setattr(cli, "enumerate_forests", never)
+    monkeypatch.setattr(cli, "_forest_masks", never)
     start = time.perf_counter()
     code = run(["enumerate", "--complete", "12", "--k", "1"])
     elapsed = time.perf_counter() - start
@@ -222,3 +222,54 @@ def test_console_entry_point():
     report = json.loads(proc.stdout)
     assert report["verdict"] == "computed"  # k = n-2 boundary
     assert report["result"]["eigenvalues"][0]["value"] == "5"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bijections", "--complete", "6", "--k", "2"],
+        ["bijections", "--bipartite", "3", "4", "--k", "2"],
+        ["enumerate", "--complete", "6", "--k", "2"],
+        ["matroid", "--complete", "5", "--r", "3", "--verify-axioms"],
+    ],
+    ids=" ".join,
+)
+def test_success_paths_build_no_forest(capsys, monkeypatch, argv):
+    # forests stay edge masks from the search to the report
+    from forest_spectra import Forest, complete_graph, spanning_forest
+
+    built = []
+    validate = Forest.__post_init__
+
+    def counted(self):
+        built.append(self)
+        validate(self)
+
+    monkeypatch.setattr(Forest, "__post_init__", counted)
+    code, report = capture(capsys, argv)
+    assert code == 0 and report["verdict"] in ("verified", "computed")
+    assert built == []
+    spanning_forest(complete_graph(2), [])
+    assert len(built) == 1  # the count sees every construction
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["slp", "--complete", "2", "--r", "1"], "K_2 admits no valid rank: slp needs r >= 2, and its spanning trees have 1 edge"),
+        (["matroid", "--complete", "1", "--r", "1"], "K_1 admits no valid rank: matroid needs r >= 1, and its spanning trees have 0 edges"),
+        (["slp", "--complete", "1", "--r", "2"], "K_1 admits no valid rank: slp needs r >= 2, and its spanning trees have 0 edges"),
+    ],
+)
+def test_graphs_without_a_valid_rank_exit_2(capsys, argv, message):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == f"error: {message}"
+
+
+def test_ranks_out_of_a_nonempty_range_keep_their_messages(capsys):
+    assert run(["slp", "--complete", "4", "--r", "1"]) == 2
+    assert capsys.readouterr().err.strip() == "error: rank 1 out of range 2..3"
+    assert run(["matroid", "--complete", "4", "--r", "4"]) == 2
+    assert capsys.readouterr().err.strip() == "error: target rank 4 out of range 1..3"

@@ -496,3 +496,21 @@ def test_constrained_enumeration_respects_constraints():
     ab = edge(a, b)
     for f in enumerate_forests_constrained(g, 2, required=(ab,)):
         assert ab in f.edges
+
+
+def test_masked_forests_read_as_a_tuple_of_forests():
+    from forest_spectra.forests import MaskedForests, _forest_masks
+
+    g = complete_bipartite_graph(2, 3)
+    forests = enumerate_forests(g, 2)
+    view = MaskedForests(g, _forest_masks(g, 2))
+    assert len(view) == len(forests) and tuple(view) == forests
+    assert view[3] == forests[3] and view[-1] == forests[-1]
+    assert view[1:4] == forests[1:4]
+    assert [sum(1 << g.edge_index[e] for e in f.edges) for f in forests] == list(view.masks)
+    converted = MaskedForests.of(g, forests)
+    assert converted == view and hash(converted) == hash(view)
+    assert MaskedForests.of(g, view) is view
+    restricted = Forest(g, _verts(1, 2), frozenset())
+    with pytest.raises(ValueError, match="is not a spanning forest"):
+        MaskedForests.of(g, forests + (restricted,))
