@@ -51,10 +51,10 @@ from itertools import combinations
 from typing import Callable, Hashable, Iterable, Sequence
 
 from .forests import (
-    CYCLE_MESSAGE,
     Forest,
     MaskedForests,
     PairCounts,
+    _CYCLE_MESSAGE,
     _anchor_pairs,
     _edge_ends,
     _find,
@@ -372,7 +372,7 @@ def build_families(g: Graph, k: int) -> CompleteForestFamilies | BipartiteForest
 def _acyclic(ends: Sequence[tuple[int, int]], n: int, mask: int) -> int:
     """``mask`` itself; ValueError if its edges close a cycle."""
     if _mask_union_find(ends, n, mask) is None:
-        raise ValueError(CYCLE_MESSAGE)
+        raise ValueError(_CYCLE_MESSAGE)
     return mask
 
 

@@ -319,12 +319,10 @@ def _parse_point(raw: str, variables) -> dict:
 def _truncated_graphic_matroid(command: str, g: Graph, r: int, lowest: int):
     """The rank-r truncation of the graphic matroid of ``g``, for a command
     that takes ranks from ``lowest`` up to that matroid's rank, V - 1."""
-    top = g.vertex_count - 1
-    if top < lowest:
-        edges = "1 edge" if top == 1 else f"{top} edges"
+    if g.vertex_count - 1 < lowest:
         raise ValueError(
-            f"{g.name} admits no valid rank: {command} needs r >= {lowest}, "
-            f"and its spanning trees have {edges}"
+            f"{g.name} admits no valid rank: {command} needs r >= {lowest} "
+            f"and its graphic matroid has rank {g.vertex_count - 1}"
         )
     return truncate(graphic_matroid(g), r)
 

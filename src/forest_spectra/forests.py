@@ -66,7 +66,7 @@ def _union_find(
     return parent
 
 
-CYCLE_MESSAGE = "edge set contains a cycle"
+_CYCLE_MESSAGE = "edge set contains a cycle"
 
 
 @dataclass(frozen=True)
@@ -98,7 +98,7 @@ class Forest:
             self.graph.require_edge(e)
             if not (e[0] in self.vertices and e[1] in self.vertices):
                 raise ValueError(f"edge {edge_name(e)} leaves the vertex set")
-        raise ValueError(CYCLE_MESSAGE)
+        raise ValueError(_CYCLE_MESSAGE)
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
@@ -234,19 +234,24 @@ def _mask_union_find(ends: Sequence[tuple[int, int]], nverts: int, mask: int) ->
     while mask:
         low = mask & -mask
         u, v = ends[low.bit_length() - 1]
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru == rv:
+        # _find inlined: this loop is the mask kernels' hot spot
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u == v:
             return None
-        parent[ru] = rv
+        parent[u] = v
         mask ^= low
     return parent
 
 
 class MaskedForests(abc.Sequence):
-    """Spanning forests of ``graph`` held as edge masks: a read-only tuple of
-    :class:`Forest` objects, each built (and validated) only when it is read.
-    Taking the length or handing ``masks`` to the mask kernels builds none.
+    """Spanning forests of ``graph`` held as edge masks: a read-only sequence
+    of :class:`Forest` objects, each built (and validated) only when it is
+    read; slices are tuples.  Taking the length or handing ``masks`` to the
+    mask kernels builds none.  Two views are equal when their graphs and
+    masks are.
     """
 
     __slots__ = ("graph", "masks", "_vertices")

@@ -256,10 +256,11 @@ def test_success_paths_build_no_forest(capsys, monkeypatch, argv):
 @pytest.mark.parametrize(
     "argv,message",
     [
-        (["slp", "--complete", "2", "--r", "1"], "K_2 admits no valid rank: slp needs r >= 2, and its spanning trees have 1 edge"),
-        (["matroid", "--complete", "1", "--r", "1"], "K_1 admits no valid rank: matroid needs r >= 1, and its spanning trees have 0 edges"),
-        (["slp", "--complete", "1", "--r", "2"], "K_1 admits no valid rank: slp needs r >= 2, and its spanning trees have 0 edges"),
+        (["slp", "--complete", "2", "--r", "1"], "K_2 admits no valid rank: slp needs r >= 2 and its graphic matroid has rank 1"),
+        (["matroid", "--complete", "1", "--r", "1"], "K_1 admits no valid rank: matroid needs r >= 1 and its graphic matroid has rank 0"),
+        (["slp", "--complete", "1", "--r", "2"], "K_1 admits no valid rank: slp needs r >= 2 and its graphic matroid has rank 0"),
     ],
+    ids=["slp K_2", "matroid K_1", "slp K_1"],
 )
 def test_graphs_without_a_valid_rank_exit_2(capsys, argv, message):
     assert run(argv) == 2
