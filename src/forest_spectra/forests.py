@@ -445,8 +445,8 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
     list over vertex indices with the required edges merged, the number of
     components left, the other allowed edges as (u, v, edge index) triples
     in canonical order, and the edge mask of the required edges.  None when
-    no forest qualifies: the required edges close a cycle or
-    leave fewer than k components."""
+    no forest qualifies: the required edges close a cycle or leave fewer
+    than k components."""
     if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
         raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
     req = list(dict.fromkeys(required))
