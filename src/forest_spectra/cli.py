@@ -39,6 +39,7 @@ from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, e
 from .lefschetz import check_degree_one_lefschetz, hilbert_function, slp_check
 from .linalg import exact_determinant
 from .matroids import (
+    _require_a_valid_rank,
     basis_generating_polynomial,
     graphic_matroid,
     truncate,
@@ -319,11 +320,7 @@ def _parse_point(raw: str, variables) -> dict:
 def _truncated_graphic_matroid(command: str, g: Graph, r: int, lowest: int):
     """The rank-r truncation of the graphic matroid of ``g``, for a command
     that takes ranks from ``lowest`` up to that matroid's rank, V - 1."""
-    if g.vertex_count - 1 < lowest:
-        raise ValueError(
-            f"{g.name} admits no valid rank: {command} needs r >= {lowest} "
-            f"and its graphic matroid has rank {g.vertex_count - 1}"
-        )
+    _require_a_valid_rank(g, command, lowest)
     return truncate(graphic_matroid(g), r)
 
 

@@ -6,11 +6,13 @@ vertices has exactly v - e components.
 
 Counting is a frontier DP (frontier-based search, as in Sekine, Imai and
 Tani for Tutte polynomials): one pass over the edges, memoised over the
-connectivity states of the vertices still in play, with the required edges
-contracted up front and no forest ever built.  Enumeration is the search:
+connectivity states of the vertices still in play, with no forest ever
+built and an input refused up front when its estimated work is too large.
+Forest counts contract the required edges first; the edge-pair counts of
+the Hessians ride the same walk, with a lane of bits per edge and per edge
+pair packed into each state's integers.  Enumeration is the search:
 recursive edge inclusion with union-find cycle rejection, pruned by
-remaining-edge feasibility; the same search, counting leaves instead of
-listing them, gives the edge-pair counts of the Hessians.  The search lists
+remaining-edge feasibility.  The search lists
 forests as ``int`` edge masks (bit i for edge i of ``g.edges``), and the
 layers above keep them so; validated :class:`Forest` objects are built only
 at the boundary, by the public enumerators and by :class:`MaskedForests`
@@ -313,63 +315,193 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
+# the frontier walks refuse, before their first step, a walk whose estimated
+# work (see _frontier_schedule) exceeds this many integer operations of at
+# most 2^16 bits each; at about 0.1 us apiece (2-vCPU host, CPython 3.11)
+# that is some ten seconds
+MAX_FRONTIER_WORK = 10**8
+
+
+@lru_cache(maxsize=None)
+def _bell(n: int) -> int:
+    """The number of partitions of an n-set: B_n = sum_j C(n-1, j) B_j."""
+    return sum(comb(n - 1, j) * _bell(j) for j in range(n)) if n else 1
+
+
+def _frontier_schedule(
+    ends: Sequence[tuple[int, int]], ints: int, bits: int
+) -> list[tuple[int, int, int, int, list[int] | None]]:
+    """Per arc of a walk over ``ends`` in order: how many of its ends enter
+    the frontier, its width with them, their positions in it, and the
+    positions kept after the arc (None if all are).  A vertex enters at its
+    first arc and leaves after its last.
+
+    The walk's work is estimated as it goes, for states of ``ints``
+    integers of up to ``bits`` bits (0: machine-sized): at arc i at most
+    min(B_width, 2^(i+1)) states, one per block labelling or per subset of
+    the arcs so far, each touching its integers 1 + bits // 2^16 times.
+    Past MAX_FRONTIER_WORK a ValueError naming the estimate refuses the
+    walk before any state is built.
+    """
+    last = {}
+    for i, (u, v) in enumerate(ends):
+        last[u] = last[v] = i
+    per_state = ints * (1 + (bits >> 16))
+    work = 0
+    frontier: list[int] = []
+    steps = []
+    for i, (u, v) in enumerate(ends):
+        entering = [w for w in (u, v) if w not in frontier]
+        frontier += entering
+        width = len(frontier)
+        work += per_state * min(1 << i + 1, _bell(width))
+        if work > MAX_FRONTIER_WORK:
+            size = f" of up to {bits} bits" if bits else ""
+            raise ValueError(
+                f"a frontier walk over {len(ends)} edges (frontier width {width} by edge "
+                f"{i + 1}, {ints} integers{size} per state) is estimated at more than "
+                f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+            )
+        keep = None
+        if i in (last[u], last[v]):  # only the arc's own ends can leave after it
+            keep = [p for p, w in enumerate(frontier) if last[w] != i]
+        steps.append((len(entering), width, frontier.index(u), frontier.index(v), keep))
+        if keep is not None:
+            frontier = [frontier[p] for p in keep]
+    return steps
+
+
+def _frontier_walk(ends: Sequence[tuple[int, int]], start: list[int], take, bits: int = 0) -> None:
+    """Walk the arcs ``ends`` in order, keeping one state per canonical block
+    labelling of the frontier, the vertices already met that still have
+    arcs to come.  The labelling is canonical by first appearance: each
+    frontier vertex carries the position of the first frontier vertex of
+    its block, one byte per vertex (the work estimate refuses any frontier
+    near 256 wide: B_width and 2^(i+1) >= 2^(width/2) pass the limit long
+    before).  Each state holds a list of integers, ``start`` at first;
+    states that come to share a labelling add their lists entrywise.
+
+    Skipping an arc keeps every state; ``take(i, pu, pv, states, nxt)``
+    adds to ``nxt``, which holds the skipping branches, those that take arc
+    i, whose ends sit at frontier positions pu and pv.  A vertex leaves the
+    frontier after its last arc, so the state count is bounded by Bell
+    numbers of the frontier width, not by the number of forests.
+    ``bits`` bounds the integers for the estimate of :func:`_frontier_schedule`.
+    """
+    states: dict[bytes, list[int]] = {b"": start}
+    for i, (entering, width, pu, pv, keep) in enumerate(_frontier_schedule(ends, len(start), bits)):
+        if entering:
+            tail = bytes(range(width - entering, width))
+            states = {key + tail: vals for key, vals in states.items()}
+        nxt = dict(states)
+        take(i, pu, pv, states, nxt)
+        if keep is None:
+            states = nxt
+            continue
+        states = {}
+        places = range(len(keep))
+        for key, vals in nxt.items():
+            # each kept vertex takes the first new position of its block
+            out = bytes(map({}.setdefault, map(key.__getitem__, keep), places))
+            old = states.get(out)
+            states[out] = vals if old is None else list(map(add, old, vals))
+
+
 def _count_by_frontier(arcs: dict[tuple[int, int], int], need: int) -> int:
     """Number of ``need``-edge acyclic subsets of a multigraph whose ``arcs``
-    map each joined vertex pair to its number of parallel edges.
+    map each joined vertex pair to its number of parallel edges, by
+    :func:`_frontier_walk`.
 
-    Frontier-based search: walk the arcs in order, keeping one state per
-    canonical block labelling of the frontier, the vertices already met that
-    still have arcs to come.  The labelling is canonical by first
-    appearance: each frontier vertex carries the position of the first
-    frontier vertex of its block.  Each state carries its number of paths
-    per count of edges taken below ``need``.  Skipping an arc keeps the
-    labelling; taking one of its edges merges two blocks, and a path where
-    both ends share a block would close a cycle, so it has no taking branch.
-    A path that reaches ``need`` edges is a forest whatever the rest of the
-    walk skips, so it is counted at once and leaves the walk.  A vertex
-    leaves the frontier after its last arc, so the state count is bounded by
-    Bell numbers of the frontier width, not by the number of forests.
+    Each state holds its number of paths per count of edges taken below
+    ``need``.  Taking one of an arc's edges merges two blocks, and a path
+    where both ends share a block would close a cycle, so it has no taking
+    branch.  A path that reaches ``need`` edges is a forest whatever the
+    rest of the walk skips, so it is counted at once and leaves the walk.
     """
     if need <= 1:
         return sum(arcs.values()) if need else 1  # any one edge is a forest
-    last = {}
-    for i, (u, v) in enumerate(arcs):
-        last[u] = last[v] = i
-    frontier: list[int] = []
-    states: dict[tuple[int, ...], list[int]] = {(): [1] + [0] * (need - 1)}
+    ways = list(arcs.values())
     done = 0
-    for i, ((u, v), ways) in enumerate(arcs.items()):
-        entering = [w for w in (u, v) if w not in frontier]
-        if entering:
-            frontier += entering
-            tail = tuple(range(len(frontier) - len(entering), len(frontier)))
-            states = {key + tail: counts for key, counts in states.items()}
-        pu = frontier.index(u)
-        pv = frontier.index(v)
-        nxt = dict(states)  # skipping the arc
+
+    def take(i, pu, pv, states, nxt):
+        nonlocal done
+        w = ways[i]
         for key, counts in states.items():
             a, b = key[pu], key[pv]
             if a == b:
                 continue
-            done += ways * counts[-1]
+            done += w * counts[-1]
             if any(counts[:-1]):
                 if a > b:
                     a, b = b, a
-                out = tuple(a if x == b else x for x in key)
-                vec = [0] + [ways * c for c in counts[:-1]]
+                out = key.replace(bytes((b,)), bytes((a,)))
+                vec = [0] + [w * c for c in counts[:-1]]
                 old = nxt.get(out)
                 nxt[out] = vec if old is None else list(map(add, old, vec))
-        states = nxt
-        keep = [p for p, w in enumerate(frontier) if last[w] != i]
-        if len(keep) < len(frontier):
-            frontier = [frontier[p] for p in keep]
-            states = {}
-            for key, counts in nxt.items():
-                labels: dict[int, int] = {}
-                out = tuple(labels.setdefault(key[p], j) for j, p in enumerate(keep))
-                old = states.get(out)
-                states[out] = counts if old is None else list(map(add, old, counts))
+
+    _frontier_walk(list(arcs), [1] + [0] * (need - 1), take)
     return done
+
+
+def _pair_counts_by_frontier(ends: Sequence[tuple[int, int]], need: int) -> list[list[int]]:
+    """Entry (x, y) with y < x is the number of ``need``-edge acyclic
+    subsets of the simple graph with edges ``ends`` that hold edges x and
+    y; the diagonal and upper triangle are zero.
+
+    The walk of :func:`_frontier_walk`, one arc per edge, with three
+    integers per state and count c < ``need`` of edges taken: N, the number
+    of paths; A, how many hold each edge y, in w-bit lane y; P, how many
+    hold each pair y' < y, in lane y(y-1)/2 + y'.  The edges taken come
+    before x, so taking edge x adds N to lane x of A and A, shifted to
+    lanes x(x-1)/2 + y, to P.  A path that reaches ``need`` edges adds its
+    P to the total and leaves the walk.
+
+    The unpacked lanes are exact.  Every step adds or shifts nonnegative
+    integers, so no lane borrows and the total is the sum of T_xy
+    2^(w(x(x-1)/2 + y)) however far partial lanes carried on the way (on a
+    star C(m-1, c-1) partial paths run through each edge, far past 2^w).
+    Only the total is unpacked, and each T_xy counts need-edge subsets
+    through a fixed pair: at most C(m-2, need-2) < 2^w.
+    """
+    m = len(ends)
+    if not 2 <= need <= m:
+        return [[0] * m for _ in range(m)]
+    w = comb(m - 2, need - 2).bit_length()
+    tri = [w * (x * (x - 1) // 2) for x in range(m)]
+    total = 0
+
+    def take(x, pu, pv, states, nxt):
+        nonlocal total
+        lane = w * x
+        shift = tri[x]
+        top = 0  # lanes of A at need - 1 edges, shifted once below
+        for key, vals in states.items():
+            a, b = key[pu], key[pv]
+            if a == b:
+                continue
+            total += vals[-1]
+            top += vals[2 * need - 1]
+            ns = vals[: need - 1]
+            if any(ns):
+                if a > b:
+                    a, b = b, a
+                out = key.replace(bytes((b,)), bytes((a,)))
+                As = vals[need : 2 * need - 1]
+                vec = [0, *ns, 0, *map(add, As, [n << lane for n in ns]),
+                       0, *map(add, vals[2 * need : -1], [s << shift for s in As])]
+                old = nxt.get(out)
+                nxt[out] = vec if old is None else list(map(add, old, vec))
+        total += top << shift
+
+    _frontier_walk(ends, [1] + [0] * (3 * need - 1), take, w * m * (m - 1) // 2)
+    rows = [[0] * m for _ in range(m)]
+    mask = (1 << w) - 1
+    for x in range(1, m):
+        row = rows[x]
+        for y in range(x):
+            row[y] = total & mask
+            total >>= w
+    return rows
 
 
 def _collect_from(
@@ -400,44 +532,9 @@ def _collect_from(
         i += 1
 
 
-def _pairs_from(
-    parent: list[int],
-    comps: int,
-    free: Sequence[tuple[int, int, int]],
-    i: int,
-    k: int,
-    chosen: list[int],
-    rows: list[list[int]],
-) -> int:
-    """The search of :func:`_collect_from`, counting instead of listing: it
-    returns the number L of forests below this node, and taking edge x with
-    ``chosen`` on the stack adds L to ``rows[x][y]`` for every y in
-    ``chosen``.  Every forest through x and y passes exactly one such node,
-    so the lower triangle of ``rows`` ends up holding the pair counts."""
-    need = comps - k
-    if need == 0:
-        return 1
-    m = len(free)
-    leaves = 0
-    while i <= m - need:
-        u, v, x = free[i]
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru != rv:
-            if need == 1:
-                below = 1  # every edge that joins two trees ends one forest
-            else:
-                parent[ru] = rv
-                chosen.append(x)
-                below = _pairs_from(parent, comps - 1, free, i + 1, k, chosen, rows)
-                chosen.pop()
-                parent[ru] = ru
-            row = rows[x]
-            for y in chosen:
-                row[y] += below
-            leaves += below
-        i += 1
-    return leaves
+def _require_k(g: Graph, k: int) -> None:
+    if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
+        raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
 
 
 def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]):
@@ -447,8 +544,7 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
     in canonical order, and the edge mask of the required edges.  None when
     no forest qualifies: the required edges close a cycle or leave fewer
     than k components."""
-    if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
-        raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
+    _require_k(g, k)
     req = list(dict.fromkeys(required))
     forb = set(forbidden)
     overlap = set(req) & forb
@@ -518,10 +614,8 @@ def _forest_masks(
 def _pair_count_rows(g: Graph, k: int) -> list[list[int]]:
     """Entry (x, y) with y < x is the number of k-forests of ``g`` through
     edges x and y; the diagonal and upper triangle are zero."""
-    parent, comps, free, _req = _setup(g, k, (), ())  # never None unconstrained
-    rows = [[0] * g.edge_count for _ in range(g.edge_count)]
-    _pairs_from(parent, comps, free, 0, k, [], rows)
-    return rows
+    _require_k(g, k)
+    return _pair_counts_by_frontier(_edge_ends(g), g.vertex_count - k)
 
 
 def enumerate_forests(g: Graph, k: int) -> tuple[Forest, ...]:

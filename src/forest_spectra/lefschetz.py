@@ -36,7 +36,7 @@ from .graphs import (
 )
 from .forests import _forest_edge_sets, theorem_range
 from .linalg import ExactMatrix, Rational, _bareiss, exact_determinant
-from .matroids import Matroid
+from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
     Spectrum,
@@ -305,6 +305,7 @@ def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
     g = _reconstruct_graph(m)
     r = m.rank
     nv = g.vertex_count
+    _require_a_valid_rank(g, "the degree-one check", 2)
     if not 2 <= r <= nv - 1:
         raise ValueError(f"rank {r} out of range 2..{nv - 1}")
     k = nv - r

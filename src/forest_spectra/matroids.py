@@ -62,6 +62,16 @@ def graphic_matroid(g: Graph) -> Matroid:
     return Matroid(g.edges, tuple(_forest_edge_sets(g, 1)))
 
 
+def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
+    """Refuse a graph whose graphic matroid has a rank, V - 1, below the
+    lowest rank ``who`` takes, so that no rank is valid for it."""
+    if g.vertex_count - 1 < lowest:
+        raise ValueError(
+            f"{g.name} admits no valid rank: {who} needs r >= {lowest} "
+            f"and its graphic matroid has rank {g.vertex_count - 1}"
+        )
+
+
 def truncate(m: Matroid, r: int) -> Matroid:
     """Truncated matroid of rank r: all r-subsets of bases."""
     if not 1 <= r <= m.rank:

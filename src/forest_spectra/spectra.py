@@ -130,8 +130,9 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     The generating function is square free with unit coefficients, so entry
     (e, e') of its Hessian at all-ones is the number of k-forests containing
     both edges, and the diagonal is zero.  The entries are integer pair
-    counts taken on the forest search tree, with no forest and no
-    polynomial built.
+    counts from one frontier walk that packs them into bit lanes, with no
+    forest and no polynomial built; an input too large for that walk
+    raises ValueError before it starts.
     """
     rows = _pair_count_rows(g, k)
     for i, row in enumerate(rows):

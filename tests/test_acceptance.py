@@ -5,7 +5,10 @@ pytest -v also gives one line per criterion).  Runtime limits are asserted
 where stated.
 """
 
+import io
+import json
 import time
+from contextlib import redirect_stdout
 from itertools import combinations
 
 from forest_spectra import (
@@ -42,6 +45,7 @@ from forest_spectra import (
     verify_spectrum,
     vertex,
 )
+from forest_spectra.cli import run
 
 
 def _spectrum_bundle(g, k):
@@ -139,6 +143,22 @@ def test_criterion_03b_k8_certified():
     elapsed = time.perf_counter() - start
     assert elapsed < 120.0
     print(f"criterion 3b: PASS (K_8 certified for k=1..5, {elapsed:.2f}s)")
+
+
+def test_criterion_03c_k10_spectrum_from_the_cli():
+    # past K_8: the pair counts come from the frontier walk, not from the
+    # 100,000,000 spanning trees of K_10 one by one
+    start = time.perf_counter()
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = run(["spectrum", "--complete", "10", "--k", "1"])
+    elapsed = time.perf_counter() - start
+    report = json.loads(out.getvalue())
+    assert code == 0 and report["verdict"] == "verified"
+    assert report["result"]["dimension"] == 45
+    assert report["result"]["sign_profile"] == {"positive": 1, "zero": 0, "negative": 44}
+    assert elapsed < 10.0
+    print(f"criterion 3c: PASS (spectrum --complete 10 --k 1 verified, {elapsed:.2f}s)")
 
 
 def test_criterion_04_bipartite_range_certified():

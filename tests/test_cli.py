@@ -179,6 +179,34 @@ def test_enumerate_refuses_an_oversized_listing(capsys, monkeypatch):
     assert 61917364224 > cli.MAX_LISTED_FORESTS
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--complete", "13", "--k", "1"],
+        ["enumerate", "--complete", "30", "--k", "1", "--count-only"],
+    ],
+    ids=["spectrum K_13", "count K_30"],
+)
+def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
+    # the walk's own guard runs, but a walk that passed it would fail here
+    # instead of running for hours
+    from forest_spectra import forests
+
+    def guard_only(ends, start, take, bits=0):
+        forests._frontier_schedule(ends, len(start), bits)
+        raise AssertionError("the oversized walk passed its guard")
+
+    monkeypatch.setattr(forests, "_frontier_walk", guard_only)
+    start = time.perf_counter()
+    code = run(argv)
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert elapsed < 1.0
+    assert "is estimated at more than" in captured.err and "integer operations" in captured.err
+    assert f"over the limit of {forests.MAX_FRONTIER_WORK:.0e}" in captured.err
+
+
 def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
     import forest_spectra.cli as cli
 

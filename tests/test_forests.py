@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import networkx as nx
 import pytest
 from hypothesis import assume, given, strategies as st
@@ -514,3 +516,43 @@ def test_masked_forests_read_as_a_tuple_of_forests():
     restricted = Forest(g, _verts(1, 2), frozenset())
     with pytest.raises(ValueError, match="is not a spanning forest"):
         MaskedForests.of(g, forests + (restricted,))
+
+
+@given(st.data())
+def test_frontier_walks_match_the_subset_oracle_in_any_edge_order(data):
+    # arbitrary simple graphs with their edges in arbitrary order, so vertices
+    # enter and leave the frontier in orders the canonical edge list never
+    # shows; both walks against subsets from itertools.combinations
+    from forest_spectra.forests import _count_by_frontier, _pair_counts_by_frontier
+
+    nverts = data.draw(st.integers(2, 6))
+    pairs = [(u, v) for u in range(nverts) for v in range(u + 1, nverts)]
+    ends = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=9, unique=True))
+    ends = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in ends]
+    need = data.draw(st.integers(0, nverts))
+    vertices = range(nverts)
+    subsets = [s for s in combinations(range(len(ends)), need) if is_acyclic(vertices, [ends[i] for i in s])]
+    arcs = {}
+    for u, v in ends:
+        arcs[min(u, v), max(u, v)] = 1
+    assert _count_by_frontier(arcs, need) == len(subsets)
+    expected = [[0] * len(ends) for _ in ends]
+    for s in subsets:
+        for y, x in combinations(s, 2):
+            expected[x][y] += 1
+    assert _pair_counts_by_frontier(ends, need) == expected
+
+
+def test_frontier_walks_refuse_oversized_inputs_before_any_state():
+    from forest_spectra.forests import _edge_ends, _frontier_schedule
+
+    k13 = _edge_ends(complete_graph(13))
+    k10 = _edge_ends(complete_graph(10))
+    # K_10's pair walk (27 integers of up to 24750 bits) stays under the limit,
+    # K_13's (36 of up to 120120 bits) and the counts of K_13 and K_30 are refused
+    assert len(_frontier_schedule(k10, 27, 24750)) == 45
+    for ints, bits in ((36, 120120), (12, 0)):
+        with pytest.raises(ValueError, match="is estimated at more than .* integer operations"):
+            _frontier_schedule(k13, ints, bits)
+    with pytest.raises(ValueError, match=r"frontier walk over 435 edges"):
+        _frontier_schedule(_edge_ends(complete_graph(30)), 29, 0)

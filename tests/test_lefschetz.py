@@ -237,6 +237,16 @@ def test_check_degree_one_boundary_reported():
     assert report.determinant == -5  # computed anyway
 
 
+def test_check_degree_one_names_a_graph_without_a_valid_rank():
+    # the rank-1 truncation of K_2 is its whole graphic matroid, and the
+    # degree-one check needs r >= 2: the range 2..1 is empty
+    m = truncate(graphic_matroid(complete_graph(2)), 1)
+    message = "K_2 admits no valid rank: the degree-one check needs r >= 2 and its graphic matroid has rank 1"
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(m)
+    assert str(err.value) == message
+
+
 def test_check_degree_one_rejects_non_truncation():
     g = complete_graph(4)
     bases = (frozenset([g.edges[0]]),)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -29,7 +30,7 @@ from forest_spectra import (
 from forest_spectra.errors import StructureViolation, VerificationFailure
 from forest_spectra.forests import _forests_by_size
 
-from conftest import cofactor_determinant
+from conftest import brute_forests, cofactor_determinant
 
 
 def spectrum_of(pairs):
@@ -94,27 +95,51 @@ def test_tilde_hessian_linear_polynomial_is_zero():
 
 
 def test_both_routes_agree_with_cross_check():
-    # the search-tree pair counts against one frontier count per entry, at
-    # every k, theorem range or not
-    graphs = [complete_graph(n) for n in (4, 5, 6)]
-    graphs += [complete_bipartite_graph(m, n) for m in (2, 3) for n in range(m, 4)]
+    # the pair-lane frontier walk against one frontier count per entry, on
+    # every desk instance, at every k, theorem range or not
+    graphs = [complete_graph(n) for n in (4, 5, 6, 7)]
+    graphs += [complete_bipartite_graph(m, n) for m in range(1, 5) for n in range(m, 5)]
     for g in graphs:
         for k in range(1, g.vertex_count + 1):
             assert tilde_hessian(g, k) == tilde_hessian_by_counting(g, k), (g.name, k)
 
 
-@pytest.mark.parametrize("k", range(1, 6))
+@pytest.mark.parametrize("k", range(1, 7))
 def test_k8_hessian_matches_pair_counts_and_forest_totals(k):
-    # K_8 lies beyond the differentiation oracle's graphs: the walker's
-    # matrix is checked against the counting kernel and the forest recursion
-    g = complete_graph(8)
-    h = tilde_hessian(g, k)
-    params = structured_params(h, g)  # raises unless uniform per pair class
-    counts = edge_pair_counts(g, k)
-    assert (params.alpha, params.beta, params.gamma) == (0, counts.p, counts.q)
-    # each forest has 8 - k edges, so C(8 - k, 2) pairs above the diagonal
-    upper = sum(h[i, j] for i in range(h.nrows) for j in range(i + 1, h.ncols))
-    assert upper == comb(8 - k, 2) * _forests_by_size(8, k)
+    # K_8 and K_9 lie beyond the differentiation oracle's graphs: the pair
+    # walk's matrix is checked against the counting kernel and the forest
+    # recursion, at every k of each theorem range (k = 6 is K_9's alone)
+    for n in (8, 9):
+        if not k < n - 2:
+            continue
+        g = complete_graph(n)
+        h = tilde_hessian(g, k)
+        params = structured_params(h, g)  # raises unless uniform per pair class
+        counts = edge_pair_counts(g, k)
+        assert (params.alpha, params.beta, params.gamma) == (0, counts.p, counts.q)
+        # each forest has n - k edges, so C(n - k, 2) pairs above the diagonal
+        upper = sum(h[i, j] for i in range(h.nrows) for j in range(i + 1, h.ncols))
+        assert upper == comb(n - k, 2) * _forests_by_size(n, k)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_bipartite_graph(1, n) for n in range(1, 7)]
+    + [complete_bipartite_graph(2, n) for n in range(2, 6)],
+    ids=lambda g: g.name,
+)
+def test_pair_counts_survive_carrying_partial_lanes(g):
+    # stars and K_{2,n} take need = V - k > m/2 edges at small k, so the
+    # partial paths through an edge at c ~ m/2 edges outnumber the forests
+    # through a pair, and the lanes sized for the latter carry on the way
+    index = g.edge_index
+    for k in range(1, g.vertex_count + 1):
+        expected = [[0] * g.edge_count for _ in range(g.edge_count)]
+        for forest in brute_forests(g, k):
+            for e, f in combinations(forest, 2):
+                expected[index[e]][index[f]] += 1
+                expected[index[f]][index[e]] += 1
+        assert tilde_hessian(g, k) == ExactMatrix.from_rows(expected), (g.name, k)
 
 
 def test_structured_params_complete():
