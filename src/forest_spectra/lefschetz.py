@@ -4,14 +4,15 @@ Everything rests on one cache per form phi of degree s, built on first use
 and kept on the immutable ``phi``, all of it on Python ``int``s.  With M
 the lcm of phi's coefficient denominators, a single pass over the terms of
 M phi yields every nonzero d^u (M phi) of every degree k = 0..s (the term
-c x^b reaches d^u exactly when x^u divides x^b).  One integer Bareiss
-elimination per degree then picks the graded basis: the operators whose
-catalecticant rows are independent of the rows above them, in the
-canonical monomial order (descending lexicographic on exponent vectors).
-The basis sizes are the Hilbert function, so ranks and bases come from the
-same elimination, and each degree's derivative map is built once.  The
-k-th Hessian reads entry (i, j) off the degree-2k map at b_i + b_j,
-evaluated on integers at the point with its denominators cleared.
+c x^b reaches d^u exactly when x^u divides x^b).  One greedy integer row
+reduction of each degree's catalecticant (``linalg._independent_rows``)
+then picks the graded basis: the operators whose catalecticant rows are
+independent of the rows above them, in the canonical monomial order
+(descending lexicographic on exponent vectors).  The basis sizes are the
+Hilbert function, so ranks and bases come from the same reduction, and
+each degree's derivative map is built once.  The k-th Hessian reads entry
+(i, j) off the degree-2k map at b_i + b_j, evaluated on integers at the
+point with its denominators cleared.
 
 Multiplication by L^(s-2k) from degree k to s-k is bijective exactly when
 that Hessian's determinant at L's coefficient vector is nonzero, so the
@@ -20,12 +21,13 @@ strong Lefschetz property at a point is a finite list of exact determinants.
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, perm, prod
-from operator import add, sub
-from typing import Hashable, Mapping
+from operator import add
+from typing import Hashable, Iterator, Mapping
 
 from .errors import VerificationFailure
 from .graphs import (
@@ -35,7 +37,7 @@ from .graphs import (
     complete_graph,
 )
 from .forests import _forest_edge_sets, theorem_range
-from .linalg import ExactMatrix, Rational, _bareiss, exact_determinant
+from .linalg import ExactMatrix, Rational, _independent_rows, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
@@ -155,36 +157,50 @@ def _graded(phi: Polynomial) -> _Graded:
     The term c x^b of M phi adds c b!/(b-u)! x^(b-u) to d^u (M phi) for
     each u dividing x^b; no other u has a nonzero derivative, and distinct
     b give distinct b - u, so nothing cancels and the rule is exact for
-    repeated exponents too.
+    repeated exponents too.  A variable with exponent e offers the choices
+    u_i = 0..e, b_i - u_i = e..0 and the factors e!/(e - u_i)!, tabulated
+    once per e, so three parallel products over b's tables walk the triples
+    (u, b - u, factors) in step.
     """
     cached = phi.__dict__.get("_graded")
     if cached is None:
         s = _socle_degree(phi)
         scale = lcm(*(c.denominator for c in phi.terms.values()))
-        maps: list[DerivativeMap] = [{} for _ in range(s + 1)]
+        ups = [tuple(range(e + 1)) for e in range(s + 1)]
+        downs = [up[::-1] for up in ups]
+        falling = [tuple(perm(e, u) for u in up) for e, up in enumerate(ups)]
+        by_u: defaultdict[ExponentVector, dict[ExponentVector, int]] = defaultdict(dict)
         for b, c in phi.terms.items():
             c = c.numerator * (scale // c.denominator)
-            for u in product(*(range(e + 1) for e in b)):
-                maps[sum(u)].setdefault(u, {})[tuple(map(sub, b, u))] = c * prod(map(perm, b, u))
-        derivatives = tuple({u: m[u] for u in sorted(m, reverse=True)} for m in maps)
-        cached = _Graded(s, scale, derivatives, tuple(map(_basis, derivatives)))
+            triples = zip(*(product(*map(t.__getitem__, b)) for t in (ups, downs, falling)))
+            for u, rest, f in triples:
+                by_u[u][rest] = c * prod(f)
+        maps: list[DerivativeMap] = [{} for _ in range(s + 1)]
+        for u in sorted(by_u, reverse=True):
+            maps[sum(u)][u] = by_u[u]
+        cached = _Graded(s, scale, tuple(maps), tuple(map(_basis, maps)))
         object.__setattr__(phi, "_graded", cached)
     return cached
 
 
-def _catalecticant(derivs: DerivativeMap) -> list[list[int]]:
+def _catalecticant(derivs: DerivativeMap) -> Iterator[list[int]]:
     """Row u, column w: the coefficient of x^w in d^u (M phi), over the
-    nonzero rows and columns, each in canonical order."""
+    nonzero rows and columns, each in canonical order; each row is built
+    when it is read."""
     cols = sorted({w for terms in derivs.values() for w in terms}, reverse=True)
-    return [[terms.get(w, 0) for w in cols] for terms in derivs.values()]
+    index = {w: j for j, w in enumerate(cols)}
+    for terms in derivs.values():
+        row = [0] * len(cols)
+        for w, c in terms.items():
+            row[index[w]] = c
+        yield row
 
 
 def _basis(derivs: DerivativeMap) -> tuple[ExponentVector, ...]:
     """The operators whose catalecticant rows are independent of the rows
-    above them: the pivot columns of the transpose's Bareiss elimination."""
+    above them."""
     ops = tuple(derivs)
-    transposed = [list(col) for col in zip(*_catalecticant(derivs))]
-    return tuple(ops[j] for j in _bareiss(transposed, len(ops))[0])
+    return tuple(ops[i] for i in _independent_rows(_catalecticant(derivs)))
 
 
 def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
@@ -204,7 +220,7 @@ def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
 
 def hilbert_function(phi: Polynomial) -> HilbertProfile:
     """Graded dimensions h_k, the sizes of the cached graded bases: each is
-    the rank of the degree-k catalecticant, from the same elimination that
+    the rank of the degree-k catalecticant, from the same reduction that
     picked the basis."""
     dims = tuple(map(len, _graded(phi).bases))
     profile = HilbertProfile(dims)
@@ -217,9 +233,9 @@ def graded_basis(phi: Polynomial, k: int) -> GradedBasis:
     """Deterministic monomial basis of the degree-k piece, from the cache.
 
     Greedy: in canonical order, keep the monomials whose catalecticant rows
-    are independent of the rows kept so far; the pivot columns of one
-    integer Bareiss elimination of the transposed catalecticant are exactly
-    these.  Degree 0 always yields the single constant monomial.
+    are independent of the rows kept so far, by one integer row reduction
+    of the catalecticant.  Degree 0 always yields the single constant
+    monomial.
     """
     g = _graded(phi)
     g.check_degree(k)
@@ -273,8 +289,13 @@ def slp_check(phi: Polynomial, coeffs: Mapping[Hashable, Rational]) -> SlpReport
 
 
 def _reconstruct_graph(m: Matroid) -> Graph:
-    verts = sorted({v for e in m.ground for v in e})
-    parts = {part for part, _ in verts}
+    not_a_graph = "ground set is not the edge set of K_n or K_{m,n}"
+    try:
+        verts = sorted({v for e in m.ground for v in e})
+        parts = {part for part, _ in verts}
+    except (TypeError, ValueError):
+        # elements that are not vertex pairs, or vertices that are not (part, index)
+        raise ValueError(not_a_graph) from None
     left = sorted(i for part, i in verts if part == 0)
     right = sorted(i for part, i in verts if part == 1)
     if parts <= {0} and left == list(range(1, len(left) + 1)):
@@ -286,7 +307,7 @@ def _reconstruct_graph(m: Matroid) -> Graph:
     ):
         g = complete_bipartite_graph(len(left), len(right))
     else:
-        raise ValueError("ground set is not the edge set of K_n or K_{m,n}")
+        raise ValueError(not_a_graph)
     if tuple(m.ground) != g.edges:
         raise ValueError("ground set is not in canonical edge order")
     return g

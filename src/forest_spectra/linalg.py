@@ -3,8 +3,9 @@
 ``ExactMatrix`` holds ``Fraction`` entries and keeps the public surface
 rational.  Determinants and ranks are decided on integers: each row is
 cleared of its denominators and one Bareiss (1968) fraction-free
-elimination runs on Python ``int``s with exact ``//``; its pivot columns
-also give ``lefschetz`` its graded bases.  No floating point; the theorems
+elimination runs on Python ``int``s with exact ``//``.  ``lefschetz`` takes
+its graded bases from a second integer kernel, ``_independent_rows``, a
+greedy left-looking row reduction.  No floating point; the theorems
 downstream are about exact nonvanishing.
 """
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
@@ -164,6 +165,41 @@ def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
     return pivots, sign * prev
 
 
+def _independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
+    """Indices of the integer rows that are independent of the rows above
+    them, in order.
+
+    Left-looking: each row is reduced against the rows kept so far, in the
+    order they were kept, and touched by a kept row only where its entry in
+    that row's pivot column is nonzero.  A kept row has zeros in the pivot
+    columns of the rows kept before it, so one pass clears every pivot
+    column; a row left nonzero is independent, is divided by its content
+    and pivots on its first nonzero column.  Stops once the kept rows span
+    every column, without reading the rows after that.
+    """
+    kept: list[int] = []
+    pivots: list[tuple[int, Sequence[int]]] = []
+    for i, row in enumerate(rows):
+        for col, prow in pivots:
+            c = row[col]
+            if c:
+                p = prow[col]
+                g = gcd(p, c)
+                p, c = p // g, c // g
+                row = [p * x - c * y for x, y in zip(row, prow)]
+        lead = next((j for j, x in enumerate(row) if x), None)
+        if lead is None:
+            continue
+        content = gcd(*row)
+        if content != 1:
+            row = [x // content for x in row]
+        pivots.append((lead, row))
+        kept.append(i)
+        if len(kept) == len(row):
+            break
+    return kept
+
+
 def exact_determinant(mat: ExactMatrix) -> Fraction:
     """Determinant by integer Bareiss elimination after clearing each
     row's denominators; the cleared factors are divided out at the end."""
@@ -183,7 +219,8 @@ def exact_rank(mat: ExactMatrix) -> int:
 
 class RowEchelon:
     """Incremental rational row reduction; the test reference for the pivots
-    of ``_bareiss`` and for ``lefschetz.graded_basis``."""
+    of ``_bareiss``, for ``_independent_rows`` and for
+    ``lefschetz.graded_basis``."""
 
     def __init__(self, width: int) -> None:
         self.width = width

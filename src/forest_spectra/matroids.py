@@ -10,7 +10,7 @@ forests.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Hashable
 
 from .graphs import Graph
@@ -73,13 +73,19 @@ def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
 
 
 def truncate(m: Matroid, r: int) -> Matroid:
-    """Truncated matroid of rank r: all r-subsets of bases."""
+    """Truncated matroid of rank r: all r-subsets of bases.
+
+    The subsets are taken as ascending ground-index tuples, whose sorted
+    order is the canonical basis order, and become one frozenset each.
+    """
     if not 1 <= r <= m.rank:
         raise ValueError(f"target rank {r} out of range 1..{m.rank}")
     if r == m.rank:
         return m
-    subsets = {frozenset(c) for b in m.bases for c in combinations(b, r)}
-    return Matroid(m.ground, tuple(subsets))
+    index = {x: i for i, x in enumerate(m.ground)}.__getitem__
+    subsets = set(chain.from_iterable(combinations(sorted(map(index, b)), r) for b in m.bases))
+    ground = m.ground
+    return Matroid(ground, tuple(frozenset([ground[i] for i in c]) for c in sorted(subsets)))
 
 
 def verify_exchange_axiom(m: Matroid) -> bool:

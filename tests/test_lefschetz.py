@@ -261,6 +261,14 @@ def test_check_degree_one_rejects_foreign_ground():
         check_degree_one_lefschetz(fake)
 
 
+def test_check_degree_one_names_a_ground_set_of_non_edges():
+    # integers are not vertex pairs, so the ground set names no graph
+    fake = Matroid((1, 2, 3), (frozenset({1, 2}), frozenset({2, 3})))
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(fake)
+    assert str(err.value) == "ground set is not the edge set of K_n or K_{m,n}"
+
+
 def test_hilbert_symmetry_for_small_matroids():
     cases = [complete_graph(n) for n in (4, 5)] + [
         complete_bipartite_graph(2, 2),
@@ -360,6 +368,21 @@ def test_derivative_map_on_repeated_exponents():
     h = higher_hessian(phi, 1, {"a": 2, "b": Fraction(1, 3), "c": 5})
     assert h.rows == ((12, 2), (2, 12))
     assert hilbert_function(phi).dims == (1, 2, 2, 1)
+
+
+@pytest.mark.parametrize(
+    "g,r",
+    [
+        (g, r)
+        for g in (complete_graph(4), complete_graph(5), complete_bipartite_graph(2, 3), complete_bipartite_graph(3, 3))
+        for r in range(1, g.vertex_count)
+    ],
+    ids=lambda x: getattr(x, "name", str(x)),
+)
+def test_graded_bases_of_truncations_match_the_fraction_reference(g, r):
+    phi = truncated_polynomial(g, r)
+    for k in range(r + 1):
+        assert graded_basis(phi, k).monomials == reference_basis(phi, k)
 
 
 def test_catalecticant_keeps_only_nonzero_rows_and_columns():

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from forest_spectra import (
     ExactMatrix,
@@ -17,7 +17,7 @@ from forest_spectra import (
     tilde_hessian,
     verify_spectrum,
 )
-from forest_spectra.linalg import RowEchelon, _bareiss, _integer_rows
+from forest_spectra.linalg import RowEchelon, _bareiss, _independent_rows, _integer_rows
 
 from conftest import cofactor_determinant
 
@@ -169,7 +169,7 @@ def test_rank_matches_sympy(rows):
     )
 )
 def test_bareiss_pivots_of_transpose_match_greedy_echelon(rows):
-    # the graded bases of lefschetz are the pivot columns of a transpose
+    # the pivot columns of a transpose are the greedily independent rows
     m = ExactMatrix.from_rows(rows)
     echelon = RowEchelon(m.ncols)
     transposed, _scale = _integer_rows(m.transpose())
@@ -179,6 +179,49 @@ def test_bareiss_pivots_of_transpose_match_greedy_echelon(rows):
 def test_bareiss_pivots_skip_dependent_and_zero_columns():
     rows = [[0, 0, 0], [1, 2, 3], [2, 4, 6], [0, 1, 0], [1, 3, 3], [0, 0, 1]]
     assert _bareiss([list(col) for col in zip(*rows)], len(rows))[0] == [1, 3, 5]
+
+
+@st.composite
+def greedy_rows(draw):
+    """Integer rows, up to twice as many as columns, mixing fresh rows, zero
+    rows, signed repeats of earlier rows and combinations of a few
+    generators (which keep the matrix rank-deficient)."""
+    width = draw(st.integers(1, 5))
+    row = st.lists(small_ints, min_size=width, max_size=width)
+    gens = draw(st.lists(row, min_size=1, max_size=max(1, width - 1)))
+    rows = []
+    for _ in range(draw(st.integers(0, 2 * width))):
+        kind = draw(st.sampled_from(["fresh", "zero", "repeat", "span"]))
+        if kind == "fresh":
+            rows.append(draw(row))
+        elif kind == "zero":
+            rows.append([0] * width)
+        elif kind == "repeat" and rows:
+            c = draw(st.sampled_from([1, -1, 2, -3]))
+            rows.append([c * x for x in draw(st.sampled_from(rows))])
+        else:
+            cs = draw(st.lists(small_ints, min_size=len(gens), max_size=len(gens)))
+            rows.append([sum(c * g[j] for c, g in zip(cs, gens)) for j in range(width)])
+    return rows
+
+
+@settings(max_examples=300)
+@given(greedy_rows())
+def test_independent_rows_match_greedy_echelon(rows):
+    before = [list(row) for row in rows]
+    width = len(rows[0]) if rows else 0
+    echelon = RowEchelon(width)
+    expected = [i for i, row in enumerate(rows) if echelon.add(row)]
+    assert _independent_rows(rows) == expected
+    assert rows == before  # the input rows are left as they were
+
+
+def test_independent_rows_stop_once_every_column_has_a_pivot():
+    # nothing past the second row is read: it would raise if it were
+    assert _independent_rows([[2, -4], [0, 3], None]) == [0, 1]
+    assert _independent_rows(iter([[0, 1], [1, 1], None])) == [0, 1]
+    assert _independent_rows([[0, 0], [1, 2], [-2, -4], [3, 1], [1, 1]]) == [1, 3]
+    assert _independent_rows([]) == []
 
 
 def _k5_hessian_and_spectrum():
