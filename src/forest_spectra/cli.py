@@ -15,7 +15,6 @@ import re
 import sys
 import time
 from fractions import Fraction
-from functools import cache
 from typing import Sequence
 
 from .bijections import (
@@ -107,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
     return parser
-
-
-# the parser ``run`` uses, built on its first call and kept for the process;
-# parsing leaves no state on it
-_parser = cache(build_parser)
 
 
 def _graph_from(args: argparse.Namespace) -> Graph:
@@ -442,8 +436,9 @@ _HANDLERS = {
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, execute, print the JSON report; returns the exit code."""
     start = time.perf_counter()
+    parser = build_parser()
     try:
-        args = _parser().parse_args(list(argv))
+        args = parser.parse_args(list(argv))
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:

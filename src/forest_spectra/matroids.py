@@ -75,8 +75,9 @@ def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
 def truncate(m: Matroid, r: int) -> Matroid:
     """Truncated matroid of rank r: all r-subsets of bases.
 
-    The subsets are taken as ascending ground-index tuples, whose sorted
-    order is the canonical basis order, and become one frozenset each.
+    The subsets are collected as ascending ground-index tuples, which hash
+    faster than frozensets, and become one frozenset per distinct subset;
+    the ``Matroid`` constructor puts them in canonical order.
     """
     if not 1 <= r <= m.rank:
         raise ValueError(f"target rank {r} out of range 1..{m.rank}")
@@ -85,7 +86,7 @@ def truncate(m: Matroid, r: int) -> Matroid:
     index = {x: i for i, x in enumerate(m.ground)}.__getitem__
     subsets = set(chain.from_iterable(combinations(sorted(map(index, b)), r) for b in m.bases))
     ground = m.ground
-    return Matroid(ground, tuple(frozenset([ground[i] for i in c]) for c in sorted(subsets)))
+    return Matroid(ground, tuple(frozenset([ground[i] for i in c]) for c in subsets))
 
 
 def verify_exchange_axiom(m: Matroid) -> bool:

@@ -1,5 +1,4 @@
 import json
-import re
 import subprocess
 import sys
 import time
@@ -303,40 +302,3 @@ def test_ranks_out_of_a_nonempty_range_keep_their_messages(capsys):
     assert capsys.readouterr().err.strip() == "error: rank 1 out of range 2..3"
     assert run(["matroid", "--complete", "4", "--r", "4"]) == 2
     assert capsys.readouterr().err.strip() == "error: target rank 4 out of range 1..3"
-
-
-def test_one_process_prints_what_fresh_processes_print():
-    # run() keeps one parser for the process; a refusal must leave nothing on it
-    sequence = [
-        ["slp", "--complete", "4", "--r", "3", "--bogus"],
-        ["slp", "--complete", "4", "--r", "3", "--point", "1,2,1/3,1,5,1"],
-        ["spectrum", "--complete", "4", "--k", "2", "--matrix"],
-        ["enumerate", "--complete", "4", "--k", "2"],
-    ]
-    script = (
-        "import contextlib, io, json, sys\n"
-        "from forest_spectra.cli import run\n"
-        "results = []\n"
-        "for argv in json.loads(sys.argv[1]):\n"
-        "    out, err = io.StringIO(), io.StringIO()\n"
-        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
-        "        code = run(argv)\n"
-        "    results.append([code, out.getvalue(), err.getvalue()])\n"
-        "print(json.dumps(results))\n"
-    )
-    shared = subprocess.run(
-        [sys.executable, "-c", script, json.dumps(sequence)], capture_output=True, text=True, check=True
-    )
-
-    def untimed(text):
-        return re.sub(r'\n  "timing_ms": \d+,', "", text)
-
-    results = json.loads(shared.stdout)
-    for argv, (code, out, err) in zip(sequence, results, strict=True):
-        alone = subprocess.run(
-            [sys.executable, "-m", "forest_spectra.cli", *argv], capture_output=True, text=True
-        )
-        assert (code, untimed(out), err) == (alone.returncode, untimed(alone.stdout), alone.stderr)
-    assert [code for code, _out, _err in results] == [2, 0, 0, 0]
-    assert "unrecognized arguments: --bogus" in results[0][2]
-    assert all(untimed(out) != out for _code, out, _err in results[1:])
