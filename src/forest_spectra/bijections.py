@@ -56,7 +56,6 @@ from .forests import (
     PairCounts,
     _CYCLE_MESSAGE,
     _anchor_pairs,
-    _edge_ends,
     _find,
     _forest_masks,
     _mask_bits,
@@ -68,6 +67,7 @@ from .graphs import (
     COMPLETE,
     Edge,
     Graph,
+    _edge_ends,
     complete_bipartite_graph,
     complete_graph_on,
     edge,
@@ -219,22 +219,6 @@ class BipartiteForestFamilies:
     share_right_parts: tuple[Sequence[Forest], ...]  # 4 pieces
     disjoint_parts: tuple[Sequence[Forest], ...]  # 5 pieces, rel. core
     disjoint_parts_right: tuple[Sequence[Forest], ...]  # 5 pieces, rel. core_right
-
-    @property
-    def share_left_rest(self) -> tuple[Forest, ...]:
-        return tuple(f for part in self.share_left_parts for f in part)
-
-    @property
-    def share_right_rest(self) -> tuple[Forest, ...]:
-        return tuple(f for part in self.share_right_parts for f in part)
-
-    @property
-    def disjoint_rest(self) -> tuple[Forest, ...]:
-        return tuple(f for part in self.disjoint_parts for f in part)
-
-    @property
-    def disjoint_rest_right(self) -> tuple[Forest, ...]:
-        return tuple(f for part in self.disjoint_parts_right for f in part)
 
     def pair_counts(self) -> PairCounts:
         return PairCounts(len(self.share_left), len(self.share_right), len(self.disjoint))

@@ -36,6 +36,7 @@ from .graphs import (
     Edge,
     Graph,
     Vertex,
+    _edge_ends,
     edge,
     edge_name,
     vertex,
@@ -217,13 +218,6 @@ def _mask_bits(mask: int) -> list[int]:
         out.append(low.bit_length() - 1)
         mask ^= low
     return out
-
-
-@lru_cache(maxsize=None)
-def _edge_ends(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Each edge's endpoints as positions in ``g.vertices``."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    return tuple((pos[a], pos[b]) for a, b in g.edges)
 
 
 def _mask_union_find(ends: Sequence[tuple[int, int]], nverts: int, mask: int) -> list[int] | None:

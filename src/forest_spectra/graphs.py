@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable
 
@@ -132,6 +133,27 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
     return Graph(BIPARTITE, m, n, left + right, edges)
 
 
+@lru_cache(maxsize=None)
+def _edge_ends(g: Graph) -> tuple[tuple[int, int], ...]:
+    """Each edge's endpoints as positions in ``g.vertices``."""
+    pos = {v: i for i, v in enumerate(g.vertices)}
+    return tuple((pos[a], pos[b]) for a, b in g.edges)
+
+
+def _pair_class(g: Graph, ends: tuple[int, int], ends2: tuple[int, int]) -> PairClass:
+    """The class of two edges of ``g`` given by their endpoint positions."""
+    if ends == ends2:
+        return PairClass.EQUAL
+    shared = set(ends) & set(ends2)
+    if not shared:
+        return PairClass.DISJOINT
+    if g.kind == COMPLETE:
+        return PairClass.SHARE_VERTEX
+    # a bipartite graph lists its left part first
+    (position,) = shared
+    return PairClass.SHARE_LEFT if position < g.left_size else PairClass.SHARE_RIGHT
+
+
 def classify_edge_pair(g: Graph, e: Edge, e2: Edge) -> PairClass:
     """Classify an edge pair of ``g``; symmetric in the two edges.
 
@@ -140,12 +162,5 @@ def classify_edge_pair(g: Graph, e: Edge, e2: Edge) -> PairClass:
     """
     g.require_edge(e)
     g.require_edge(e2)
-    if e == e2:
-        return PairClass.EQUAL
-    shared = set(e) & set(e2)
-    if not shared:
-        return PairClass.DISJOINT
-    if g.kind == COMPLETE:
-        return PairClass.SHARE_VERTEX
-    (part, _index), = shared
-    return PairClass.SHARE_LEFT if part == 0 else PairClass.SHARE_RIGHT
+    ends, index = _edge_ends(g), g.edge_index
+    return _pair_class(g, ends[index[e]], ends[index[e2]])

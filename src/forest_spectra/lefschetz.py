@@ -214,8 +214,7 @@ def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
     """
     g = _graded(phi)
     g.check_degree(k)
-    rows = _catalecticant(g.derivatives[k])
-    return ExactMatrix(tuple(tuple(Fraction(x, g.scale) for x in row) for row in rows))
+    return ExactMatrix._from_ints(_catalecticant(g.derivatives[k]), g.scale)
 
 
 def hilbert_function(phi: Polynomial) -> HilbertProfile:
@@ -262,13 +261,10 @@ def higher_hessian(
         u: sum(c * prod(map(pow, xs, w)) for w, c in terms.items())
         for u, terms in g.derivatives[2 * k].items()
     }
-    den = g.scale * d ** (s - 2 * k)
     basis = g.bases[k]
-    return ExactMatrix(
-        tuple(
-            tuple(Fraction(at_point.get(tuple(map(add, bi, bj)), 0), den) for bj in basis)
-            for bi in basis
-        )
+    return ExactMatrix._from_ints(
+        ([at_point.get(tuple(map(add, bi, bj)), 0) for bj in basis] for bi in basis),
+        g.scale * d ** (s - 2 * k),
     )
 
 

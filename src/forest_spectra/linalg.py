@@ -1,19 +1,24 @@
 """Exact matrices over the rationals, and the integer kernel under them.
 
-``ExactMatrix`` holds ``Fraction`` entries and keeps the public surface
-rational.  Determinants and ranks are decided on integers: each row is
-cleared of its denominators and one Bareiss (1968) fraction-free
-elimination runs on Python ``int``s with exact ``//``.  ``lefschetz`` takes
-its graded bases from a second integer kernel, ``_independent_rows``, a
-greedy left-looking row reduction.  No floating point; the theorems
-downstream are about exact nonvanishing.
+``ExactMatrix`` holds integer numerator rows over one positive common
+denominator, kept canonical (the gcd of the denominator and every entry is
+1), so equal matrices have equal integer forms.  The public surface stays
+rational: ``rows`` and ``m[i, j]`` read ``Fraction``s, the row view built
+only when something reads it, and the callers that produce integers build
+matrices through ``_from_ints`` with no ``Fraction`` at all.  Determinants
+and ranks run one Bareiss (1968) fraction-free elimination on a copy of the
+integer rows, with exact ``//``, and a determinant is divided by den^n at
+the end.  ``lefschetz`` takes its graded bases from a second integer
+kernel, ``_independent_rows``, a greedy left-looking row reduction.  No
+floating point; the theorems downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 Rational = Fraction | int
@@ -23,39 +28,70 @@ def _frac(x: Rational) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
 class ExactMatrix:
-    """Immutable matrix of exact rationals; rectangular allowed."""
+    """Immutable matrix of exact rationals; rectangular allowed.
 
-    rows: tuple[tuple[Fraction, ...], ...]
+    ``ExactMatrix(rows)`` takes rows of rationals; the matrix is held as
+    integer rows ``_num`` over the denominator ``_den`` and compares and
+    hashes by that canonical form.
+    """
 
-    def __post_init__(self) -> None:
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(r) != width for r in self.rows):
-                raise ValueError("ragged rows")
+    __slots__ = ("_num", "_den", "_rows")
+
+    def __init__(self, rows: Iterable[Sequence[Rational]]) -> None:
+        rows = [tuple(map(_frac, row)) for row in rows]
+        # over the lcm of reduced denominators the form is already canonical
+        den = lcm(*(x.denominator for row in rows for x in row))
+        num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in rows)
+        self._set(num, den)
+
+    @classmethod
+    def _from_ints(cls, rows: Iterable[Sequence[int]], den: int = 1) -> "ExactMatrix":
+        """The matrix ``rows / den`` for integer rows and ``den > 0``."""
+        num = tuple(map(tuple, rows))
+        if den != 1:
+            g = gcd(den, *chain.from_iterable(num))
+            if g != 1:
+                num = tuple(tuple(x // g for x in row) for row in num)
+                den //= g
+        mat = object.__new__(cls)
+        mat._set(num, den)
+        return mat
+
+    def _set(self, num: tuple[tuple[int, ...], ...], den: int) -> None:
+        if len(set(map(len, num))) > 1:
+            raise ValueError("ragged rows")
+        self._num = num
+        self._den = den
+        self._rows: tuple[tuple[Fraction, ...], ...] | None = None
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence[Rational]]) -> "ExactMatrix":
-        return cls(tuple(tuple(_frac(x) for x in row) for row in rows))
+        return cls(rows)
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls(tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)))
+        return cls._from_ints([int(i == j) for j in range(n)] for i in range(n))
 
     @classmethod
     def zero(cls, nrows: int, ncols: int) -> "ExactMatrix":
-        z = Fraction(0)
-        return cls(tuple(tuple(z for _ in range(ncols)) for _ in range(nrows)))
+        return cls._from_ints([0] * ncols for _ in range(nrows))
+
+    @property
+    def rows(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The entries as ``Fraction``s, built on first read."""
+        if self._rows is None:
+            den = self._den
+            self._rows = tuple(tuple(Fraction(x, den) for x in row) for row in self._num)
+        return self._rows
 
     @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._num)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._num[0]) if self._num else 0
 
     @property
     def is_square(self) -> bool:
@@ -63,71 +99,62 @@ class ExactMatrix:
 
     @property
     def symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self.rows[i][j] == self.rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.nrows)
-        )
+        return self.is_square and self._num == tuple(zip(*self._num))
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self.rows[i][j]
+        return Fraction(self._num[i][j], self._den)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, ExactMatrix):
+            return NotImplemented
+        return self._den == other._den and self._num == other._num
+
+    def __hash__(self) -> int:
+        return hash((self._num, self._den))
+
+    def __repr__(self) -> str:
+        return f"ExactMatrix(rows={self.rows!r})"
 
     def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(tuple(zip(*self.rows))) if self.rows else self
+        return ExactMatrix._from_ints(zip(*self._num), self._den) if self._num else self
 
     def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            tuple(tuple(a + b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self._combine(other, add)
 
     def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            tuple(tuple(a - b for a, b in zip(ra, rb)) for ra, rb in zip(self.rows, other.rows))
-        )
+        return self._combine(other, sub)
 
     def scale(self, c: Rational) -> "ExactMatrix":
-        cf = _frac(c)
-        return ExactMatrix(tuple(tuple(cf * a for a in row) for row in self.rows))
+        p, q = _frac(c).as_integer_ratio()
+        return ExactMatrix._from_ints(([p * x for x in row] for row in self._num), self._den * q)
 
     def __matmul__(self, other: "ExactMatrix") -> "ExactMatrix":
         if self.ncols != other.nrows:
             raise ValueError(f"shape mismatch: {self.ncols} vs {other.nrows}")
-        cols = other.transpose().rows
-        return ExactMatrix(
-            tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in self.rows)
+        cols = list(zip(*other._num))
+        return ExactMatrix._from_ints(
+            ([sum(map(mul, row, col)) for col in cols] for row in self._num),
+            self._den * other._den,
         )
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace needs a square matrix")
-        return sum((self.rows[i][i] for i in range(self.nrows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self._num)), self._den)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for row in self.rows for x in row)
+        return not any(map(any, self._num))
 
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
+    def _combine(self, other: "ExactMatrix", op) -> "ExactMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-
-
-def _integer_rows(mat: ExactMatrix) -> tuple[list[list[int]], int]:
-    """Clear denominators row by row.
-
-    Returns the rows of ``mat``, each multiplied by the lcm of its own
-    denominators, and the product of those multipliers.
-    """
-    rows = []
-    scale = 1
-    for row in mat.rows:
-        mult = lcm(*(x.denominator for x in row))
-        rows.append([x.numerator * (mult // x.denominator) for x in row])
-        scale *= mult
-    return rows, scale
+        den = lcm(self._den, other._den)
+        a, b = den // self._den, den // other._den
+        return ExactMatrix._from_ints(
+            ([op(a * x, b * y) for x, y in zip(ra, rb)] for ra, rb in zip(self._num, other._num)),
+            den,
+        )
 
 
 def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
@@ -201,20 +228,19 @@ def _independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
 
 
 def exact_determinant(mat: ExactMatrix) -> Fraction:
-    """Determinant by integer Bareiss elimination after clearing each
-    row's denominators; the cleared factors are divided out at the end."""
+    """Determinant by integer Bareiss elimination of the numerator rows,
+    divided by den^n at the end."""
     if not mat.is_square:
         raise ValueError("determinant needs a square matrix")
-    a, scale = _integer_rows(mat)
-    pivots, det = _bareiss(a, mat.ncols)
-    return Fraction(det if len(pivots) == mat.nrows else 0, scale)
+    n = mat.nrows
+    pivots, det = _bareiss(list(map(list, mat._num)), n)
+    return Fraction(det if len(pivots) == n else 0, mat._den**n)
 
 
 def exact_rank(mat: ExactMatrix) -> int:
-    """Rank by integer Bareiss elimination; scaling a row by its
-    denominators and dropping zero rows leave the rank unchanged."""
-    a, _scale = _integer_rows(mat)
-    return len(_bareiss([row for row in a if any(row)], mat.ncols)[0])
+    """Rank by integer Bareiss elimination of the numerator rows; zero rows
+    are dropped first."""
+    return len(_bareiss([list(row) for row in mat._num if any(row)], mat.ncols)[0])
 
 
 class RowEchelon:

@@ -3,24 +3,27 @@
 The Hessian of a k-forest generating function, evaluated at all-ones, is a
 structured matrix: its entries depend only on how the two indexing edges
 intersect.  That structure pins down the full spectrum in closed form, and
-the spectrum is certified exactly: the annihilating product over the
-distinct eigenvalues must vanish, and the trace power sums must match the
-claimed multiplicities.  For a symmetric (hence diagonalizable) matrix the
-two conditions together are a proof, not a heuristic; no numerical
-eigensolver is involved anywhere.
+the spectrum is certified exactly on the integer form of the matrix: with
+d distinct claimed eigenvalues, the powers A^2..A^d are formed once, the
+claimed minimal polynomial evaluated at A from them must vanish, and the
+traces of the same powers must match the claimed power sums.  The two
+conditions together are a proof, not a heuristic; no numerical
+eigensolver is involved anywhere.  The Hessians are built, checked and
+certified on Python ints with no ``Fraction`` in between.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, repeat
 from math import lcm
-from operator import mul
-from typing import NamedTuple, Union
+from operator import add, mul
+from typing import NamedTuple, Sequence, Union
 
 from .errors import StructureViolation, VerificationFailure
 from .forests import PairCounts, _pair_count_rows, count_forests_constrained
-from .graphs import COMPLETE, Graph, PairClass, classify_edge_pair, edge_name
+from .graphs import COMPLETE, Graph, PairClass, _edge_ends, _pair_class, edge_name
 from .linalg import ExactMatrix
 
 
@@ -134,11 +137,9 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     forest and no polynomial built; an input too large for that walk
     raises ValueError before it starts.
     """
-    rows = _pair_count_rows(g, k)
-    for i, row in enumerate(rows):
-        for j in range(i):
-            rows[j][i] = row[j]
-    return ExactMatrix.from_rows(rows)
+    lower = _pair_count_rows(g, k)
+    # the walk fills the lower triangle; adding its transpose mirrors it
+    return ExactMatrix._from_ints(map(add, row, col) for row, col in zip(lower, zip(*lower)))
 
 
 def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
@@ -151,50 +152,51 @@ def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
     if not 1 <= k <= g.vertex_count:
         raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
     m = g.edge_count
-    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows = [[0] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            c = Fraction(count_forests_constrained(g, k, required=(g.edges[i], g.edges[j])))
+            c = count_forests_constrained(g, k, required=(g.edges[i], g.edges[j]))
             rows[i][j] = c
             rows[j][i] = c
-    return ExactMatrix.from_rows(rows)
+    return ExactMatrix._from_ints(rows)
 
 
 def structured_params(mat: ExactMatrix, g: Graph) -> StructuredParams:
     """Extract the entry pattern of ``mat`` and verify it is uniform within
-    each edge-pair class; a non-uniform entry raises StructureViolation."""
+    each edge-pair class; a non-uniform entry raises StructureViolation.
+    Reads the upper triangle's integer numerators."""
     if mat.nrows != g.edge_count or mat.ncols != g.edge_count:
         raise ValueError(
             f"matrix is {mat.nrows}x{mat.ncols} but {g.name} has {g.edge_count} edges"
         )
-    seen: dict[PairClass, Fraction] = {}
-    for i, e in enumerate(g.edges):
-        for j, e2 in enumerate(g.edges):
-            if j < i:
-                continue
-            cls = classify_edge_pair(g, e, e2)
-            value = mat[i, j]
-            if cls not in seen:
-                seen[cls] = value
-            elif seen[cls] != value:
+    den, ends = mat._den, _edge_ends(g)
+    seen: dict[PairClass, int] = {}
+    for i, (e, row) in enumerate(zip(ends, mat._num)):
+        for j, e2 in enumerate(ends[i:], i):
+            cls, value = _pair_class(g, e, e2), row[j]
+            first = seen.setdefault(cls, value)
+            if first != value:
                 raise StructureViolation(
-                    f"entries for {cls.value} disagree: {seen[cls]} vs {value} "
-                    f"at ({edge_name(e)}, {edge_name(e2)})"
+                    f"entries for {cls.value} disagree: {Fraction(first, den)} vs "
+                    f"{Fraction(value, den)} at ({edge_name(g.edges[i])}, {edge_name(g.edges[j])})"
                 )
-    zero = Fraction(0)
-    alpha = seen.get(PairClass.EQUAL, zero)
+
+    def entry(cls: PairClass) -> Fraction:
+        return Fraction(seen.get(cls, 0), den)
+
+    alpha = entry(PairClass.EQUAL)
     if g.kind == COMPLETE:
         return CompleteParams(
             alpha=alpha,
-            beta=seen.get(PairClass.SHARE_VERTEX, zero),
-            gamma=seen.get(PairClass.DISJOINT, zero),
+            beta=entry(PairClass.SHARE_VERTEX),
+            gamma=entry(PairClass.DISJOINT),
             n=g.left_size,
         )
     return BipartiteParams(
         alpha=alpha,
-        beta=seen.get(PairClass.SHARE_LEFT, zero),
-        gamma=seen.get(PairClass.SHARE_RIGHT, zero),
-        delta=seen.get(PairClass.DISJOINT, zero),
+        beta=entry(PairClass.SHARE_LEFT),
+        gamma=entry(PairClass.SHARE_RIGHT),
+        delta=entry(PairClass.DISJOINT),
         m=g.left_size,
         n=g.right_size,
     )
@@ -232,52 +234,68 @@ def closed_form_spectrum(params: StructuredParams) -> Spectrum:
     )
 
 
-def _matmul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = list(zip(*b))
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _times(power: Sequence[Sequence[int]], a: Sequence[Sequence[int]]) -> list[list[int]]:
+    """power @ a for symmetric commuting factors, such as two powers of one
+    symmetric matrix: the product is symmetric, so only its upper triangle
+    is multiplied out and the lower one is mirrored."""
+    out: list[list[int]] = []
+    for i, row in enumerate(power):
+        out.append([out[j][i] for j in range(i)] + [sum(map(mul, row, col)) for col in a[i:]])
+    return out
 
 
 def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     """Exact certification of a claimed spectrum of a symmetric matrix.
 
-    Checks (a) the product of (mat - lambda I) over the distinct claimed
-    eigenvalues annihilates, and (b) trace(mat^j) equals the claimed power
-    sums for j = 1..#distinct.  For a diagonalizable matrix, (a) confines
-    the eigenvalues to the claimed set and (b) pins the multiplicities via
-    an invertible Vandermonde system.
+    With lambda_1..lambda_d the distinct claimed eigenvalues, checks that
+    (a) p(mat) = 0 for p(x) = prod (x - lambda_i), and (b) trace(mat^j)
+    equals the claimed power sum for j = 1..d.  A matrix annihilated by a
+    polynomial with distinct rational roots is diagonalisable with its
+    eigenvalues among those roots, so (a) confines the spectrum to the
+    claimed set and (b), with the dimension, pins the multiplicities via an
+    invertible Vandermonde system.
 
-    Both checks run on integers: with L the lcm of every denominator among
-    the entries and the claimed eigenvalues, L*mat has eigenvalues
-    L*lambda, its annihilating product is L^d times the original one, and
-    its j-th trace power sum is L^j times the original one.
+    The powers mat^2..mat^d are formed once and serve both checks, p(mat)
+    being the sum of the powers weighted by p's coefficients.  Symmetry is
+    needed only to multiply out half of each power, so a square matrix
+    that is not symmetric raises ValueError naming its first asymmetric
+    entry.  Everything runs on integers: with L the lcm of the matrix
+    denominator and the eigenvalue denominators, L*mat has eigenvalues
+    L*lambda, p's coefficients scale by powers of L, and the j-th trace
+    power sum is L^j times the original one.
     """
     if not mat.is_square:
         raise ValueError("spectrum verification needs a square matrix")
+    num, den = mat._num, mat._den
+    upper = combinations(range(mat.nrows), 2)
+    bad = next(((i, j) for i, j in upper if num[i][j] != num[j][i]), None)
+    if bad is not None:
+        raise ValueError(f"spectrum verification needs a symmetric matrix; entry {bad} is not")
     if spectrum.dimension != mat.nrows:
         raise ValueError(
             f"multiplicities sum to {spectrum.dimension}, matrix has dimension {mat.nrows}"
         )
-    n = mat.nrows
-    scale = lcm(
-        *(x.denominator for row in mat.rows for x in row),
-        *(v.denominator for v in spectrum.eigenvalues()),
-    )
-    a = [[x.numerator * (scale // x.denominator) for x in row] for row in mat.rows]
+    scale = lcm(den, *(v.denominator for v in spectrum.eigenvalues()))
+    a = num if scale == den else [[scale // den * x for x in row] for row in num]
     pairs = [(v.numerator * (scale // v.denominator), m) for v, m in spectrum.pairs]
-    product: list[list[int]] = []
+    # coefficients of prod (x - value), constant term first
+    coeffs = [1]
     for value, _m in pairs:
-        shifted = [
-            [x - value if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)
-        ]
-        product = _matmul(product, shifted) if product else shifted
-    if any(map(any, product)):
-        return False
-    power = a
-    for j in range(1, len(pairs) + 1):
-        if sum(power[i][i] for i in range(n)) != sum(m * value**j for value, m in pairs):
+        coeffs = [lo - value * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
+    powers = [a]
+    while len(powers) < len(pairs):
+        powers.append(_times(powers[-1], a))
+    for j, power in enumerate(powers, 1):
+        if sum(row[i] for i, row in enumerate(power)) != sum(m * value**j for value, m in pairs):
             return False
-        if j < len(pairs):
-            power = _matmul(power, a)
+    for i, rows in enumerate(zip(*powers)):
+        # row i of p(mat) from the diagonal on (the lower part is its
+        # mirror); p is monic, so its top power enters unscaled
+        tail = rows[-1][i:]
+        for c, row in zip(coeffs[1:-1], rows):
+            tail = list(map(add, tail, map(mul, repeat(c), row[i:])))
+        if tail[0] + coeffs[0] or any(tail[1:]):
+            return False
     return True
 
 

@@ -3,7 +3,8 @@
 Everything here is deliberately naive and independent of the package's
 algorithms: subsets come from itertools.combinations, connectivity from a
 BFS over an adjacency dict (no union-find), determinants from cofactor
-expansion, the basis-exchange axiom from its pairwise definition.  Tests freeze values computed by these oracles and compare the
+expansion, spectrum certificates from the product of the shifted matrices,
+the basis-exchange axiom from its pairwise definition.  Tests freeze values computed by these oracles and compare the
 package against them.
 """
 
@@ -13,6 +14,8 @@ import importlib.util
 import itertools
 import sys
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from pathlib import Path
 
 from hypothesis import settings
@@ -116,6 +119,43 @@ def cofactor_determinant(rows) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(a) * cofactor_determinant(minor)
     return total
+
+
+def _matmul(a, b):
+    cols = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+
+
+def product_form_certificate(mat, spectrum) -> bool:
+    """A claimed spectrum of a diagonalisable matrix, certified by (a) the
+    product of (mat - lambda I) over the distinct claimed eigenvalues
+    vanishing and (b) trace(mat^j) matching the claimed power sums for
+    j = 1..d: 2(d - 1) full products on the matrix's ``Fraction`` rows,
+    scaled by the lcm L of every denominator to integers (L*mat has
+    eigenvalues L*lambda)."""
+    rows = mat.rows
+    n = len(rows)
+    assert spectrum.dimension == n
+    scale = lcm(
+        *(x.denominator for row in rows for x in row),
+        *(v.denominator for v in spectrum.eigenvalues()),
+    )
+    a = [[x.numerator * (scale // x.denominator) for x in row] for row in rows]
+    pairs = [(v.numerator * (scale // v.denominator), m) for v, m in spectrum.pairs]
+    product = None
+    for value, _m in pairs:
+        shifted = [
+            [x - value if i == j else x for j, x in enumerate(row)] for i, row in enumerate(a)
+        ]
+        product = shifted if product is None else _matmul(product, shifted)
+    if product is not None and any(map(any, product)):
+        return False
+    power = a
+    for j in range(1, len(pairs) + 1):
+        if sum(power[i][i] for i in range(n)) != sum(m * value**j for value, m in pairs):
+            return False
+        power = _matmul(power, a)
+    return True
 
 
 def pairwise_exchange_axiom(m) -> bool:

@@ -8,6 +8,8 @@ import pytest
 
 from forest_spectra.cli import _parse_rational, run
 
+from conftest import load_perfbench
+
 
 def capture(capsys, argv):
     code = run(argv)
@@ -42,6 +44,24 @@ def test_spectrum_matrix_flag(capsys):
     code, report = capture(capsys, ["spectrum", "--complete", "4", "--k", "2", "--matrix"])
     assert code == 0
     assert report["result"]["matrix"][0] == ["0", "1", "1", "1", "1", "1"]
+
+
+# SHA-256 of the whole report without timing_ms, as the golden check takes
+# it; no benchmark instance passes --matrix
+MATRIX_REPORTS = {
+    "spectrum --complete 5 --k 2 --matrix":
+        "56d667eaf07edef21c0dd9edab8c87b2242a04ded39743f77429d45c448364ab",
+    "spectrum --bipartite 2 3 --k 1 --matrix":
+        "313906f21d915d9a7318df6e473e476c565cdb539f065122f4e90c8a220c8356",
+}
+
+
+@pytest.mark.parametrize("argv", sorted(MATRIX_REPORTS))
+def test_spectrum_matrix_reports_are_pinned(argv, capsys):
+    code = run(argv.split())
+    facts = load_perfbench("one_pass")._facts(capsys.readouterr().out, code, False)
+    assert (facts["exit_code"], facts["verdict"]) == (0, "verified")
+    assert facts["digest"] == MATRIX_REPORTS[argv]
 
 
 def test_spectrum_requires_exactly_one_graph(capsys):

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 import sympy
@@ -17,7 +18,7 @@ from forest_spectra import (
     tilde_hessian,
     verify_spectrum,
 )
-from forest_spectra.linalg import RowEchelon, _bareiss, _independent_rows, _integer_rows
+from forest_spectra.linalg import RowEchelon, _bareiss, _independent_rows
 
 from conftest import cofactor_determinant
 
@@ -143,19 +144,47 @@ def _sympy_rank(m: ExactMatrix) -> int:
     return sympy.Matrix(m.nrows, m.ncols, entries).rank()
 
 
-@given(st.one_of(square_rows(small_ints), square_rows(small_fractions)))
-def test_integer_and_rational_determinants_match_cofactor_oracle(rows):
-    det = exact_determinant(ExactMatrix.from_rows(rows))
-    assert type(det) is Fraction  # never a float: guards the exact // in Bareiss
-    assert det == cofactor_determinant(rows)
+# the integer form of a matrix is its numerator rows over a common
+# denominator; ``extra`` leaves that denominator unreduced on purpose
+extra_factors = st.integers(1, 6)
 
 
-@given(st.one_of(rect_rows(small_ints), rect_rows(small_fractions), square_rows(small_ints)))
-def test_rank_matches_sympy(rows):
+def _from_integer_form(rows, extra: int) -> ExactMatrix:
+    den = extra * lcm(*(Fraction(x).denominator for row in rows for x in row))
+    return ExactMatrix._from_ints([[int(x * den) for x in row] for row in rows], den)
+
+
+@given(st.one_of(square_rows(small_ints), square_rows(small_fractions)), extra_factors)
+def test_integer_and_rational_determinants_match_cofactor_oracle(rows, extra):
+    expected = cofactor_determinant(rows)
+    for m in (ExactMatrix.from_rows(rows), _from_integer_form(rows, extra)):
+        det = exact_determinant(m)
+        assert type(det) is Fraction  # never a float: guards the exact // in Bareiss
+        assert det == expected
+
+
+@given(
+    st.one_of(
+        rect_rows(small_ints),
+        rect_rows(small_fractions),
+        square_rows(small_ints),
+        dependent_rect_rows(small_fractions),
+    ),
+    extra_factors,
+)
+def test_rank_matches_sympy(rows, extra):
     m = ExactMatrix.from_rows(rows)
-    rank = exact_rank(m)
-    assert type(rank) is int
-    assert rank == _sympy_rank(m)
+    from_ints = _from_integer_form(rows, extra)
+    # equal matrices have one canonical integer form, whatever they were built from
+    assert from_ints == m and hash(from_ints) == hash(m)
+    fractions = tuple(tuple(map(Fraction, row)) for row in rows)
+    for mat in (m, from_ints):
+        assert mat.rows == fractions and ExactMatrix(mat.rows) == mat
+        assert all(type(x) is Fraction for row in mat.rows for x in row)
+        assert all(mat[i, j] == x for i, row in enumerate(fractions) for j, x in enumerate(row))
+        rank = exact_rank(mat)
+        assert type(rank) is int
+        assert rank == _sympy_rank(m)
 
 
 @given(
@@ -172,7 +201,7 @@ def test_bareiss_pivots_of_transpose_match_greedy_echelon(rows):
     # the pivot columns of a transpose are the greedily independent rows
     m = ExactMatrix.from_rows(rows)
     echelon = RowEchelon(m.ncols)
-    transposed, _scale = _integer_rows(m.transpose())
+    transposed = [list(row) for row in m.transpose()._num]
     assert _bareiss(transposed, m.nrows)[0] == [i for i, row in enumerate(m.rows) if echelon.add(row)]
 
 

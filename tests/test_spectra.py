@@ -30,7 +30,7 @@ from forest_spectra import (
 from forest_spectra.errors import StructureViolation, VerificationFailure
 from forest_spectra.forests import _forests_by_size
 
-from conftest import brute_forests, cofactor_determinant
+from conftest import brute_forests, cofactor_determinant, product_form_certificate
 
 
 def spectrum_of(pairs):
@@ -229,6 +229,42 @@ def test_verify_spectrum_dimension_guard():
 
 def test_verify_spectrum_zero_matrix():
     assert verify_spectrum(ExactMatrix.zero(3, 3), spectrum_of([(0, 3)]))
+
+
+def test_verify_spectrum_refuses_an_asymmetric_matrix():
+    # diagonalisable with eigenvalues 1 and 3, but the powers form needs symmetry
+    m = ExactMatrix.from_rows([[1, 0, 0], [0, 1, 1], [0, 0, 3]])
+    with pytest.raises(ValueError, match=r"symmetric matrix; entry \(1, 2\) is not"):
+        verify_spectrum(m, spectrum_of([(1, 2), (3, 1)]))
+    with pytest.raises(ValueError, match="square"):
+        verify_spectrum(ExactMatrix.from_rows([[1, 2]]), spectrum_of([(1, 1)]))
+
+
+DESK_GRAPHS = [complete_graph(n) for n in range(4, 8)] + [
+    complete_bipartite_graph(m, n) for m in range(2, 5) for n in range(m, 5)
+]
+
+
+@pytest.mark.parametrize("g", DESK_GRAPHS, ids=lambda g: g.name)
+def test_powers_certificate_agrees_with_the_product_form(g):
+    for k in range(1, g.vertex_count + 1):
+        h = tilde_hessian(g, k)
+        true = closed_form_spectrum(structured_params(h, g))
+        (v0, m0), *rest = true.pairs
+        claims = [(true, True)]
+        # a half shift cannot land on another (integer) eigenvalue; it also
+        # puts a denominator into the claim
+        claims += [(Spectrum(((v0 + shift, m0), *rest)), False) for shift in (Fraction(1, 2), -7)]
+        # every Hessian has trace 0, so the zero claim passes the trace
+        # check and only the off-diagonal entries of p(h) = h refute it
+        claims.append((Spectrum(((Fraction(0), h.nrows),)), h.is_zero()))
+        if rest:
+            (v1, m1), *others = rest
+            moved = ((v0, m0 + 1), *([(v1, m1 - 1)] if m1 > 1 else []), *others)
+            claims.append((Spectrum(moved), False))
+        for claim, holds in claims:
+            assert verify_spectrum(h, claim) is holds, (g.name, k, claim)
+            assert product_form_certificate(h, claim) is holds, (g.name, k, claim)
 
 
 def test_sign_profile():
