@@ -33,14 +33,14 @@ from .forests import (
     _mask_bits,
     count_forests_constrained,
     edge_pair_counts,
+    forest_generating_polynomial,
     theorem_range,
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
-from .lefschetz import check_degree_one_lefschetz, hilbert_function, slp_check
+from .lefschetz import _degree_one, _require_degree_one_rank, hilbert_function, slp_check
 from .linalg import exact_determinant
 from .matroids import (
     _require_a_valid_rank,
-    basis_generating_polynomial,
     graphic_matroid,
     truncate,
     verify_exchange_axiom,
@@ -317,18 +317,12 @@ def _parse_point(raw: str, variables) -> dict:
     return dict(zip(variables, values))
 
 
-def _truncated_graphic_matroid(command: str, g: Graph, r: int, lowest: int):
-    """The rank-r truncation of the graphic matroid of ``g``, for a command
-    that takes ranks from ``lowest`` up to that matroid's rank, V - 1."""
-    _require_a_valid_rank(g, command, lowest)
-    return truncate(graphic_matroid(g), r)
-
-
 def _cmd_slp(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
-    matroid = _truncated_graphic_matroid("slp", g, r, 2)  # the degree-one check needs r >= 2
-    phi = basis_generating_polynomial(matroid)
+    _require_degree_one_rank(g, r, "slp")
+    # the bases of the rank-r truncation are the r-edge forests
+    phi = forest_generating_polynomial(g, g.vertex_count - r)
     all_ones = args.point is None
     point = (
         {v: Fraction(1) for v in phi.variables}
@@ -337,9 +331,9 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     )
     profile = hilbert_function(phi)
     report = slp_check(phi, point)
-    degree_one = check_degree_one_lefschetz(matroid)
+    degree_one = _degree_one(g, r)
     result = {
-        "basis_count": matroid.basis_count,
+        "basis_count": phi.term_count(),
         "hilbert_function": list(profile.dims),
         "hilbert_symmetric": profile.symmetric,
         "point": [_rat(x) for x in report.point],
@@ -376,7 +370,8 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
-    matroid = _truncated_graphic_matroid("matroid", g, r, 1)
+    _require_a_valid_rank(g, "matroid", 1)
+    matroid = truncate(graphic_matroid(g), r)
     # an r-edge forest search independent of the truncation's r-subsets
     bases_match = set(matroid.bases) == set(_forest_edge_sets(g, g.vertex_count - r))
     result = {

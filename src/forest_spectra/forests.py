@@ -551,21 +551,14 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
         g.require_edge(e)
     ends = _edge_ends(g)
     index = g.edge_index
-    parent = list(range(g.vertex_count))
-    comps = g.vertex_count
-    for e in req:
-        a, b = ends[index[e]]
-        ra = _find(parent, a)
-        rb = _find(parent, b)
-        if ra == rb:
-            return None
-        parent[ra] = rb
-        comps -= 1
-    if comps < k:
+    req_mask = sum(1 << index[e] for e in req)
+    parent = _mask_union_find(ends, g.vertex_count, req_mask)
+    comps = g.vertex_count - len(req)
+    if parent is None or comps < k:
         return None
     skip = set(req) | forb
     free = [(a, b, x) for x, (a, b) in enumerate(ends) if g.edges[x] not in skip]
-    return parent, comps, free, sum(1 << index[e] for e in req)
+    return parent, comps, free, req_mask
 
 
 def count_forests_constrained(

@@ -309,27 +309,17 @@ def _reconstruct_graph(m: Matroid) -> Graph:
     return g
 
 
-def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
-    """Degree-one Lefschetz check for a truncated graphic matroid.
+def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
+    """Refuse a rank outside 2..V-1, the ranks the degree-one check takes."""
+    _require_a_valid_rank(g, who, 2)
+    if not 2 <= r < g.vertex_count:
+        raise ValueError(f"rank {r} out of range 2..{g.vertex_count - 1}")
 
-    Validates that the matroid really is a rank-r truncation of the graphic
-    matroid of K_n or K_{m,n} (its bases must be exactly the r-edge
-    forests), then certifies the spectrum of the degree-one Hessian at
-    all-ones and reads off bijectivity of multiplication by
-    (x_1 + ... + x_N)^(r-2).  Out-of-range instances are reported, with the
-    computation still performed.
-    """
-    g = _reconstruct_graph(m)
-    r = m.rank
-    nv = g.vertex_count
-    _require_a_valid_rank(g, "the degree-one check", 2)
-    if not 2 <= r <= nv - 1:
-        raise ValueError(f"rank {r} out of range 2..{nv - 1}")
-    k = nv - r
-    if set(m.bases) != set(_forest_edge_sets(g, k)):
-        raise ValueError(
-            f"bases are not the {r}-edge forests of {g.name}; not a truncation"
-        )
+
+def _degree_one(g: Graph, r: int) -> DegreeOneLefschetzReport:
+    """The degree-one certificate for the rank-r truncation of the graphic
+    matroid of ``g``, whose bases are the r-edge forests; r is in range."""
+    k = g.vertex_count - r
     h = tilde_hessian(g, k)
     spectrum = closed_form_spectrum(structured_params(h, g))
     certified = verify_spectrum(h, spectrum)
@@ -350,3 +340,23 @@ def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
         in_theorem_range=theorem_range(g, k),
         in_stated_range=stated,
     )
+
+
+def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
+    """Degree-one Lefschetz check for a truncated graphic matroid.
+
+    Validates that the matroid really is a rank-r truncation of the graphic
+    matroid of K_n or K_{m,n} (its bases must be exactly the r-edge
+    forests), then certifies the spectrum of the degree-one Hessian at
+    all-ones and reads off bijectivity of multiplication by
+    (x_1 + ... + x_N)^(r-2).  Out-of-range instances are reported, with the
+    computation still performed.
+    """
+    g = _reconstruct_graph(m)
+    r = m.rank
+    _require_degree_one_rank(g, r, "the degree-one check")
+    if set(m.bases) != set(_forest_edge_sets(g, g.vertex_count - r)):
+        raise ValueError(
+            f"bases are not the {r}-edge forests of {g.name}; not a truncation"
+        )
+    return _degree_one(g, r)

@@ -279,6 +279,8 @@ def test_console_entry_point():
         ["bijections", "--bipartite", "3", "4", "--k", "2"],
         ["enumerate", "--complete", "6", "--k", "2"],
         ["matroid", "--complete", "5", "--r", "3", "--verify-axioms"],
+        ["slp", "--complete", "5", "--r", "3"],
+        ["slp", "--bipartite", "3", "3", "--r", "4"],
     ],
     ids=" ".join,
 )
@@ -322,3 +324,20 @@ def test_ranks_out_of_a_nonempty_range_keep_their_messages(capsys):
     assert capsys.readouterr().err.strip() == "error: rank 1 out of range 2..3"
     assert run(["matroid", "--complete", "4", "--r", "4"]) == 2
     assert capsys.readouterr().err.strip() == "error: target rank 4 out of range 1..3"
+    assert run(["slp", "--complete", "4", "--r", "4"]) == 2
+    assert capsys.readouterr().err.strip() == "error: rank 4 out of range 2..3"
+
+
+@pytest.mark.parametrize("r", [-1, 0, 1, 4, 5])
+def test_slp_refuses_a_rank_before_any_search(capsys, monkeypatch, r):
+    from forest_spectra import forests
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused rank reached a forest search")
+
+    monkeypatch.setattr(forests, "_forest_masks", never)
+    monkeypatch.setattr(forests, "_frontier_walk", never)
+    assert run(["slp", "--complete", "4", "--r", str(r)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == f"error: rank {r} out of range 2..3"

@@ -44,3 +44,34 @@ def test_report_matches_golden(workload, inst, capsys):
     assert facts["exit_code"] == 0
     expected = GOLDEN[workload][inst.key]
     assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
+
+
+@pytest.mark.parametrize(
+    "inst",
+    [inst for workload, inst in FIXED if workload == "slp-ladder"],
+    ids=lambda inst: inst.key,
+)
+def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
+    # the bases of the truncation are the r-edge forests: the report comes
+    # from one search, with no spanning trees, truncation or basis polynomial
+    from forest_spectra import cli, forests, matroids
+
+    def never(*args):
+        raise AssertionError("slp reached the matroid layer")
+
+    for name in ("graphic_matroid", "truncate", "basis_generating_polynomial"):
+        monkeypatch.setattr(matroids, name, never)
+        monkeypatch.setattr(cli, name, never, raising=False)
+    searches = []
+    search = forests._forest_masks
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(forests, "_forest_masks", counted)
+    code = run(list(inst.argv))
+    facts = ONE_PASS._facts(capsys.readouterr().out, code, inst.seeded)
+    expected = GOLDEN["slp-ladder"][inst.key]
+    assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
+    assert len(searches) == 1

@@ -107,7 +107,7 @@ def test_basis_polynomial_single_basis():
     assert phi.terms == {(1, 1): 1}
 
 
-@pytest.mark.parametrize("n", [4, 5, 6, 7])
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 2, 3])
 def test_truncations_generate_forest_polynomials_complete(n):
     g = complete_graph(n)
     m = graphic_matroid(g)
@@ -117,7 +117,7 @@ def test_truncations_generate_forest_polynomials_complete(n):
         )
 
 
-@pytest.mark.parametrize("mn", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4)])
+@pytest.mark.parametrize("mn", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (1, 1), (1, 2), (1, 3)])
 def test_truncations_generate_forest_polynomials_bipartite(mn):
     g = complete_bipartite_graph(*mn)
     m = graphic_matroid(g)
