@@ -45,6 +45,7 @@ from .matroids import (
     truncate,
     verify_exchange_axiom,
 )
+from .polynomials import all_ones_point
 from .spectra import (
     closed_form_spectrum,
     predicted_signs,
@@ -324,11 +325,7 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     # the bases of the rank-r truncation are the r-edge forests
     phi = forest_generating_polynomial(g, g.vertex_count - r)
     all_ones = args.point is None
-    point = (
-        {v: Fraction(1) for v in phi.variables}
-        if all_ones
-        else _parse_point(args.point, phi.variables)
-    )
+    point = all_ones_point(phi) if all_ones else _parse_point(args.point, phi.variables)
     profile = hilbert_function(phi)
     report = slp_check(phi, point)
     degree_one = _degree_one(g, r)
@@ -442,15 +439,7 @@ def run(argv: Sequence[str]) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except VerificationFailure as err:
-        report = {
-            "command": args.command,
-            "input": {},
-            "result": {"error": str(err)},
-            "verdict": "failed",
-            "timing_ms": int(round((time.perf_counter() - start) * 1000)),
-        }
-        print(json.dumps(report, indent=2, sort_keys=True))
-        return 1
+        verdict, input_, result = "failed", {}, {"error": str(err)}
     report = {
         "command": args.command,
         "input": input_,

@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain
 from math import comb
 from operator import add
 from typing import Iterable, Sequence
@@ -44,31 +45,6 @@ from .graphs import (
 from .polynomials import Polynomial
 
 
-def _root(parent: dict[Vertex, Vertex | None], v: Vertex) -> Vertex:
-    while (up := parent[v]) is not None:
-        v = up
-    return v
-
-
-def _union_find(
-    vertices: Iterable[Vertex], edges: Iterable[Edge]
-) -> dict[Vertex, Vertex | None] | None:
-    """Union-find over ``edges``: the parent map (None marks a root), or None
-    on a cycle or on an endpoint outside ``vertices``; the caller tells the
-    two apart.  Two vertices share a component iff they have one ``_root``."""
-    parent: dict[Vertex, Vertex | None] = dict.fromkeys(vertices)
-    try:
-        for a, b in edges:
-            a = _root(parent, a)
-            b = _root(parent, b)
-            if a == b:
-                return None
-            parent[a] = b
-    except KeyError:
-        return None
-    return parent
-
-
 _CYCLE_MESSAGE = "edge set contains a cycle"
 
 
@@ -79,11 +55,12 @@ class Forest:
     ``vertices`` is usually the full vertex set of ``graph``; restricted
     vertex sets appear when trees are split or families live on K_W.
 
-    Construction validates everything, cheaply: edge membership is one
-    subset test against the graph's edge index and acyclicity one
-    union-find pass.  Only when either fails does a per-edge scan run, to
-    name the first defect with the same message as an edge-by-edge check.
-    The component map is built lazily, on the first component query.
+    Construction validates everything, cheaply: edge membership and the
+    endpoints are one subset test each, against the graph's edge index and
+    the vertex set, and acyclicity one pass of the mask union-find.  Only
+    when one fails does a per-edge scan run, to name the first defect with
+    the same message as an edge-by-edge check.  The component map is built
+    lazily, on the first component query, from the same parent list.
     """
 
     graph: Graph
@@ -95,7 +72,11 @@ class Forest:
             raise ValueError("a forest needs at least one vertex")
         if not self.vertices <= set(self.graph.vertices):
             raise ValueError("forest vertices must belong to the graph")
-        if self.edges <= self.graph.edge_index.keys() and _union_find(self.vertices, self.edges) is not None:
+        if (
+            self.edges <= self.graph.edge_index.keys()
+            and self.vertices.issuperset(chain.from_iterable(self.edges))
+            and self._parent() is not None
+        ):
             return
         for e in self.edges:
             self.graph.require_edge(e)
@@ -110,17 +91,25 @@ class Forest:
     def component_count(self) -> int:
         return len(self.vertices) - len(self.edges)
 
+    def _parent(self) -> list[int] | None:
+        """The mask union-find of the edges over the graph's vertex
+        positions, or None on a cycle; needs edges of the graph."""
+        index = self.graph.edge_index
+        mask = sum(1 << index[e] for e in self.edges)
+        return _mask_union_find(_edge_ends(self.graph), self.graph.vertex_count, mask)
+
     def _component_map(self) -> tuple[dict[Vertex, int], list[Vertex]]:
         """Component id of each vertex and each component's smallest vertex;
         ids count up in sorted vertex order."""
         cached = self.__dict__.get("_comps")
         if cached is None:
-            parent = _union_find(self.vertices, self.edges)
-            ids: dict[Vertex, int] = {}
+            parent = self._parent()
+            pos = {v: i for i, v in enumerate(self.graph.vertices)}
+            ids: dict[int, int] = {}
             comp: dict[Vertex, int] = {}
             reps: list[Vertex] = []
             for v in sorted(self.vertices):
-                cid = comp[v] = ids.setdefault(_root(parent, v), len(ids))
+                cid = comp[v] = ids.setdefault(_find(parent, pos[v]), len(ids))
                 if cid == len(reps):
                     reps.append(v)
             cached = (comp, reps)

@@ -5,12 +5,12 @@ denominator, kept canonical (the gcd of the denominator and every entry is
 1), so equal matrices have equal integer forms.  The public surface stays
 rational: ``rows`` and ``m[i, j]`` read ``Fraction``s, the row view built
 only when something reads it, and the callers that produce integers build
-matrices through ``_from_ints`` with no ``Fraction`` at all.  Determinants
-and ranks run one Bareiss (1968) fraction-free elimination on a copy of the
-integer rows, with exact ``//``, and a determinant is divided by den^n at
-the end.  ``lefschetz`` takes its graded bases from a second integer
-kernel, ``_independent_rows``, a greedy left-looking row reduction.  No
-floating point; the theorems downstream are about exact nonvanishing.
+matrices through ``_from_ints`` with no ``Fraction`` at all.  Each question
+has one integer kernel: a determinant is a Bareiss (1968) fraction-free
+elimination (``_bareiss``, exact ``//``) divided by den^n at the end, and a
+rank, like each graded basis of ``lefschetz``, is the greedy left-looking
+row reduction ``_independent_rows``.  No floating point; the theorems
+downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
@@ -157,39 +157,34 @@ class ExactMatrix:
         )
 
 
-def _bareiss(a: list[list[int]], ncols: int) -> tuple[list[int], int]:
-    """Bareiss (1968) fraction-free elimination of an integer matrix, in
-    place, with column scanning.
+def _bareiss(a: list[list[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss (1968) fraction-free
+    elimination, in place, with row swaps.
 
     Every division is exact, so ``//`` keeps all intermediates integral.
-    Returns the pivot columns and the last pivot times the sign of the row
-    swaps; for a nonsingular square matrix the latter is the determinant.
+    Returns 0 at the first column with no pivot; otherwise the last pivot
+    times the sign of the row swaps.
     """
-    nrows = len(a)
+    n = len(a)
     sign = 1
     prev = 1
-    pivots: list[int] = []
-    for col in range(ncols):
-        row = len(pivots)
-        if row == nrows:
-            break
-        piv = next((r for r in range(row, nrows) if a[r][col]), None)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
-            continue
-        if piv != row:
-            a[row], a[piv] = a[piv], a[row]
+            return 0
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
             sign = -sign
-        ptail = a[row][col + 1 :]
-        pivot = a[row][col]
-        for r in range(row + 1, nrows):
+        ptail = a[col][col + 1 :]
+        pivot = a[col][col]
+        for r in range(col + 1, n):
             arow = a[r]
             factor = arow[col]
             arow[col + 1 :] = [
                 (x * pivot - factor * y) // prev for x, y in zip(arow[col + 1 :], ptail)
             ]
         prev = pivot
-        pivots.append(col)
-    return pivots, sign * prev
+    return sign * prev
 
 
 def _independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
@@ -232,21 +227,17 @@ def exact_determinant(mat: ExactMatrix) -> Fraction:
     divided by den^n at the end."""
     if not mat.is_square:
         raise ValueError("determinant needs a square matrix")
-    n = mat.nrows
-    pivots, det = _bareiss(list(map(list, mat._num)), n)
-    return Fraction(det if len(pivots) == n else 0, mat._den**n)
+    return Fraction(_bareiss(list(map(list, mat._num))), mat._den**mat.nrows)
 
 
 def exact_rank(mat: ExactMatrix) -> int:
-    """Rank by integer Bareiss elimination of the numerator rows; zero rows
-    are dropped first."""
-    return len(_bareiss([list(row) for row in mat._num if any(row)], mat.ncols)[0])
+    """Rank by the greedy-rows reduction of the numerator rows."""
+    return len(_independent_rows(mat._num))
 
 
 class RowEchelon:
-    """Incremental rational row reduction; the test reference for the pivots
-    of ``_bareiss``, for ``_independent_rows`` and for
-    ``lefschetz.graded_basis``."""
+    """Incremental rational row reduction; the test oracle for
+    ``_independent_rows``, ``exact_rank`` and ``lefschetz.graded_basis``."""
 
     def __init__(self, width: int) -> None:
         self.width = width

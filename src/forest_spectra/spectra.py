@@ -22,7 +22,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import StructureViolation, VerificationFailure
-from .forests import PairCounts, _pair_count_rows, count_forests_constrained
+from .forests import PairCounts, _pair_count_rows, _require_k, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, _edge_ends, _pair_class, edge_name
 from .linalg import ExactMatrix
 
@@ -149,8 +149,7 @@ def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
     Diagonal entries are zero because the generating function is square
     free.  This route never touches the polynomial.
     """
-    if not 1 <= k <= g.vertex_count:
-        raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
+    _require_k(g, k)
     m = g.edge_count
     rows = [[0] * m for _ in range(m)]
     for i in range(m):

@@ -257,7 +257,13 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
     monkeypatch.setitem(_HANDLERS, "enumerate", boom)
     code, report = capture(capsys, ["enumerate", "--complete", "4", "--k", "1"])
     assert code == 1
-    assert report["verdict"] == "failed"
+    assert type(report.pop("timing_ms")) is int
+    assert report == {
+        "command": "enumerate",
+        "input": {},
+        "result": {"error": "synthetic mismatch"},
+        "verdict": "failed",
+    }
 
 
 def test_console_entry_point():
