@@ -36,7 +36,10 @@ Representation.  Inside, a forest is an ``int`` edge mask (bit i set iff
 edge i of the graph's canonical edge list is in it), straight from the
 edge-inclusion search: the families are filtered, split into pieces and
 mapped on masks, with one integer union-find (``forests._mask_union_find``)
-answering every connectivity question and re-validating every image.
+answering every connectivity question.  Every family member is a forest
+(the search proved it acyclic, or it came in as a validated ``Forest``), so
+an image is re-validated by membership in the family it must land in, and
+by the union-find only when it is not a member.
 :class:`Forest` objects appear only at the boundary: the families expose
 their pieces as :class:`~forest_spectra.forests.MaskedForests`, tuple-like
 views that build a ``Forest`` when one is read; the bijection entry points
@@ -56,10 +59,12 @@ from .forests import (
     PairCounts,
     _CYCLE_MESSAGE,
     _anchor_pairs,
+    _collect_from,
     _find,
     _forest_masks,
     _mask_bits,
     _mask_union_find,
+    _setup,
     theorem_range,
 )
 from .graphs import (
@@ -118,7 +123,10 @@ def _verify_bijection(
     codomain element, checking totality (a map raising ValueError is
     undefined there), codomain membership, injectivity and both round trips,
     then the size match.  Elements are any hashable values; ``forest`` turns
-    one into the :class:`Forest` a failure report names."""
+    one into the :class:`Forest` a failure report names.  The maps must be
+    deterministic: the second loop skips each codomain element whose round
+    trip the first completed, so a verified bijection runs each map once
+    per element."""
     failures: list[BijectionFailure] = []
 
     def fail(kind: str, element: Hashable, detail: str) -> None:
@@ -127,6 +135,7 @@ def _verify_bijection(
     domain_set = set(domain)
     codomain_set = set(codomain)
     hit: set = set()
+    settled: set = set()
     for x in domain:
         try:
             y = forward(x)
@@ -147,7 +156,11 @@ def _verify_bijection(
             continue
         if back != x:
             fail("round-trip", x, f"came back as {forest(back)}")
+        else:
+            settled.add(y)
     for y in codomain:
+        if y in settled:
+            continue
         try:
             x = backward(y)
         except ValueError as err:
@@ -244,16 +257,17 @@ def _build_split_families(labels: Iterable[int]) -> SplitFamilies:
     g = complete_graph_on(labels)
     wedge, matching = _anchor_pairs(g)
     (v1, _), (v3, v4) = matching
-    ends, n = _edge_ends(g), g.vertex_count
 
     def apart(pair: tuple[Edge, Edge], u, v) -> MaskedForests:
-        """The 2-forests through ``pair`` with u and v in different trees."""
-        u, v = g.vertices.index(u), g.vertices.index(v)
-        out = []
-        for x in _forest_masks(g, 2, required=pair):
-            parent = _mask_union_find(ends, n, x)
-            if _find(parent, u) != _find(parent, v):
-                out.append(x)
+        """The 2-forests through ``pair`` with u and v in different trees:
+        those that stay acyclic with u and v merged, searched as such."""
+        out: list[int] = []
+        state = _setup(g, 2, pair, ())
+        if state is not None:
+            parent, comps, free, req = state
+            ru, rv = (_find(parent, g.vertices.index(w)) for w in (u, v))
+            parent[ru] = rv  # neither anchored pair joins u and v
+            _collect_from(parent, comps - 1, free, 0, 1, req, out)
         return MaskedForests(g, out)
 
     return SplitFamilies(
@@ -350,7 +364,8 @@ def build_families(g: Graph, k: int) -> CompleteForestFamilies | BipartiteForest
 
 # ---------------------------------------------------------------------------
 # the bijections, as maps on edge masks; each raises ValueError, with the
-# message the same map on Forest objects would give, where it is undefined
+# message the same map on Forest objects would give, where it is undefined,
+# except that _verify_on catches an image closing a cycle
 
 
 def _acyclic(ends: Sequence[tuple[int, int]], n: int, mask: int) -> int:
@@ -368,9 +383,23 @@ def _verify_on(
     forward: Callable[[int], int],
     backward: Callable[[int], int],
 ) -> BijectionReport:
-    """:func:`_verify_bijection` on the masks of two families of ``g``."""
+    """:func:`_verify_bijection` on the masks of two families of ``g``.
+    Every family member is a forest, so an image in the family it must land
+    in stands as it is; any other goes through :func:`_acyclic`."""
     domain = MaskedForests.of(g, domain)
     codomain = MaskedForests.of(g, codomain)
+    ends, n = _edge_ends(g), g.vertex_count
+
+    def landing(f, target: MaskedForests) -> Callable[[int], int]:
+        members = set(target.masks)
+
+        def mapped(x: int) -> int:
+            y = f(x)
+            return y if y in members else _acyclic(ends, n, y)
+
+        return mapped
+
+    forward, backward = landing(forward, codomain), landing(backward, domain)
     return _verify_bijection(name, domain.masks, codomain.masks, forward, backward, domain.forest)
 
 
@@ -415,13 +444,13 @@ def bijection_forestbij(
         wedge_tree, other = trees(x, p1, p4)
         if not wedge_tree & bit23:
             raise ValueError(f"edge {edge_name(e23)} is not in the tree")
-        return _acyclic(ends, n, wedge_tree & ~bit23 | other | bit34)
+        return wedge_tree & ~bit23 | other | bit34
 
     def backward(x: int) -> int:
         tree12, tree34 = trees(x, p1, p3)
         if not tree34 & bit34:
             raise ValueError(f"edge {edge_name(e34)} is not in the tree")
-        return _acyclic(ends, n, tree12 | tree34 & ~bit34 | bit23)
+        return tree12 | tree34 & ~bit34 | bit23
 
     name = f"wedge/matching split forests on {{{','.join(map(str, fam.labels))}}}"
     return _verify_on(name, g, fam.split_wedge, fam.split_matching, forward, backward)
@@ -429,16 +458,15 @@ def bijection_forestbij(
 
 def _swap(g: Graph, old: Edge, new: Edge) -> Callable[[int], int]:
     """The mask map replacing edge ``old`` by ``new``; like
-    ``Forest.replace_edges`` it raises ValueError where ``old`` is absent or
-    ``new`` closes a cycle."""
-    ends, n = _edge_ends(g), g.vertex_count
+    ``Forest.replace_edges`` it raises ValueError where ``old`` is absent;
+    where ``new`` closes a cycle, :func:`_verify_on` raises instead."""
     bit_old, bit_new = 1 << g.edge_index[old], 1 << g.edge_index[new]
     absent = f"cannot remove absent edges: {edge_name(old)}"
 
     def swap(x: int) -> int:
         if not x & bit_old:
             raise ValueError(absent)
-        return _acyclic(ends, n, x & ~bit_old | bit_new)
+        return x & ~bit_old | bit_new
 
     return swap
 

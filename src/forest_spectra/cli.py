@@ -217,7 +217,8 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
     if g.kind == COMPLETE:
         n = g.left_size
         w = args.w if args.w is not None else n
-        if not 4 <= w <= n:
+        # below n = 4, build_families refuses the graph itself
+        if n >= 4 and not 4 <= w <= n:
             raise ValueError(f"--w must be between 4 and {n}, got {w}")
         input_["w"] = w
         fam = build_families(g, k)

@@ -503,15 +503,18 @@ def _collect_from(
     m = len(free)
     while i <= m - need:
         u, v, x = free[i]
-        ru = _find(parent, u)
-        rv = _find(parent, v)
-        if ru != rv:
+        # _find inlined: this loop is the mask kernels' hot spot
+        while parent[u] != u:
+            u = parent[u]
+        while parent[v] != v:
+            v = parent[v]
+        if u != v:
             if need == 1:
                 out.append(mask | 1 << x)  # every edge that joins two trees ends one forest
             else:
-                parent[ru] = rv
+                parent[u] = v
                 _collect_from(parent, comps - 1, free, i + 1, k, mask | 1 << x, out)
-                parent[ru] = ru
+                parent[u] = u
         i += 1
 
 

@@ -405,6 +405,77 @@ def test_split_families_match_the_brute_force_oracle(n):
         assert [f.edges for f in sf.split_matching] == apart(brute_forests(g, 2, matching), v1, v3), sf.labels
 
 
+def _count_map_calls(monkeypatch):
+    """Wrap every map :func:`_verify_on` runs in call counters; the returned
+    list gains (record, forward calls, backward calls) per check."""
+    from forest_spectra import bijections
+
+    checks = []
+    verify_on = bijections._verify_on
+
+    def counted(name, g, domain, codomain, forward, backward):
+        calls = {"forward": 0, "backward": 0}  # piece 4's two maps are one function
+
+        def count(role, f):
+            def mapped(x):
+                calls[role] += 1
+                return f(x)
+
+            return mapped
+
+        record = verify_on(
+            name, g, domain, codomain, count("forward", forward), count("backward", backward)
+        )
+        checks.append((record, calls["forward"], calls["backward"]))
+        return record
+
+    monkeypatch.setattr(bijections, "_verify_on", counted)
+    return checks
+
+
+def test_verified_bijections_run_each_map_once_per_element(monkeypatch):
+    checks = _count_map_calls(monkeypatch)
+    bijection_forestbij((1, 2, 3, 4, 5, 6))
+    g = complete_bipartite_graph(3, 3)
+    fam = build_families(g, 1)
+    for i in (1, 2, 3):
+        bijections_pr123(g, 1, i, families=fam)
+    bijection_pr4(g, 1, families=fam)
+    bijection_q2r5(g, 1, families=fam)
+    assert [record.domain_size for record, _, _ in checks] == [24, 3, 9, 0, 1, 3]
+    for record, forward_calls, backward_calls in checks:
+        assert record.verified, record.name
+        assert (forward_calls, backward_calls) == (record.domain_size, record.codomain_size)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_split_families_match_the_filtered_search(n):
+    # the old route as the oracle: every 2-forest through the pair, kept
+    # when its own union-find puts u and v in different trees
+    from forest_spectra.bijections import _build_split_families
+    from forest_spectra.forests import _anchor_pairs, _find, _forest_masks, _mask_union_find
+    from forest_spectra.graphs import _edge_ends
+
+    sf = _build_split_families(range(1, n + 1))
+    g = sf.graph
+    ends = _edge_ends(g)
+    wedge, matching = _anchor_pairs(g)
+    (v1, _), (v3, v4) = matching
+
+    def filtered(pair, u, v):
+        u, v = g.vertices.index(u), g.vertices.index(v)
+        out = []
+        for x in _forest_masks(g, 2, required=pair):
+            parent = _mask_union_find(ends, g.vertex_count, x)
+            if _find(parent, u) != _find(parent, v):
+                out.append(x)
+        return out
+
+    assert list(sf.split_wedge.masks) == filtered(wedge, v1, v4)
+    assert list(sf.split_matching.masks) == filtered(matching, v1, v3)
+    assert sf.split_wedge.masks
+
+
 def test_hand_built_families_must_hold_spanning_forests():
     g = complete_bipartite_graph(2, 2)
     fam = build_families(g, 1)

@@ -104,6 +104,22 @@ def test_bijections_bipartite_rejects_w(capsys):
     assert captured.err.strip() == "error: --w applies only to --complete"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bijections", "--complete", "3", "--k", "1"],
+        ["bijections", "--complete", "3", "--k", "1", "--w", "4"],
+    ],
+    ids=" ".join,
+)
+def test_bijections_below_four_vertices_names_the_graph(capsys, argv):
+    # no --w range exists below n = 4, so the graph is refused, not the flag
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == "error: anchor vertices 1..4 need n >= 4, got n=3"
+
+
 def test_slp_k4(capsys):
     code, report = capture(capsys, ["slp", "--complete", "4", "--r", "3"])
     assert code == 0

@@ -75,3 +75,21 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
     expected = GOLDEN["slp-ladder"][inst.key]
     assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
     assert len(searches) == 1
+
+
+@pytest.mark.parametrize(
+    "key", ["bijections --complete 6 --k 2", "bijections --bipartite 3 4 --k 2"]
+)
+def test_bijection_images_land_by_membership(key, capsys, monkeypatch):
+    # every image of a verified bijection is a member of its target family,
+    # so no success path runs a union-find on an image
+    from forest_spectra import bijections
+
+    def never(*args):
+        raise AssertionError("an image was re-validated by union-find")
+
+    monkeypatch.setattr(bijections, "_acyclic", never)
+    code = run(key.split())
+    facts = ONE_PASS._facts(capsys.readouterr().out, code, False)
+    expected = GOLDEN["families-ladder"][key]
+    assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
