@@ -36,10 +36,14 @@ Representation.  Inside, a forest is an ``int`` edge mask (bit i set iff
 edge i of the graph's canonical edge list is in it), straight from the
 edge-inclusion search: the families are filtered, split into pieces and
 mapped on masks, with one integer union-find (``forests._mask_union_find``)
-answering every connectivity question.  Every family member is a forest
+answering every connectivity question.  ``_build_bipartite``'s ``split``
+compiles a case table to a cut mask and probes on vertex positions and
+applies it to each member.  One verifier, ``_verify_on``, runs every check:
+it reads both families as masks once.  Every family member is a forest
 (the search proved it acyclic, or it came in as a validated ``Forest``), so
-an image is re-validated by membership in the family it must land in, and
-by the union-find only when it is not a member.
+an image in the family it must land in stands as it is; any other goes
+through the union-find, and the map is undefined there if the image closes
+a cycle, otherwise the image lies outside its family.
 :class:`Forest` objects appear only at the boundary: the families expose
 their pieces as :class:`~forest_spectra.forests.MaskedForests`, tuple-like
 views that build a ``Forest`` when one is read; the bijection entry points
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Hashable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .forests import (
     Forest,
@@ -109,80 +113,6 @@ class BijectionReport:
     @property
     def verified(self) -> bool:
         return not self.failures and self.domain_size == self.codomain_size
-
-
-def _verify_bijection(
-    name: str,
-    domain: Sequence[Hashable],
-    codomain: Sequence[Hashable],
-    forward: Callable[[Hashable], Hashable],
-    backward: Callable[[Hashable], Hashable],
-    forest: Callable[[Hashable], Forest] = lambda x: x,
-) -> BijectionReport:
-    """Run ``forward`` on every domain element and ``backward`` on every
-    codomain element, checking totality (a map raising ValueError is
-    undefined there), codomain membership, injectivity and both round trips,
-    then the size match.  Elements are any hashable values; ``forest`` turns
-    one into the :class:`Forest` a failure report names.  The maps must be
-    deterministic: the second loop skips each codomain element whose round
-    trip the first completed, so a verified bijection runs each map once
-    per element."""
-    failures: list[BijectionFailure] = []
-
-    def fail(kind: str, element: Hashable, detail: str) -> None:
-        failures.append(BijectionFailure(kind, forest(element), detail))
-
-    domain_set = set(domain)
-    codomain_set = set(codomain)
-    hit: set = set()
-    settled: set = set()
-    for x in domain:
-        try:
-            y = forward(x)
-        except ValueError as err:
-            fail("forward-undefined", x, str(err))
-            continue
-        if y not in codomain_set:
-            fail("image-outside-codomain", x, str(forest(y)))
-            continue
-        if y in hit:
-            fail("not-injective", x, str(forest(y)))
-            continue
-        hit.add(y)
-        try:
-            back = backward(y)
-        except ValueError as err:
-            fail("backward-undefined", y, str(err))
-            continue
-        if back != x:
-            fail("round-trip", x, f"came back as {forest(back)}")
-        else:
-            settled.add(y)
-    for y in codomain:
-        if y in settled:
-            continue
-        try:
-            x = backward(y)
-        except ValueError as err:
-            fail("backward-undefined", y, str(err))
-            continue
-        if x not in domain_set:
-            fail("preimage-outside-domain", y, str(forest(x)))
-            continue
-        try:
-            again = forward(x)
-        except ValueError as err:
-            fail("forward-undefined", x, str(err))
-            continue
-        if again != y:
-            fail("round-trip", y, f"came back as {forest(again)}")
-    if len(domain) != len(codomain):
-        fail(
-            "size-mismatch",
-            domain[0] if domain else codomain[0],
-            f"domain {len(domain)} vs codomain {len(codomain)}",
-        )
-    return BijectionReport(name, len(domain), len(codomain), tuple(failures))
 
 
 # ---------------------------------------------------------------------------
@@ -295,28 +225,6 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     return CompleteForestFamilies(g, k, with_wedge, with_matching, tuple(subsets))
 
 
-def _piece_case(x: int, rule, ends: Sequence[tuple[int, int]], n: int) -> int:
-    """The piece of forest mask ``x`` under a case table compiled by
-    :func:`_piece_rule`."""
-    cut, probes = rule
-    parent = _mask_union_find(ends, n, x & ~cut)
-    for piece, u, v in probes:
-        if _find(parent, u) == _find(parent, v):
-            return piece
-    return 3
-
-
-def _piece_rule(g: Graph, cases):
-    """A case table in ``g``'s terms: the cut edges as a mask, the probes
-    as vertex positions."""
-    cut, probes = cases
-    index = g.edge_index
-    return (
-        sum(1 << index[e] for e in cut),
-        tuple((piece, g.vertices.index(u), g.vertices.index(v)) for piece, (u, v) in probes),
-    )
-
-
 def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
     if g.left_size < 2 or g.right_size < 2:
         raise ValueError(
@@ -332,10 +240,20 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         return MaskedForests(g, masks)
 
     def split(family, cases, count):
-        rule = _piece_rule(g, cases)
+        """``family`` in ``count`` pieces by a case table, compiled to a cut
+        mask and probes on vertex positions."""
+        cut, probes = cases
+        cut = sum(1 << g.edge_index[e] for e in cut)
+        probes = [(piece, g.vertices.index(u), g.vertices.index(v)) for piece, (u, v) in probes]
         parts: list[list[int]] = [[] for _ in range(count)]
         for x in family:
-            parts[_piece_case(x, rule, ends, n) - 1].append(x)
+            parent = _mask_union_find(ends, n, x & ~cut)
+            for piece, u, v in probes:
+                if _find(parent, u) == _find(parent, v):
+                    break
+            else:
+                piece = 3
+            parts[piece - 1].append(x)
         return tuple(map(masked, parts))
 
     return BipartiteForestFamilies(
@@ -354,7 +272,10 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
 
 
 def build_families(g: Graph, k: int) -> CompleteForestFamilies | BipartiteForestFamilies:
-    """Materialize every anchored family by filtered enumeration."""
+    """Materialize every anchored family as edge masks: the anchored
+    k-forests from the edge-inclusion search, cut into pieces by the case
+    tables on the bipartite graph; on the complete graph each split family
+    comes from one search with the two vertices to keep apart merged."""
     if g.kind == COMPLETE:
         return _build_complete(g, k)
     if g.kind == BIPARTITE:
@@ -383,24 +304,76 @@ def _verify_on(
     forward: Callable[[int], int],
     backward: Callable[[int], int],
 ) -> BijectionReport:
-    """:func:`_verify_bijection` on the masks of two families of ``g``.
-    Every family member is a forest, so an image in the family it must land
-    in stands as it is; any other goes through :func:`_acyclic`."""
+    """Run ``forward`` on every domain mask and ``backward`` on every
+    codomain mask, both families of ``g``, checking totality (a map raising
+    ValueError is undefined there), codomain membership, injectivity and
+    both round trips, then the size match.  Every family member is a
+    forest, so an image in the family it must land in stands as it is; any
+    other goes through :func:`_acyclic`.  The maps must be deterministic:
+    the second loop skips each codomain element whose round trip the first
+    completed, so a verified bijection runs each map once per element."""
     domain = MaskedForests.of(g, domain)
     codomain = MaskedForests.of(g, codomain)
     ends, n = _edge_ends(g), g.vertex_count
+    forest = domain.forest
+    domain_set, codomain_set = set(domain.masks), set(codomain.masks)
+    failures: list[BijectionFailure] = []
 
-    def landing(f, target: MaskedForests) -> Callable[[int], int]:
-        members = set(target.masks)
+    def fail(kind: str, element: int, detail: str) -> None:
+        failures.append(BijectionFailure(kind, forest(element), detail))
 
-        def mapped(x: int) -> int:
-            y = f(x)
-            return y if y in members else _acyclic(ends, n, y)
+    def image(f: Callable[[int], int], x: int, members: set[int]) -> int:
+        """``f(x)``; ValueError where ``f`` is undefined at ``x`` or the
+        image, not in ``members``, closes a cycle."""
+        y = f(x)
+        return y if y in members else _acyclic(ends, n, y)
 
-        return mapped
-
-    forward, backward = landing(forward, codomain), landing(backward, domain)
-    return _verify_bijection(name, domain.masks, codomain.masks, forward, backward, domain.forest)
+    hit: set[int] = set()
+    settled: set[int] = set()
+    for x in domain.masks:
+        try:
+            y = image(forward, x, codomain_set)
+        except ValueError as err:
+            fail("forward-undefined", x, str(err))
+            continue
+        if y not in codomain_set:
+            fail("image-outside-codomain", x, str(forest(y)))
+            continue
+        if y in hit:
+            fail("not-injective", x, str(forest(y)))
+            continue
+        hit.add(y)
+        try:
+            back = image(backward, y, domain_set)
+        except ValueError as err:
+            fail("backward-undefined", y, str(err))
+            continue
+        if back != x:
+            fail("round-trip", x, f"came back as {forest(back)}")
+        else:
+            settled.add(y)
+    for y in codomain.masks:
+        if y in settled:
+            continue
+        try:
+            x = image(backward, y, domain_set)
+        except ValueError as err:
+            fail("backward-undefined", y, str(err))
+            continue
+        if x not in domain_set:
+            fail("preimage-outside-domain", y, str(forest(x)))
+            continue
+        try:
+            again = image(forward, x, codomain_set)
+        except ValueError as err:
+            fail("forward-undefined", x, str(err))
+            continue
+        if again != y:
+            fail("round-trip", y, f"came back as {forest(again)}")
+    if len(domain) != len(codomain):
+        first = (domain.masks or codomain.masks)[0]
+        fail("size-mismatch", first, f"domain {len(domain)} vs codomain {len(codomain)}")
+    return BijectionReport(name, len(domain), len(codomain), tuple(failures))
 
 
 def bijection_forestbij(

@@ -590,13 +590,6 @@ def _forest_masks(
     return out
 
 
-def _pair_count_rows(g: Graph, k: int) -> list[list[int]]:
-    """Entry (x, y) with y < x is the number of k-forests of ``g`` through
-    edges x and y; the diagonal and upper triangle are zero."""
-    _require_k(g, k)
-    return _pair_counts_by_frontier(_edge_ends(g), g.vertex_count - k)
-
-
 def enumerate_forests(g: Graph, k: int) -> tuple[Forest, ...]:
     """All spanning forests of ``g`` with exactly k components.
 

@@ -13,19 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import perm, prod
 from typing import Hashable, Mapping, Sequence
 
 from .linalg import ExactMatrix, Rational, _frac
 
 ExponentVector = tuple[int, ...]
-
-
-def _falling(b: int, a: int) -> int:
-    """b (b-1) ... (b-a+1); the coefficient picked up by d^a on x^b."""
-    out = 1
-    for i in range(a):
-        out *= b - i
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,14 +167,13 @@ def apply_monomial_operator(p: Polynomial, exps: Sequence[int]) -> Polynomial:
     exps = tuple(exps)
     if len(exps) != len(p.variables):
         raise ValueError("operator exponent vector has wrong length")
+    if any(a < 0 for a in exps):
+        raise ValueError(f"negative exponent in {exps}")
     out: dict[ExponentVector, Fraction] = {}
     for beta, c in p.terms.items():
-        mult = 1
-        for b, a in zip(beta, exps):
-            if b < a:
-                mult = 0
-                break
-            mult *= _falling(b, a)
+        # d^a on x^b picks up the falling factorial b (b-1) ... (b-a+1),
+        # which is 0 where b < a
+        mult = prod(map(perm, beta, exps))
         if mult:
             reduced = tuple(b - a for b, a in zip(beta, exps))
             out[reduced] = out.get(reduced, Fraction(0)) + c * mult

@@ -22,7 +22,7 @@ from operator import add, mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import StructureViolation, VerificationFailure
-from .forests import PairCounts, _pair_count_rows, _require_k, count_forests_constrained
+from .forests import PairCounts, _pair_counts_by_frontier, _require_k, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, _edge_ends, _pair_class, edge_name
 from .linalg import ExactMatrix
 
@@ -137,8 +137,10 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     forest and no polynomial built; an input too large for that walk
     raises ValueError before it starts.
     """
-    lower = _pair_count_rows(g, k)
-    # the walk fills the lower triangle; adding its transpose mirrors it
+    _require_k(g, k)
+    # a k-forest has n - k edges; the walk fills the lower triangle with its
+    # pair counts, and adding the transpose mirrors it
+    lower = _pair_counts_by_frontier(_edge_ends(g), g.vertex_count - k)
     return ExactMatrix._from_ints(map(add, row, col) for row, col in zip(lower, zip(*lower)))
 
 

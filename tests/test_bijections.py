@@ -18,7 +18,8 @@ from forest_spectra import (
     verify_count_inequalities,
     vertex,
 )
-from forest_spectra.bijections import _verify_bijection
+from forest_spectra.bijections import _verify_on
+from forest_spectra.forests import MaskedForests
 
 from conftest import bfs_partition, brute_forests
 
@@ -192,20 +193,59 @@ def test_bijections_require_bipartite():
 
 
 def test_verifier_reports_failures():
-    # a deliberately wrong map: identity from the wedge family into the
-    # matching family; every element should be flagged
+    # a deliberately wrong map: the identity from a share-left piece into a
+    # disjoint piece; each element lands outside the other family
     fam = build_families(complete_bipartite_graph(2, 2), 1)
-    record = _verify_bijection(
+    record = _verify_on(
         "broken",
+        fam.graph,
         fam.share_left_parts[1],
         fam.disjoint_parts[1],
-        lambda f: f,
-        lambda f: f,
+        lambda x: x,
+        lambda x: x,
     )
-    assert not record.verified
-    assert record.failures
-    kinds = {f.kind for f in record.failures}
-    assert "image-outside-codomain" in kinds or "preimage-outside-domain" in kinds
+    assert (record.domain_size, record.codomain_size, record.verified) == (1, 1, False)
+    assert _failures(record) == [
+        ("image-outside-codomain", ("1-1'", "1-2'", "2-1'"), "Forest(1-1',1-2',2-1')"),
+        ("preimage-outside-domain", ("1-1'", "2-1'", "2-2'"), "Forest(1-1',2-1',2-2')"),
+    ]
+
+
+def _table(images):
+    """The mask map reading ``images``; undefined (ValueError) elsewhere."""
+
+    def mapped(x):
+        if x not in images:
+            raise ValueError(f"no image for {x}")
+        return images[x]
+
+    return mapped
+
+
+def test_verifier_fires_each_branch_once():
+    # K_4 edge masks: bit 0 is 1-2, then 1-3, 1-4, 2-3, 2-4, 3-4; 11 = 1-2, 1-3,
+    # 2-3 is a triangle
+    g = complete_graph(4)
+    domain = MaskedForests(g, (1, 2, 8, 16, 32, 9))
+    codomain = MaskedForests(g, (3, 5, 6, 10, 12))
+    forward = _table({1: 11, 2: 4, 8: 3, 16: 3, 32: 5, 9: 6})
+    backward = _table({3: 8, 6: 8, 10: 48, 12: 1})
+    record = _verify_on("branches", g, domain, codomain, forward, backward)
+    assert (record.domain_size, record.codomain_size, record.verified) == (6, 5, False)
+    assert _failures(record) == [
+        # the domain loop; 2-3 -> 1-2,1-3 -> 2-3 is the one clean round trip
+        ("forward-undefined", ("1-2",), "edge set contains a cycle"),
+        ("image-outside-codomain", ("1-3",), "Forest(1-4)"),
+        ("not-injective", ("2-4",), "Forest(1-2,1-3)"),
+        ("backward-undefined", ("1-2", "1-4"), "no image for 5"),
+        ("round-trip", ("1-2", "2-3"), "came back as Forest(2-3)"),
+        # the codomain loop skips 1-2,1-3, settled above
+        ("backward-undefined", ("1-2", "1-4"), "no image for 5"),
+        ("round-trip", ("1-3", "1-4"), "came back as Forest(1-2,1-3)"),
+        ("preimage-outside-domain", ("1-3", "2-3"), "Forest(2-4,3-4)"),
+        ("forward-undefined", ("1-2",), "edge set contains a cycle"),
+        ("size-mismatch", ("1-2",), "domain 6 vs codomain 5"),
+    ]
 
 
 def test_inequalities_k22_boundary():

@@ -94,6 +94,14 @@ def test_falling_factorial_coefficients():
     assert apply_monomial_operator(p, (2, 0, 0)) == poly({(1, 0, 0): 6})
 
 
+def test_monomial_operator_refuses_negative_exponents():
+    # d^-1 is no operator: it must not act as multiplication by a variable
+    p = poly({(2, 1, 0): 1})
+    with pytest.raises(ValueError, match=r"^negative exponent in \(-1, 0, 0\)$"):
+        apply_monomial_operator(p, (-1, 0, 0))
+    assert apply_monomial_operator(p, (3, 0, 0)) == poly({})
+
+
 def test_evaluate_forest_polynomials_at_ones():
     g = complete_graph(4)
     phi = forest_generating_polynomial(g, 1)
