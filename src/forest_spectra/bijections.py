@@ -310,8 +310,8 @@ def _verify_on(
     both round trips, then the size match.  Every family member is a
     forest, so an image in the family it must land in stands as it is; any
     other goes through :func:`_acyclic`.  The maps must be deterministic:
-    the second loop skips each codomain element whose round trip the first
-    completed, so a verified bijection runs each map once per element."""
+    the second loop skips each codomain element the first loop completed or
+    found undefined, so a verified bijection runs each map once per element."""
     domain = MaskedForests.of(g, domain)
     codomain = MaskedForests.of(g, codomain)
     ends, n = _edge_ends(g), g.vertex_count
@@ -347,6 +347,7 @@ def _verify_on(
             back = image(backward, y, domain_set)
         except ValueError as err:
             fail("backward-undefined", y, str(err))
+            settled.add(y)
             continue
         if back != x:
             fail("round-trip", x, f"came back as {forest(back)}")

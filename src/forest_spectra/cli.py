@@ -27,7 +27,6 @@ from .bijections import (
 )
 from .errors import VerificationFailure
 from .forests import (
-    _forest_edge_sets,
     _forest_masks,
     _forests_by_size,
     _mask_bits,
@@ -39,12 +38,7 @@ from .forests import (
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
 from .lefschetz import _degree_one, _require_degree_one_rank, hilbert_function, slp_check
 from .linalg import exact_determinant
-from .matroids import (
-    _require_a_valid_rank,
-    graphic_matroid,
-    truncate,
-    verify_exchange_axiom,
-)
+from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
 from .polynomials import all_ones_point
 from .spectra import (
     closed_form_spectrum,
@@ -369,18 +363,19 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
     _require_a_valid_rank(g, "matroid", 1)
-    matroid = truncate(graphic_matroid(g), r)
-    # an r-edge forest search independent of the truncation's r-subsets
-    bases_match = set(matroid.bases) == set(_forest_edge_sets(g, g.vertex_count - r))
+    _require_truncation_rank(r, g.vertex_count - 1)
+    # the spanning trees' r-subsets against an independent r-edge forest search
+    bases = _truncated(_forest_masks(g, 1), r)
+    bases_match = bases == set(_forest_masks(g, g.vertex_count - r))
     result = {
-        "ground_size": len(matroid.ground),
-        "rank": matroid.rank,
-        "basis_count": matroid.basis_count,
+        "ground_size": g.edge_count,
+        "rank": r,
+        "basis_count": len(bases),
         "bases_are_r_edge_forests": bases_match,
     }
     checks = [bases_match]
     if args.verify_axioms:
-        axioms = verify_exchange_axiom(matroid)
+        axioms = _exchange_holds(bases, g.edge_count)
         result["exchange_axiom"] = axioms
         checks.append(axioms)
     input_ = {"graph": g.name, "r": r, "verify_axioms": bool(args.verify_axioms)}

@@ -605,23 +605,23 @@ def enumerate_forests_constrained(
     return tuple(MaskedForests(g, _forest_masks(g, k, required, forbidden)))
 
 
-def _forest_edge_sets(g: Graph, k: int) -> list[frozenset[Edge]]:
-    """The edge sets of the k-forests, in the search's order."""
-    edges = g.edges
-    return [frozenset(edges[i] for i in _mask_bits(mask)) for mask in _forest_masks(g, k)]
+def _square_free(variables: Sequence, masks: Iterable[int]) -> Polynomial:
+    """One square-free monomial with coefficient one per mask, bit i
+    standing for ``variables[i]``."""
+    n = len(variables)
+    terms = {}
+    for mask in masks:
+        exps = [0] * n
+        for i in _mask_bits(mask):
+            exps[i] = 1
+        terms[tuple(exps)] = 1
+    return Polynomial(variables, terms)
 
 
 def forest_generating_polynomial(g: Graph, k: int) -> Polynomial:
     """Generating function of the k-component forests: one square-free
     monomial x_e1 ... x_er per forest, variables in canonical edge order."""
-    m = g.edge_count
-    terms = {}
-    for mask in _forest_masks(g, k):
-        exps = [0] * m
-        for i in _mask_bits(mask):
-            exps[i] = 1
-        terms[tuple(exps)] = 1
-    return Polynomial(g.edges, terms)
+    return _square_free(g.edges, _forest_masks(g, k))
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
 )
-from .forests import _forest_edge_sets, theorem_range
+from .forests import _forest_masks, theorem_range
 from .linalg import ExactMatrix, Rational, _independent_rows, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
@@ -355,7 +355,7 @@ def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
     g = _reconstruct_graph(m)
     r = m.rank
     _require_degree_one_rank(g, r, "the degree-one check")
-    if set(m.bases) != set(_forest_edge_sets(g, g.vertex_count - r)):
+    if set(m._masks) != set(_forest_masks(g, g.vertex_count - r)):  # m.ground == g.edges
         raise ValueError(
             f"bases are not the {r}-edge forests of {g.name}; not a truncation"
         )

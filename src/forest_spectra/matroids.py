@@ -5,16 +5,20 @@ keeps the exchange-axiom check exhaustive.  Graphic matroids take spanning
 trees as bases; truncation to rank r keeps all r-subsets of bases, which
 for complete and complete bipartite graphs is exactly the set of r-edge
 forests.
+
+Inside, a basis is an ``int`` mask, bit i for ``ground[i]`` as in the forest
+search, encoded once when a :class:`Matroid` is built; every kernel reads
+masks, and ``Matroid`` objects appear only at the public boundary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Hashable
+from itertools import combinations
+from typing import Collection, Hashable, Iterable
 
 from .graphs import Graph
-from .forests import _forest_edge_sets
+from .forests import _forest_masks, _mask_bits, _square_free
 from .polynomials import Polynomial
 
 
@@ -36,17 +40,15 @@ class Matroid:
             raise ValueError("ground set has repeated elements")
         if not self.bases:
             raise ValueError("a matroid has at least one basis")
-        universe = set(self.ground)
-        for b in self.bases:
-            if not b <= universe:
-                raise ValueError("basis element outside the ground set")
-        # canonical order: by sorted ground-set indices
         index = {x: i for i, x in enumerate(self.ground)}
-        canon = sorted({frozenset(b) for b in self.bases}, key=lambda b: sorted(index[x] for x in b))
-        object.__setattr__(self, "bases", tuple(canon))
-
-    def __hash__(self) -> int:
-        return hash((self.ground, self.bases))
+        by_mask: dict[int, frozenset] = {}
+        for b in map(frozenset, self.bases):
+            if not b <= index.keys():
+                raise ValueError("basis element outside the ground set")
+            by_mask[sum(1 << index[x] for x in b)] = b
+        # canonical order: by sorted ground-set indices, the search's order
+        object.__setattr__(self, "_masks", tuple(sorted(by_mask, key=_mask_bits)))
+        object.__setattr__(self, "bases", tuple(map(by_mask.__getitem__, self._masks)))
 
     @property
     def rank(self) -> int:
@@ -57,9 +59,14 @@ class Matroid:
         return len(self.bases)
 
 
+def _from_masks(ground: tuple[Hashable, ...], masks: Iterable[int]) -> Matroid:
+    """The matroid on ``ground`` whose bases are ``masks``, bit i for ground[i]."""
+    return Matroid(ground, tuple(frozenset([ground[i] for i in _mask_bits(b)]) for b in masks))
+
+
 def graphic_matroid(g: Graph) -> Matroid:
     """Matroid on the edges of ``g`` whose bases are the spanning trees."""
-    return Matroid(g.edges, tuple(_forest_edge_sets(g, 1)))
+    return _from_masks(g.edges, _forest_masks(g, 1))
 
 
 def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
@@ -72,24 +79,28 @@ def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
         )
 
 
-def truncate(m: Matroid, r: int) -> Matroid:
-    """Truncated matroid of rank r: all r-subsets of bases.
+def _require_truncation_rank(r: int, rank: int) -> None:
+    if not 1 <= r <= rank:
+        raise ValueError(f"target rank {r} out of range 1..{rank}")
 
-    The subsets are collected as ascending ground-index tuples, which hash
-    faster than frozensets, and become one frozenset per distinct subset;
-    the ``Matroid`` constructor puts them in canonical order.
-    """
-    if not 1 <= r <= m.rank:
-        raise ValueError(f"target rank {r} out of range 1..{m.rank}")
+
+def _truncated(masks: Iterable[int], r: int) -> set[int]:
+    """The r-subsets of the bases ``masks``, as masks."""
+    out: set[int] = set()
+    for mask in masks:
+        out.update(map(sum, combinations([1 << i for i in _mask_bits(mask)], r)))
+    return out
+
+
+def truncate(m: Matroid, r: int) -> Matroid:
+    """Truncated matroid of rank r: all r-subsets of bases."""
+    _require_truncation_rank(r, m.rank)
     if r == m.rank:
         return m
-    index = {x: i for i, x in enumerate(m.ground)}.__getitem__
-    subsets = set(chain.from_iterable(combinations(sorted(map(index, b)), r) for b in m.bases))
-    ground = m.ground
-    return Matroid(ground, tuple(frozenset([ground[i] for i in c]) for c in subsets))
+    return _from_masks(m.ground, _truncated(m._masks, r))
 
 
-def verify_exchange_axiom(m: Matroid) -> bool:
+def _exchange_holds(masks: Collection[int], nground: int) -> bool:
     """Exhaustive basis-exchange check from a basis-incidence bitset.
 
     True iff all bases are equicardinal and for every ordered basis pair
@@ -103,26 +114,21 @@ def verify_exchange_axiom(m: Matroid) -> bool:
     quantifiers are those of the pairwise statement; memory is O(|E| * B)
     bits.
     """
-    sizes = {len(b) for b in m.bases}
-    if len(sizes) > 1:
+    if len({mask.bit_count() for mask in masks}) > 1:
         return False
-    index = {x: i for i, x in enumerate(m.ground)}
-    meets = [0] * len(m.ground)
+    meets = [0] * nground
     # completions[S]: bitmask of the elements e with S + e a basis
     completions: dict[int, int] = {}
-    for j, b in enumerate(m.bases):
+    for j, mask in enumerate(masks):
         bit = 1 << j
-        mask = 0
-        for x in b:
-            meets[index[x]] |= bit
-            mask |= 1 << index[x]
         rest = mask
         while rest:
             xbit = rest & -rest
             rest ^= xbit
+            meets[xbit.bit_length() - 1] |= bit
             rest_of_b = mask ^ xbit
             completions[rest_of_b] = completions.get(rest_of_b, 0) | xbit
-    every = (1 << len(m.bases)) - 1
+    every = (1 << len(masks)) - 1
     for ends in completions.values():
         covered = 0
         while ends:
@@ -134,18 +140,15 @@ def verify_exchange_axiom(m: Matroid) -> bool:
     return True
 
 
+def verify_exchange_axiom(m: Matroid) -> bool:
+    """Exhaustive basis-exchange check; see :func:`_exchange_holds`."""
+    return _exchange_holds(m._masks, len(m.ground))
+
+
 def basis_generating_polynomial(m: Matroid) -> Polynomial:
     """Sum over bases of the product of their variables.
 
     Homogeneous of degree rank, square-free, all coefficients one, variables
     keyed by the canonical ground-set order.
     """
-    n = len(m.ground)
-    index = {x: i for i, x in enumerate(m.ground)}
-    terms = {}
-    for b in m.bases:
-        exps = [0] * n
-        for x in b:
-            exps[index[x]] = 1
-        terms[tuple(exps)] = 1
-    return Polynomial(m.ground, terms)
+    return _square_free(m.ground, m._masks)

@@ -350,6 +350,21 @@ def test_ranks_out_of_a_nonempty_range_keep_their_messages(capsys):
     assert capsys.readouterr().err.strip() == "error: rank 4 out of range 2..3"
 
 
+@pytest.mark.parametrize("r", [0, 4])
+def test_matroid_refuses_a_rank_before_any_search(capsys, monkeypatch, r):
+    from forest_spectra import cli, forests
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused rank reached a forest search")
+
+    monkeypatch.setattr(forests, "_forest_masks", never)
+    monkeypatch.setattr(cli, "_forest_masks", never)
+    assert run(["matroid", "--complete", "4", "--r", str(r)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == f"error: target rank {r} out of range 1..3"
+
+
 @pytest.mark.parametrize("r", [-1, 0, 1, 4, 5])
 def test_slp_refuses_a_rank_before_any_search(capsys, monkeypatch, r):
     from forest_spectra import forests

@@ -78,6 +78,39 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "inst",
+    [inst for workload, inst in FIXED if inst.argv[0] == "matroid"],
+    ids=lambda inst: inst.key,
+)
+def test_matroid_stays_on_masks(inst, capsys, monkeypatch):
+    # the report comes from the spanning-tree and r-edge forest searches'
+    # masks alone: no Matroid object, truncation or exchange check on one
+    from forest_spectra import cli, forests, matroids
+
+    def never(*args):
+        raise AssertionError("matroid built a Matroid object")
+
+    for name in ("graphic_matroid", "truncate", "verify_exchange_axiom"):
+        monkeypatch.setattr(matroids, name, never)
+        monkeypatch.setattr(cli, name, never, raising=False)
+    monkeypatch.setattr(matroids.Matroid, "__post_init__", never)
+    searches = []
+    search = forests._forest_masks
+
+    def counted(*args):
+        searches.append(args)
+        return search(*args)
+
+    monkeypatch.setattr(forests, "_forest_masks", counted)
+    monkeypatch.setattr(cli, "_forest_masks", counted)
+    code = run(list(inst.argv))
+    facts = ONE_PASS._facts(capsys.readouterr().out, code, inst.seeded)
+    expected = GOLDEN["families-ladder"][inst.key]
+    assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
+    assert len(searches) == 2
+
+
+@pytest.mark.parametrize(
     "key", ["bijections --complete 6 --k 2", "bijections --bipartite 3 4 --k 2"]
 )
 def test_bijection_images_land_by_membership(key, capsys, monkeypatch):

@@ -13,7 +13,7 @@ from forest_spectra import (
     verify_exchange_axiom,
 )
 
-from conftest import pairwise_exchange_axiom
+from conftest import brute_forests, pairwise_exchange_axiom
 
 
 def test_graphic_matroid_k4():
@@ -112,9 +112,13 @@ def test_truncations_generate_forest_polynomials_complete(n):
     g = complete_graph(n)
     m = graphic_matroid(g)
     for r in range(1, n):
-        assert basis_generating_polynomial(truncate(m, r)) == forest_generating_polynomial(
+        truncation = truncate(m, r)
+        assert basis_generating_polynomial(truncation) == forest_generating_polynomial(
             g, n - r
         )
+        if n <= 6:
+            # canonical order is the brute-force oracle's combination order
+            assert list(truncation.bases) == brute_forests(g, n - r)
 
 
 @pytest.mark.parametrize("mn", [(2, 2), (2, 3), (3, 3), (2, 4), (3, 4), (4, 4), (1, 1), (1, 2), (1, 3)])
@@ -123,9 +127,12 @@ def test_truncations_generate_forest_polynomials_bipartite(mn):
     m = graphic_matroid(g)
     total = sum(mn)
     for r in range(1, total):
-        assert basis_generating_polynomial(truncate(m, r)) == forest_generating_polynomial(
+        truncation = truncate(m, r)
+        assert basis_generating_polynomial(truncation) == forest_generating_polynomial(
             g, total - r
         )
+        if max(mn) <= 3:
+            assert list(truncation.bases) == brute_forests(g, total - r)
 
 
 def test_exchange_axiom_all_constructed_small():
@@ -165,6 +172,11 @@ def test_exchange_axiom_matches_oracle_on_set_systems(data, equicardinal):
     bases = data.draw(st.lists(element, min_size=1, max_size=12))
     m = Matroid(ground, tuple(bases))
     assert verify_exchange_axiom(m) == pairwise_exchange_axiom(m)
+    # canonical order: distinct bases by their sorted ground indices, whatever
+    # the order they came in
+    index = {x: i for i, x in enumerate(ground)}
+    assert list(m.bases) == sorted(set(bases), key=lambda b: sorted(index[x] for x in b))
+    assert Matroid(ground, tuple(data.draw(st.permutations(bases)))).bases == m.bases
 
 
 @pytest.mark.parametrize("r", [1, 2, 3, 4])
