@@ -32,14 +32,12 @@ from .forests import (
     _mask_bits,
     count_forests_constrained,
     edge_pair_counts,
-    forest_generating_polynomial,
     theorem_range,
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
-from .lefschetz import _degree_one, _require_degree_one_rank, hilbert_function, slp_check
+from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .linalg import exact_determinant
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
-from .polynomials import all_ones_point
 from .spectra import (
     closed_form_spectrum,
     predicted_signs,
@@ -302,30 +300,28 @@ def _parse_rational(text: str) -> Fraction:
     return value
 
 
-def _parse_point(raw: str, variables) -> dict:
+def _parse_point(raw: str, count: int) -> list[Fraction]:
     parts = [p.strip() for p in raw.split(",")]
-    if len(parts) != len(variables):
-        raise ValueError(f"--point needs {len(variables)} coefficients, got {len(parts)}")
+    if len(parts) != count:
+        raise ValueError(f"--point needs {count} coefficients, got {len(parts)}")
     try:
-        values = [_parse_rational(p) for p in parts]
+        return [_parse_rational(p) for p in parts]
     except (ValueError, ZeroDivisionError) as err:
         raise ValueError(f"bad rational in --point: {err}")
-    return dict(zip(variables, values))
 
 
 def _cmd_slp(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
     _require_degree_one_rank(g, r, "slp")
-    # the bases of the rank-r truncation are the r-edge forests
-    phi = forest_generating_polynomial(g, g.vertex_count - r)
     all_ones = args.point is None
-    point = all_ones_point(phi) if all_ones else _parse_point(args.point, phi.variables)
-    profile = hilbert_function(phi)
-    report = slp_check(phi, point)
+    # L's coefficients, one per edge: the form's variables are g.edges
+    values = [Fraction(1)] * g.edge_count if all_ones else _parse_point(args.point, g.edge_count)
+    # the bases of the rank-r truncation are the r-edge forests
+    basis_count, profile, report = _slp_on_masks(g, r, values)
     degree_one = _degree_one(g, r)
     result = {
-        "basis_count": phi.term_count(),
+        "basis_count": basis_count,
         "hilbert_function": list(profile.dims),
         "hilbert_symmetric": profile.symmetric,
         "point": [_rat(x) for x in report.point],

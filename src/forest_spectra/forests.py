@@ -12,13 +12,13 @@ Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
 pair packed into each state's integers.  Enumeration is the search:
 recursive edge inclusion with union-find cycle rejection, pruned by
-remaining-edge feasibility.  The search lists
-forests as ``int`` edge masks (bit i for edge i of ``g.edges``), and the
-layers above keep them so; validated :class:`Forest` objects are built only
-at the boundary, by the public enumerators and by :class:`MaskedForests`
-when one of its items is read.  Counts are plain
-Python integers, which are arbitrary precision; w^(w-4) and forest counts
-overflow fixed-width types quickly.
+remaining-edge feasibility.  The search lists forests as ``int`` edge
+masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
+:class:`Forest` objects are built only at the boundary, by the public
+enumerators and by :class:`MaskedForests` when one of its items is read,
+without re-validating what the search proved.  Counts are plain Python
+integers, which are arbitrary precision; w^(w-4) and forest counts overflow
+fixed-width types quickly.
 """
 
 from __future__ import annotations
@@ -83,6 +83,14 @@ class Forest:
             if not (e[0] in self.vertices and e[1] in self.vertices):
                 raise ValueError(f"edge {edge_name(e)} leaves the vertex set")
         raise ValueError(_CYCLE_MESSAGE)
+
+    @classmethod
+    def _trusted(cls, graph: Graph, vertices: frozenset[Vertex], edges: frozenset[Edge]) -> "Forest":
+        """A forest the search has already proved acyclic, spanning
+        ``vertices``, built without re-validating it."""
+        f = cls.__new__(cls)
+        f.__dict__.update(graph=graph, vertices=vertices, edges=edges)
+        return f
 
     def __hash__(self) -> int:
         return hash((self.vertices, self.edges))
@@ -233,10 +241,13 @@ def _mask_union_find(ends: Sequence[tuple[int, int]], nverts: int, mask: int) ->
 
 class MaskedForests(abc.Sequence):
     """Spanning forests of ``graph`` held as edge masks: a read-only sequence
-    of :class:`Forest` objects, each built (and validated) only when it is
-    read; slices are tuples.  Taking the length or handing ``masks`` to the
-    mask kernels builds none.  Two views are equal when their graphs and
-    masks are.
+    of :class:`Forest` objects, each built only when it is read; slices are
+    tuples.  Taking the length or handing ``masks`` to the mask kernels
+    builds none.  Two views are equal when their graphs and masks are.
+
+    The masks must be forests already, from the search or from validated
+    ``Forest`` objects (:meth:`of`), so an item is built with
+    :meth:`Forest._trusted` and not validated again.
     """
 
     __slots__ = ("graph", "masks", "_vertices")
@@ -262,7 +273,7 @@ class MaskedForests(abc.Sequence):
 
     def forest(self, mask: int) -> Forest:
         edges = self.graph.edges
-        return Forest(self.graph, self._vertices, frozenset(edges[i] for i in _mask_bits(mask)))
+        return Forest._trusted(self.graph, self._vertices, frozenset(edges[i] for i in _mask_bits(mask)))
 
     def __len__(self) -> int:
         return len(self.masks)
@@ -303,6 +314,12 @@ def _find(parent: list[int], x: int) -> int:
 # most 2^16 bits each; at about 0.1 us apiece (2-vCPU host, CPython 3.11)
 # that is some ten seconds
 MAX_FRONTIER_WORK = 10**8
+
+# slp's derivative maps hold one entry per r-edge forest and submask of it,
+# (#r-forests) * 2^r in all, which the frontier count gives before the
+# search; past this many entries slp is refused (K_8 at r = 5 holds
+# 2,451,456, at r = 6 already 12,845,056)
+MAX_DERIVATIVE_ENTRIES = 4 * 10**6
 
 
 @lru_cache(maxsize=None)

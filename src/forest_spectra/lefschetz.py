@@ -17,6 +17,15 @@ point with its denominators cleared.
 Multiplication by L^(s-2k) from degree k to s-k is bijective exactly when
 that Hessian's determinant at L's coefficient vector is nonzero, so the
 strong Lefschetz property at a point is a finite list of exact determinants.
+
+The ``slp`` command's form, the r-edge forest polynomial, is square-free
+with every coefficient 1, so it takes a second route, on the forest
+search's edge masks (:func:`_slp_on_masks`): d^u phi is the list of F ^ u
+over the forests F containing u, the same canonical order is descending
+mask order with edge 0 as the most significant bit, and the same greedy
+reduction and Bareiss determinants run on them, with no ``Polynomial`` and
+no exponent tuple.  The tuple route above stays the public API, for any
+form, and is the oracle the mask route is tested against.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, perm, prod
 from operator import add
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import VerificationFailure
 from .graphs import (
@@ -36,8 +45,14 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
 )
-from .forests import _forest_masks, theorem_range
-from .linalg import ExactMatrix, Rational, _independent_rows, exact_determinant
+from .forests import (
+    MAX_DERIVATIVE_ENTRIES,
+    _forest_masks,
+    _mask_bits,
+    count_forests_constrained,
+    theorem_range,
+)
+from .linalg import ExactMatrix, Rational, _bareiss, _independent_rows, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
@@ -282,6 +297,101 @@ def slp_check(phi: Polynomial, coeffs: Mapping[Hashable, Rational]) -> SlpReport
         h = higher_hessian(phi, k, coeffs)
         checks.append(GradedHessianCheck(k, h.nrows, exact_determinant(h)))
     return SlpReport(s, point, tuple(checks))
+
+
+# ---------------------------------------------------------------------------
+# the slp command's route: the r-edge forest polynomial on edge masks
+
+
+def _mask_graded(
+    forests: Iterable[int], nedges: int, s: int
+) -> tuple[list[dict[int, list[int]]], list[list[int]]]:
+    """The derivative maps and graded bases of the square-free form phi
+    with one term x^F of coefficient 1 per s-edge mask F over ``nedges``
+    edges, on masks: what :func:`_graded` gives for phi with M = 1.
+
+    ``maps[k]`` maps each k-edge u below some F, in the canonical order, to
+    the list of the F ^ u: d^u phi is the sum of their monomials.  On 0/1
+    vectors the canonical order, descending on exponent vectors, is
+    descending on masks read with edge 0 as the most significant bit.
+    Row u, column w of the degree-k catalecticant is 1 exactly when w is
+    one of u's rests, so its columns are the keys of ``maps[s - k]``.
+    """
+    by_u: defaultdict[int, list[int]] = defaultdict(list)
+    for f in forests:
+        u = f
+        while u:
+            by_u[u].append(f ^ u)
+            u = (u - 1) & f
+        by_u[0].append(f)
+    maps: list[dict[int, list[int]]] = [{} for _ in range(s + 1)]
+    for u in sorted(by_u, key=lambda u: int(f"{u:0{nedges}b}"[::-1], 2), reverse=True):
+        maps[u.bit_count()][u] = by_u[u]
+    bases = []
+    for k in range(s + 1):
+        ops = list(maps[k])
+        rows = _mask_catalecticant(maps[k], maps[s - k])
+        bases.append([ops[i] for i in _independent_rows(rows)])
+    return maps, bases
+
+
+def _mask_catalecticant(rows: dict[int, list[int]], cols: Iterable[int]) -> Iterator[list[int]]:
+    """Row u, column w: 1 when w is one of u's rests, else 0; each row is
+    built when it is read."""
+    index = {w: j for j, w in enumerate(cols)}
+    for rests in rows.values():
+        row = [0] * len(index)
+        for w in rests:
+            row[index[w]] = 1
+        yield row
+
+
+def _slp_on_masks(
+    g: Graph, r: int, values: Sequence[Fraction]
+) -> tuple[int, HilbertProfile, SlpReport]:
+    """The number of r-edge forests of ``g``, the Hilbert function and the
+    Hessian determinants at ``values`` (one per edge of ``g.edges``) of
+    their generating polynomial, read off the forest search's masks: what
+    :func:`hilbert_function` and :func:`slp_check` give on
+    ``forest_generating_polynomial(g, V - r)``; r is in range.
+
+    The maps hold (#r-forests) 2^r entries, so the frontier count refuses
+    more than MAX_DERIVATIVE_ENTRIES before the search runs.  Entry (i, j)
+    of the k-th Hessian is the degree-2k derivative at b_i | b_j, which has
+    none where b_i and b_j share an edge, evaluated on integers once per
+    mask: the number of its rests at all-ones, else the sum of their
+    monomials at the point with its denominators cleared.
+    """
+    count = count_forests_constrained(g, g.vertex_count - r)
+    if count << r > MAX_DERIVATIVE_ENTRIES:
+        raise ValueError(
+            f"slp on {g.name} at rank {r} needs {count << r} derivative entries "
+            f"({count} {r}-edge forests with 2^{r} submasks each), over the limit "
+            f"of {MAX_DERIVATIVE_ENTRIES:.0e}"
+        )
+    forests = _forest_masks(g, g.vertex_count - r)
+    maps, bases = _mask_graded(forests, g.edge_count, r)
+    dims = tuple(map(len, bases))
+    profile = HilbertProfile(dims)
+    if not profile.symmetric:
+        raise VerificationFailure(f"Hilbert function {dims} is not symmetric")
+    d = lcm(*(x.denominator for x in values))
+    xs = [x.numerator * (d // x.denominator) for x in values]
+    ones = all(x == 1 for x in xs)
+    checks = []
+    for k in range(r // 2 + 1):
+        top = maps[2 * k].items()
+        if ones:
+            at_point = {u: len(rests) for u, rests in top}
+        else:
+            # the rests of the degree-2k operators are the degree-(r-2k) ones
+            mono = {w: prod(map(xs.__getitem__, _mask_bits(w))) for w in maps[r - 2 * k]}
+            at_point = {u: sum(map(mono.__getitem__, rests)) for u, rests in top}
+        basis = bases[k]
+        rows = [[at_point.get(bi | bj, 0) for bj in basis] for bi in basis]
+        det = Fraction(_bareiss(rows), d ** ((r - 2 * k) * len(basis)))
+        checks.append(GradedHessianCheck(k, len(basis), det))
+    return len(forests), profile, SlpReport(r, tuple(values), tuple(checks))
 
 
 def _reconstruct_graph(m: Matroid) -> Graph:

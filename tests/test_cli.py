@@ -378,3 +378,24 @@ def test_slp_refuses_a_rank_before_any_search(capsys, monkeypatch, r):
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.strip() == f"error: rank {r} out of range 2..3"
+
+
+@pytest.mark.parametrize("r,entries", [(6, 12_845_056), (7, 33_554_432)])
+def test_slp_refuses_derivative_maps_over_the_limit_before_any_search(capsys, monkeypatch, r, entries):
+    # the frontier count gives the exact entry count: (#r-forests) 2^r
+    from forest_spectra import cli, forests, lefschetz
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused instance reached a forest search")
+
+    for module in (cli, forests, lefschetz):
+        monkeypatch.setattr(module, "_forest_masks", never)
+    start = time.perf_counter()
+    assert run(["slp", "--complete", "8", "--r", str(r)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == (
+        f"error: slp on K_8 at rank {r} needs {entries} derivative entries "
+        f"({entries >> r} {r}-edge forests with 2^{r} submasks each), over the limit of 4e+06"
+    )

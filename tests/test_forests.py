@@ -518,6 +518,27 @@ def test_masked_forests_read_as_a_tuple_of_forests():
         MaskedForests.of(g, forests + (restricted,))
 
 
+def test_masked_forests_items_skip_revalidation(monkeypatch):
+    # the search proved each mask acyclic; a user-built Forest still validates
+    from forest_spectra.forests import MaskedForests, _forest_masks
+
+    g = complete_bipartite_graph(2, 3)
+    view = MaskedForests(g, _forest_masks(g, 2))
+    validate = Forest.__post_init__
+
+    def never(self):
+        raise AssertionError("a search mask was validated again")
+
+    monkeypatch.setattr(Forest, "__post_init__", never)
+    items = tuple(view)
+    with pytest.raises(AssertionError):
+        spanning_forest(g, [])
+    monkeypatch.setattr(Forest, "__post_init__", validate)
+    validated = tuple(spanning_forest(g, f.edges) for f in items)
+    assert items == validated and list(map(hash, items)) == list(map(hash, validated))
+    assert [f.components() for f in items] == [f.components() for f in validated]
+
+
 @given(st.data())
 def test_frontier_walks_match_the_subset_oracle_in_any_edge_order(data):
     # arbitrary simple graphs with their edges in arbitrary order, so vertices

@@ -5,13 +5,15 @@ benchmark.
 
 ``perfbench/golden.json`` records each instance's verdict and the SHA-256
 of its report without ``timing_ms``; the digest is taken by the
-benchmark's own ``one_pass._facts``.  The seeded ``--point`` instances are
-left out: their golden entries hold only point-free fields, and
-``test_lefschetz`` checks their determinants against the ``Fraction``
-route instead.  The benchmark's files are read, never written.
+benchmark's own ``one_pass._facts``.  The seeded ``--point`` instances
+have no digest: their golden entries hold only point-free fields, which
+the slp path test compares, and ``test_lefschetz`` checks their
+determinants against the ``Fraction`` route.  The benchmark's files are
+read, never written.
 """
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -46,22 +48,37 @@ def test_report_matches_golden(workload, inst, capsys):
     assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
 
 
-@pytest.mark.parametrize(
-    "inst",
-    [inst for workload, inst in FIXED if workload == "slp-ladder"],
-    ids=lambda inst: inst.key,
-)
+def _patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` at every forest_spectra module that binds it:
+    a ``from .x import name`` binding escapes a patch of ``module`` alone."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "forest_spectra" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, replacement)
+
+
+SLP_LADDER = WORKLOADS.instances("slp-ladder", 0)
+
+
+@pytest.mark.parametrize("inst", SLP_LADDER, ids=lambda inst: inst.key)
 def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
     # the bases of the truncation are the r-edge forests: the report comes
-    # from one search, with no spanning trees, truncation or basis polynomial
-    from forest_spectra import cli, forests, matroids
+    # from one search's edge masks, with no spanning trees, truncation or
+    # basis polynomial, and no Polynomial or tuple-keyed graded cache at all
+    from forest_spectra import forests, lefschetz, matroids, polynomials
 
     def never(*args):
-        raise AssertionError("slp reached the matroid layer")
+        raise AssertionError("slp left the edge masks")
 
-    for name in ("graphic_matroid", "truncate", "basis_generating_polynomial"):
-        monkeypatch.setattr(matroids, name, never)
-        monkeypatch.setattr(cli, name, never, raising=False)
+    for module, name in (
+        (matroids, "graphic_matroid"),
+        (matroids, "truncate"),
+        (matroids, "basis_generating_polynomial"),
+        (forests, "forest_generating_polynomial"),
+        (lefschetz, "_graded"),
+    ):
+        _patch_everywhere(monkeypatch, module, name, never)
+    monkeypatch.setattr(polynomials.Polynomial, "__post_init__", never)
     searches = []
     search = forests._forest_masks
 
@@ -69,11 +86,15 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
         searches.append(args)
         return search(*args)
 
-    monkeypatch.setattr(forests, "_forest_masks", counted)
+    _patch_everywhere(monkeypatch, forests, "_forest_masks", counted)
     code = run(list(inst.argv))
     facts = ONE_PASS._facts(capsys.readouterr().out, code, inst.seeded)
     expected = GOLDEN["slp-ladder"][inst.key]
-    assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
+    if inst.seeded:
+        # the point-free fields: the golden entry of a seeded point holds only those
+        assert {key: facts[key] for key in expected} == expected
+    else:
+        assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
     assert len(searches) == 1
 
 

@@ -466,6 +466,50 @@ def test_results_do_not_depend_on_call_order():
     assert everything(phi) == expected
 
 
+# -- the slp command's mask route against the public tuple route ----------
+
+ROUTE_CASES = (
+    [(complete_graph(n), r) for n in (4, 5, 6) for r in range(2, n)]
+    + [(complete_graph(7), r) for r in (2, 3, 4)]
+    + [
+        (complete_bipartite_graph(m, n), r)
+        for m in (1, 2, 3)
+        for n in (1, 2, 3, 4)
+        for r in range(2, m + n)
+    ]
+)
+
+
+@pytest.mark.parametrize("g,r", ROUTE_CASES, ids=[f"{g.name}-r{r}" for g, r in ROUTE_CASES])
+def test_slp_mask_route_matches_the_tuple_route(g, r, monkeypatch):
+    from forest_spectra import lefschetz
+
+    graded = []
+    build = lefschetz._mask_graded
+
+    def recorded(forests, nedges, s):
+        forests = list(forests)
+        graded.append((forests, build(forests, nedges, s)))
+        return graded[-1][1]
+
+    monkeypatch.setattr(lefschetz, "_mask_graded", recorded)
+    phi = forest_generating_polynomial(g, g.vertex_count - r)
+    # all-ones, and a seeded rational point with one zero coordinate
+    width = range(g.edge_count)
+    rng = random.Random(f"{g.name} {r}")
+    drawn = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in width]
+    drawn[rng.randrange(g.edge_count)] = Fraction(0)
+    for values in ([Fraction(1)] * g.edge_count, drawn):
+        count, profile, report = lefschetz._slp_on_masks(g, r, values)
+        assert (count, profile) == (phi.term_count(), hilbert_function(phi))
+        assert report == slp_check(phi, dict(zip(phi.variables, values)))
+    forests, (maps, bases) = graded[0]
+    # every forest reaches each of its 2^r submasks once: the guard's count
+    assert sum(len(rests) for m in maps for rests in m.values()) == len(forests) << r
+    decoded = [tuple(tuple(b >> i & 1 for i in width) for b in basis) for basis in bases]
+    assert decoded == [graded_basis(phi, k).monomials for k in range(r + 1)]
+
+
 # -- Lorentzian signature away from the all-ones point ---------------------
 
 LORENTZIAN_CASES = (
