@@ -25,7 +25,7 @@ from .bijections import (
     build_families,
     verify_count_inequalities,
 )
-from .errors import VerificationFailure
+from .errors import StructureViolation, VerificationFailure
 from .forests import (
     _forest_masks,
     _forests_by_size,
@@ -427,11 +427,12 @@ def run(argv: Sequence[str]) -> int:
         return err.code if isinstance(err.code, int) else 2
     try:
         verdict, input_, result = _HANDLERS[args.command](args)
+    # a StructureViolation is a ValueError, but a failed check, not bad input
+    except (StructureViolation, VerificationFailure) as err:
+        verdict, input_, result = "failed", {}, {"error": str(err)}
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except VerificationFailure as err:
-        verdict, input_, result = "failed", {}, {"error": str(err)}
     report = {
         "command": args.command,
         "input": input_,

@@ -4,13 +4,15 @@ Everything rests on one cache per form phi of degree s, built on first use
 and kept on the immutable ``phi``, all of it on Python ``int``s.  With M
 the lcm of phi's coefficient denominators, a single pass over the terms of
 M phi yields every nonzero d^u (M phi) of every degree k = 0..s (the term
-c x^b reaches d^u exactly when x^u divides x^b).  One greedy integer row
-reduction of each degree's catalecticant (``linalg._independent_rows``)
-then picks the graded basis: the operators whose catalecticant rows are
-independent of the rows above them, in the canonical monomial order
-(descending lexicographic on exponent vectors).  The basis sizes are the
-Hilbert function, so ranks and bases come from the same reduction, and
-each degree's derivative map is built once.  The k-th Hessian reads entry
+c x^b reaches d^u exactly when x^u divides x^b).  The degree-k basis is
+the operators whose catalecticant rows are independent of the rows above
+them, in the canonical order (descending lexicographic on exponent
+vectors).  The degree-(s-k) catalecticant is the degree-k one transposed,
+up to nonzero factors, so one greedy integer row reduction
+(``linalg._independent_rows``) per k <= s/2 picks both bases: the kept
+rows, and their lead columns for degree s-k (:func:`_bases`).  The basis
+sizes are the Hilbert function, symmetric by construction, and each
+degree's derivative map is built once.  The k-th Hessian reads entry
 (i, j) off the degree-2k map at b_i + b_j, evaluated on integers at the
 point with its denominators cleared.
 
@@ -21,11 +23,11 @@ strong Lefschetz property at a point is a finite list of exact determinants.
 The ``slp`` command's form, the r-edge forest polynomial, is square-free
 with every coefficient 1, so it takes a second route, on the forest
 search's edge masks (:func:`_slp_on_masks`): d^u phi is the list of F ^ u
-over the forests F containing u, the same canonical order is descending
-mask order with edge 0 as the most significant bit, and the same greedy
-reduction and Bareiss determinants run on them, with no ``Polynomial`` and
-no exponent tuple.  The tuple route above stays the public API, for any
-form, and is the oracle the mask route is tested against.
+over the forests F containing u, the canonical order within a degree is
+ascending on the masks' edge index lists, and the same :func:`_bases` and
+Bareiss determinants run on them, with no ``Polynomial`` and no exponent
+tuple.  The tuple route above stays the public API, for any form, and is
+the oracle the mask route is tested against.
 """
 
 from __future__ import annotations
@@ -36,9 +38,8 @@ from fractions import Fraction
 from itertools import product
 from math import lcm, perm, prod
 from operator import add
-from typing import Hashable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence
 
-from .errors import VerificationFailure
 from .graphs import (
     COMPLETE,
     Graph,
@@ -193,29 +194,41 @@ def _graded(phi: Polynomial) -> _Graded:
         maps: list[DerivativeMap] = [{} for _ in range(s + 1)]
         for u in sorted(by_u, reverse=True):
             maps[sum(u)][u] = by_u[u]
-        cached = _Graded(s, scale, tuple(maps), tuple(map(_basis, maps)))
+        cached = _Graded(s, scale, tuple(maps), _bases(maps, _catalecticant))
         object.__setattr__(phi, "_graded", cached)
     return cached
 
 
-def _catalecticant(derivs: DerivativeMap) -> Iterator[list[int]]:
-    """Row u, column w: the coefficient of x^w in d^u (M phi), over the
-    nonzero rows and columns, each in canonical order; each row is built
-    when it is read."""
-    cols = sorted({w for terms in derivs.values() for w in terms}, reverse=True)
+def _catalecticant(rows: DerivativeMap, cols: Iterable[ExponentVector]) -> Iterator[list[int]]:
+    """Row u, column w: the coefficient of x^w in d^u (M phi); each row is
+    built when it is read."""
     index = {w: j for j, w in enumerate(cols)}
-    for terms in derivs.values():
-        row = [0] * len(cols)
+    for terms in rows.values():
+        row = [0] * len(index)
         for w, c in terms.items():
             row[index[w]] = c
         yield row
 
 
-def _basis(derivs: DerivativeMap) -> tuple[ExponentVector, ...]:
-    """The operators whose catalecticant rows are independent of the rows
-    above them."""
-    ops = tuple(derivs)
-    return tuple(ops[i] for i in _independent_rows(_catalecticant(derivs)))
+def _bases(maps: Sequence[Mapping], catalecticant: Callable) -> tuple[tuple, ...]:
+    """The graded bases from the derivative maps of degrees 0..s, where
+    ``catalecticant(rows, cols)`` yields the operators' rows on ``cols``.
+
+    Degree k keeps the operators whose rows are independent of the rows
+    above them.  Entry (u, w), c b!/w! for the term c x^b with b = u + w,
+    is entry (w, u) of the degree-(s-k) catalecticant times u!/w! != 0, so
+    degree s-k keeps the lead columns, the columns independent of the
+    columns before them, in column order.
+    """
+    s = len(maps) - 1
+    bases: list[tuple] = [()] * (s + 1)
+    for k in range(s // 2 + 1):
+        ops, cols = list(maps[k]), list(maps[s - k])
+        leads = _independent_rows(catalecticant(maps[k], cols))
+        bases[k] = tuple(ops[i] for i in leads)
+        if 2 * k < s:
+            bases[s - k] = tuple(cols[j] for j in sorted(leads.values()))
+    return tuple(bases)
 
 
 def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
@@ -229,18 +242,14 @@ def catalecticant_matrix(phi: Polynomial, k: int) -> ExactMatrix:
     """
     g = _graded(phi)
     g.check_degree(k)
-    return ExactMatrix._from_ints(_catalecticant(g.derivatives[k]), g.scale)
+    maps = g.derivatives
+    return ExactMatrix._from_ints(_catalecticant(maps[k], maps[g.socle - k]), g.scale)
 
 
 def hilbert_function(phi: Polynomial) -> HilbertProfile:
-    """Graded dimensions h_k, the sizes of the cached graded bases: each is
-    the rank of the degree-k catalecticant, from the same reduction that
-    picked the basis."""
-    dims = tuple(map(len, _graded(phi).bases))
-    profile = HilbertProfile(dims)
-    if not profile.symmetric:
-        raise VerificationFailure(f"Hilbert function {dims} is not symmetric")
-    return profile
+    """Graded dimensions h_k = h_(s-k), the sizes of the cached graded bases:
+    the catalecticants' ranks, from the reductions that picked the bases."""
+    return HilbertProfile(tuple(map(len, _graded(phi).bases)))
 
 
 def graded_basis(phi: Polynomial, k: int) -> GradedBasis:
@@ -248,8 +257,8 @@ def graded_basis(phi: Polynomial, k: int) -> GradedBasis:
 
     Greedy: in canonical order, keep the monomials whose catalecticant rows
     are independent of the rows kept so far, by one integer row reduction
-    of the catalecticant.  Degree 0 always yields the single constant
-    monomial.
+    of the catalecticant (above s/2, as the lead columns of the degree-(s-k)
+    one).  Degree 0 always yields the single constant monomial.
     """
     g = _graded(phi)
     g.check_degree(k)
@@ -303,19 +312,16 @@ def slp_check(phi: Polynomial, coeffs: Mapping[Hashable, Rational]) -> SlpReport
 # the slp command's route: the r-edge forest polynomial on edge masks
 
 
-def _mask_graded(
-    forests: Iterable[int], nedges: int, s: int
-) -> tuple[list[dict[int, list[int]]], list[list[int]]]:
+def _mask_graded(forests: Iterable[int], s: int) -> tuple[list[dict[int, list[int]]], tuple]:
     """The derivative maps and graded bases of the square-free form phi
-    with one term x^F of coefficient 1 per s-edge mask F over ``nedges``
-    edges, on masks: what :func:`_graded` gives for phi with M = 1.
+    with one term x^F of coefficient 1 per s-edge mask F, on masks: what
+    :func:`_graded` gives for phi with M = 1.
 
     ``maps[k]`` maps each k-edge u below some F, in the canonical order, to
-    the list of the F ^ u: d^u phi is the sum of their monomials.  On 0/1
-    vectors the canonical order, descending on exponent vectors, is
-    descending on masks read with edge 0 as the most significant bit.
-    Row u, column w of the degree-k catalecticant is 1 exactly when w is
-    one of u's rests, so its columns are the keys of ``maps[s - k]``.
+    the list of the F ^ u: d^u phi is the sum of their monomials.  Within a
+    degree, descending exponent vectors are ascending edge index lists
+    (``_mask_bits``).  Row u, column w of the degree-k catalecticant is 1
+    exactly when w is one of u's rests.
     """
     by_u: defaultdict[int, list[int]] = defaultdict(list)
     for f in forests:
@@ -325,14 +331,9 @@ def _mask_graded(
             u = (u - 1) & f
         by_u[0].append(f)
     maps: list[dict[int, list[int]]] = [{} for _ in range(s + 1)]
-    for u in sorted(by_u, key=lambda u: int(f"{u:0{nedges}b}"[::-1], 2), reverse=True):
+    for u in sorted(by_u, key=_mask_bits):
         maps[u.bit_count()][u] = by_u[u]
-    bases = []
-    for k in range(s + 1):
-        ops = list(maps[k])
-        rows = _mask_catalecticant(maps[k], maps[s - k])
-        bases.append([ops[i] for i in _independent_rows(rows)])
-    return maps, bases
+    return maps, _bases(maps, _mask_catalecticant)
 
 
 def _mask_catalecticant(rows: dict[int, list[int]], cols: Iterable[int]) -> Iterator[list[int]]:
@@ -370,16 +371,13 @@ def _slp_on_masks(
             f"of {MAX_DERIVATIVE_ENTRIES:.0e}"
         )
     forests = _forest_masks(g, g.vertex_count - r)
-    maps, bases = _mask_graded(forests, g.edge_count, r)
-    dims = tuple(map(len, bases))
-    profile = HilbertProfile(dims)
-    if not profile.symmetric:
-        raise VerificationFailure(f"Hilbert function {dims} is not symmetric")
+    maps, bases = _mask_graded(forests, r)
+    profile = HilbertProfile(tuple(map(len, bases)))
     d = lcm(*(x.denominator for x in values))
     xs = [x.numerator * (d // x.denominator) for x in values]
     ones = all(x == 1 for x in xs)
     checks = []
-    for k in range(r // 2 + 1):
+    for k, basis in enumerate(bases[: r // 2 + 1]):
         top = maps[2 * k].items()
         if ones:
             at_point = {u: len(rests) for u, rests in top}
@@ -387,7 +385,6 @@ def _slp_on_masks(
             # the rests of the degree-2k operators are the degree-(r-2k) ones
             mono = {w: prod(map(xs.__getitem__, _mask_bits(w))) for w in maps[r - 2 * k]}
             at_point = {u: sum(map(mono.__getitem__, rests)) for u, rests in top}
-        basis = bases[k]
         rows = [[at_point.get(bi | bj, 0) for bj in basis] for bi in basis]
         det = Fraction(_bareiss(rows), d ** ((r - 2 * k) * len(basis)))
         checks.append(GradedHessianCheck(k, len(basis), det))

@@ -8,9 +8,9 @@ only when something reads it, and the callers that produce integers build
 matrices through ``_from_ints`` with no ``Fraction`` at all.  Each question
 has one integer kernel: a determinant is a Bareiss (1968) fraction-free
 elimination (``_bareiss``, exact ``//``) divided by den^n at the end, and a
-rank, like each graded basis of ``lefschetz``, is the greedy left-looking
-row reduction ``_independent_rows``.  No floating point; the theorems
-downstream are about exact nonvanishing.
+rank, and each pair of graded bases of ``lefschetz`` (kept rows, lead
+columns), is the greedy left-looking row reduction ``_independent_rows``.
+No floating point; the theorems downstream are about exact nonvanishing.
 """
 
 from __future__ import annotations
@@ -187,19 +187,21 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * prev
 
 
-def _independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
-    """Indices of the integer rows that are independent of the rows above
-    them, in order.
+def _independent_rows(rows: Iterable[Sequence[int]]) -> dict[int, int]:
+    """Each integer row independent of the rows above it, by index, mapped
+    to its lead column, in row order.
 
     Left-looking: each row is reduced against the rows kept so far, in the
     order they were kept, and touched by a kept row only where its entry in
     that row's pivot column is nonzero.  A kept row has zeros in the pivot
     columns of the rows kept before it, so one pass clears every pivot
     column; a row left nonzero is independent, is divided by its content
-    and pivots on its first nonzero column.  Stops once the kept rows span
-    every column, without reading the rows after that.
+    and pivots on its first nonzero column, its lead.  Being distinct leads
+    of vectors in the row space, the leads are the columns independent of
+    the columns before them.  Stops once the kept rows span every column,
+    without reading the rows after that.
     """
-    kept: list[int] = []
+    kept: dict[int, int] = {}
     pivots: list[tuple[int, Sequence[int]]] = []
     for i, row in enumerate(rows):
         for col, prow in pivots:
@@ -216,7 +218,7 @@ def _independent_rows(rows: Iterable[Sequence[int]]) -> list[int]:
         if content != 1:
             row = [x // content for x in row]
         pivots.append((lead, row))
-        kept.append(i)
+        kept[i] = lead
         if len(kept) == len(row):
             break
     return kept

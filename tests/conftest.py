@@ -216,3 +216,12 @@ def load_perfbench(name: str):
         sys.modules[key] = module
         spec.loader.exec_module(module)
     return sys.modules[key]
+
+
+def patch_everywhere(monkeypatch, module, name, replacement):
+    """Replace ``module.name`` at every forest_spectra module that binds it:
+    a ``from .x import name`` binding escapes a patch of ``module`` alone."""
+    original = getattr(module, name)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.split(".")[0] == "forest_spectra" and vars(mod).get(name) is original:
+            monkeypatch.setattr(mod, name, replacement)

@@ -8,7 +8,7 @@ import pytest
 
 from forest_spectra.cli import _parse_rational, run
 
-from conftest import load_perfbench
+from conftest import load_perfbench, patch_everywhere
 
 
 def capture(capsys, argv):
@@ -278,6 +278,36 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
         "command": "enumerate",
         "input": {},
         "result": {"error": "synthetic mismatch"},
+        "verdict": "failed",
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--complete", "5", "--k", "2"], ["slp", "--complete", "5", "--r", "3"]],
+    ids=" ".join,
+)
+def test_structure_violation_is_a_failed_report(argv, capsys, monkeypatch):
+    # a Hessian that breaks its entry pattern fails the theorem check (exit
+    # 1, the entry named), though StructureViolation is a ValueError
+    from forest_spectra import ExactMatrix, edge_name, spectra
+
+    honest = spectra.tilde_hessian
+
+    def bent(g, k):
+        rows = [list(row) for row in honest(g, k).rows]
+        j = [edge_name(e) for e in g.edges].index("2-4")
+        rows[0][j] = rows[j][0] = rows[0][j] + 1
+        return ExactMatrix(rows)
+
+    patch_everywhere(monkeypatch, spectra, "tilde_hessian", bent)
+    code, report = capture(capsys, argv)
+    assert code == 1
+    assert type(report.pop("timing_ms")) is int
+    assert report == {
+        "command": argv[0],
+        "input": {},
+        "result": {"error": "entries for share-vertex disagree: 7 vs 8 at (1-2, 2-4)"},
         "verdict": "failed",
     }
 

@@ -13,14 +13,13 @@ read, never written.
 """
 
 import json
-import sys
 from pathlib import Path
 
 import pytest
 
 from forest_spectra.cli import run
 
-from conftest import load_perfbench
+from conftest import load_perfbench, patch_everywhere
 
 ONE_PASS = load_perfbench("one_pass")
 WORKLOADS = load_perfbench("workloads")
@@ -48,15 +47,6 @@ def test_report_matches_golden(workload, inst, capsys):
     assert (facts["digest"], facts["verdict"]) == (expected["digest"], expected["verdict"])
 
 
-def _patch_everywhere(monkeypatch, module, name, replacement):
-    """Replace ``module.name`` at every forest_spectra module that binds it:
-    a ``from .x import name`` binding escapes a patch of ``module`` alone."""
-    original = getattr(module, name)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.split(".")[0] == "forest_spectra" and vars(mod).get(name) is original:
-            monkeypatch.setattr(mod, name, replacement)
-
-
 SLP_LADDER = WORKLOADS.instances("slp-ladder", 0)
 
 
@@ -77,7 +67,7 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
         (forests, "forest_generating_polynomial"),
         (lefschetz, "_graded"),
     ):
-        _patch_everywhere(monkeypatch, module, name, never)
+        patch_everywhere(monkeypatch, module, name, never)
     monkeypatch.setattr(polynomials.Polynomial, "__post_init__", never)
     searches = []
     search = forests._forest_masks
@@ -86,7 +76,7 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
         searches.append(args)
         return search(*args)
 
-    _patch_everywhere(monkeypatch, forests, "_forest_masks", counted)
+    patch_everywhere(monkeypatch, forests, "_forest_masks", counted)
     code = run(list(inst.argv))
     facts = ONE_PASS._facts(capsys.readouterr().out, code, inst.seeded)
     expected = GOLDEN["slp-ladder"][inst.key]

@@ -484,23 +484,33 @@ ROUTE_CASES = (
 def test_slp_mask_route_matches_the_tuple_route(g, r, monkeypatch):
     from forest_spectra import lefschetz
 
-    graded = []
-    build = lefschetz._mask_graded
+    graded, reductions = [], []
+    build, reduce = lefschetz._mask_graded, lefschetz._independent_rows
 
-    def recorded(forests, nedges, s):
+    def recorded(forests, s):
         forests = list(forests)
-        graded.append((forests, build(forests, nedges, s)))
+        graded.append((forests, build(forests, s)))
         return graded[-1][1]
 
+    def counted(rows):
+        reductions.append(None)
+        return reduce(rows)
+
     monkeypatch.setattr(lefschetz, "_mask_graded", recorded)
+    monkeypatch.setattr(lefschetz, "_independent_rows", counted)
     phi = forest_generating_polynomial(g, g.vertex_count - r)
+    # one reduction per pair of degrees k, r - k, on either route
+    hilbert_function(phi)
+    assert len(reductions) == r // 2 + 1
     # all-ones, and a seeded rational point with one zero coordinate
     width = range(g.edge_count)
     rng = random.Random(f"{g.name} {r}")
     drawn = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in width]
     drawn[rng.randrange(g.edge_count)] = Fraction(0)
     for values in ([Fraction(1)] * g.edge_count, drawn):
+        reductions.clear()
         count, profile, report = lefschetz._slp_on_masks(g, r, values)
+        assert len(reductions) == r // 2 + 1
         assert (count, profile) == (phi.term_count(), hilbert_function(phi))
         assert report == slp_check(phi, dict(zip(phi.variables, values)))
     forests, (maps, bases) = graded[0]
@@ -508,6 +518,12 @@ def test_slp_mask_route_matches_the_tuple_route(g, r, monkeypatch):
     assert sum(len(rests) for m in maps for rests in m.values()) == len(forests) << r
     decoded = [tuple(tuple(b >> i & 1 for i in width) for b in basis) for basis in bases]
     assert decoded == [graded_basis(phi, k).monomials for k in range(r + 1)]
+    # the upper half, read off the lower half's lead columns, is what a
+    # reduction of its own catalecticant picks
+    for k in range(r // 2 + 1, r + 1):
+        ops = list(maps[k])
+        rows = lefschetz._mask_catalecticant(maps[k], maps[r - k])
+        assert bases[k] == tuple(ops[i] for i in reduce(rows))
 
 
 # -- Lorentzian signature away from the all-ones point ---------------------

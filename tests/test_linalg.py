@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 import sympy
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from forest_spectra import (
     ExactMatrix,
@@ -222,16 +222,32 @@ def test_independent_rows_match_greedy_echelon(rows):
     width = len(rows[0]) if rows else 0
     echelon = RowEchelon(width)
     expected = [i for i, row in enumerate(rows) if echelon.add(row)]
-    assert _independent_rows(rows) == expected
+    assert list(_independent_rows(rows)) == expected
     assert rows == before  # the input rows are left as they were
+
+
+@settings(max_examples=300)
+@given(greedy_rows())
+# each reaches full rank before its last row, which is then never read
+@example([[0, 1, 2], [0, 0, 0], [3, 1, 1], [1, 1, 0], [4, 4, 4]])
+@example([[0, 2], [1, 1], [3, 5]])
+def test_lead_columns_are_the_greedy_independent_columns(rows):
+    # the columns independent of the columns before them are the greedy
+    # independent rows of the transpose
+    width = len(rows[0]) if rows else 0
+    echelon = RowEchelon(len(rows))
+    expected = [j for j in range(width) if echelon.add([row[j] for row in rows])]
+    leads = _independent_rows(rows)
+    assert sorted(leads.values()) == expected
+    assert len(set(leads.values())) == len(leads)
 
 
 def test_independent_rows_stop_once_every_column_has_a_pivot():
     # nothing past the second row is read: it would raise if it were
-    assert _independent_rows([[2, -4], [0, 3], None]) == [0, 1]
-    assert _independent_rows(iter([[0, 1], [1, 1], None])) == [0, 1]
-    assert _independent_rows([[0, 0], [1, 2], [-2, -4], [3, 1], [1, 1]]) == [1, 3]
-    assert _independent_rows([]) == []
+    assert _independent_rows([[2, -4], [0, 3], None]) == {0: 0, 1: 1}
+    assert _independent_rows(iter([[0, 1], [1, 1], None])) == {0: 1, 1: 0}
+    assert _independent_rows([[0, 0], [1, 2], [-2, -4], [3, 1], [1, 1]]) == {1: 0, 3: 1}
+    assert _independent_rows([]) == {}
 
 
 def _k5_hessian_and_spectrum():
