@@ -2,9 +2,11 @@
 
 Exit codes: 0 for verified/computed runs, 1 when a theorem check fails,
 2 for invalid input (including unknown flags, which argparse reports on
-stderr with usage text).  Reports are deterministic: rationals are
-rendered exactly, orderings are canonical everywhere, and the only
-wall-clock content is the timing field.
+stderr with usage text).  Reports are deterministic: orderings are
+canonical everywhere, and the only wall-clock content is the timing
+field.  Every report value goes through ``_render``, the one place a
+rational becomes its exact string ("-142/3"), and the fields of a result
+object are read off it by ``_pick``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .linalg import exact_determinant
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
 from .spectra import (
+    BipartiteParams,
     closed_form_spectrum,
     predicted_signs,
     sign_profile,
@@ -49,8 +52,20 @@ from .spectra import (
 )
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+def _render(value):
+    """A report value: a ``Fraction`` as its exact string, a tuple as a list,
+    recursively; any other value, an int, bool or str, as it is."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, tuple):
+        return [_render(x) for x in value]
+    return value
+
+
+def _pick(obj, *names: str) -> dict:
+    """``{name: rendered value}`` for the named attributes of ``obj``,
+    leaving out a ``None``; a name ``obj`` lacks raises AttributeError."""
+    return {name: _render(value) for name in names if (value := getattr(obj, name)) is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -115,21 +130,11 @@ def _sizes(g: Graph) -> int | tuple[int, int]:
     return g.left_size if g.kind == COMPLETE else (g.left_size, g.right_size)
 
 
-def _params_dict(params) -> dict:
-    out = {"alpha": _rat(params.alpha), "beta": _rat(params.beta), "gamma": _rat(params.gamma)}
-    if hasattr(params, "delta"):
-        out["delta"] = _rat(params.delta)
-    return out
-
-
 def _record_dict(record) -> dict:
     return {
-        "name": record.name,
-        "domain_size": record.domain_size,
-        "codomain_size": record.codomain_size,
-        "verified": record.verified,
+        **_pick(record, "name", "domain_size", "codomain_size", "verified"),
         "failures": [
-            {"kind": f.kind, "element": list(f.element.edge_names()), "detail": f.detail}
+            {**_pick(f, "kind", "detail"), "element": _render(f.element.edge_names())}
             for f in record.failures
         ],
     }
@@ -145,29 +150,23 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     profile = sign_profile(spectrum)
     det = exact_determinant(h)
     in_range = theorem_range(g, k)
+    delta = ("delta",) if isinstance(params, BipartiteParams) else ()
     result: dict = {
         "dimension": h.nrows,
-        "entry_pattern": _params_dict(params),
-        "eigenvalues": [{"value": _rat(v), "multiplicity": m} for v, m in spectrum.pairs],
-        "sign_profile": {
-            "positive": profile.positive,
-            "zero": profile.zero,
-            "negative": profile.negative,
-        },
-        "determinant": _rat(det),
-        "eigenvalue_product": _rat(spectrum_determinant(spectrum)),
+        "entry_pattern": _pick(params, "alpha", "beta", "gamma", *delta),
+        "eigenvalues": [{"value": _render(v), "multiplicity": m} for v, m in spectrum.pairs],
+        "sign_profile": _pick(profile, *profile._fields),
+        "determinant": _render(det),
+        "eigenvalue_product": _render(spectrum_determinant(spectrum)),
         "spectrum_certified": certified,
         "theorem_range": in_range,
     }
     if args.matrix:
-        result["matrix"] = [[_rat(x) for x in row] for row in h.rows]
+        result["matrix"] = _render(h.rows)
     checks = [certified, det == spectrum_determinant(spectrum)]
     if in_range:
         counts = edge_pair_counts(g, k)
-        pc = {"p": counts.p, "q": counts.q}
-        if counts.r is not None:
-            pc["r"] = counts.r
-        result["pair_counts"] = pc
+        result["pair_counts"] = _pick(counts, "p", "q", "r")
         expected = params.beta == counts.p and params.gamma == counts.q and params.alpha == 0
         if counts.r is not None:
             expected = expected and params.delta == counts.r
@@ -176,13 +175,7 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         try:
             preds = predicted_signs(counts, _sizes(g))
             result["sign_predictions"] = [
-                {
-                    "label": q.label,
-                    "value": _rat(q.value),
-                    "requirement": q.requirement,
-                    "satisfied": q.satisfied,
-                }
-                for q in preds.quantities
+                _pick(q, "label", "value", "requirement", "satisfied") for q in preds.quantities
             ]
             checks.append(True)
         except VerificationFailure as err:
@@ -217,21 +210,18 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
         labels = tuple(range(1, w + 1))
         split = next(sf for sf in fam.per_subset if sf.labels == labels)
         record = bijection_forestbij(labels, families=split)
+        sizes = ("trees_wedge", "trees_matching", "split_wedge", "split_matching")
         subset_checks = [
             {
-                "labels": list(sf.labels),
-                "trees_wedge": len(sf.trees_wedge),
-                "trees_matching": len(sf.trees_matching),
-                "split_wedge": len(sf.split_wedge),
-                "split_matching": len(sf.split_matching),
+                **_pick(sf, "labels"),
+                **{name: len(getattr(sf, name)) for name in sizes},
                 "split_sizes_equal": len(sf.split_wedge) == len(sf.split_matching),
             }
             for sf in fam.per_subset
         ]
         ok = record.verified and all(c["split_sizes_equal"] for c in subset_checks)
-        counts = fam.pair_counts()
         result = {
-            "pair_counts": {"p": counts.p, "q": counts.q},
+            "pair_counts": _pick(fam.pair_counts(), "p", "q"),
             "split_bijection": _record_dict(record),
             "subsets": subset_checks,
         }
@@ -251,18 +241,10 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
         result["counts_agree_with_enumeration"] = agree
         checks.append(agree)
         ineq = verify_count_inequalities(fam)
-        result["inequalities"] = {
-            "p": ineq.p,
-            "q": ineq.q,
-            "r": ineq.r,
-            "r_minus_p": ineq.r_minus_p,
-            "r_minus_q": ineq.r_minus_q,
-            "p_plus_q_minus_r": ineq.p_plus_q_minus_r,
-            "left_strict_expected": ineq.left_strict_expected,
-            "right_strict_expected": ineq.right_strict_expected,
-            "satisfied": ineq.satisfied,
-            "boundary_notes": list(ineq.boundary_notes),
-        }
+        result["inequalities"] = _pick(
+            ineq, "p", "q", "r", "r_minus_p", "r_minus_q", "p_plus_q_minus_r",
+            "left_strict_expected", "right_strict_expected", "satisfied", "boundary_notes",
+        )
         checks.append(ineq.satisfied)
     else:
         result["note"] = "outside the theorem range; bijections still checked"
@@ -322,26 +304,17 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     degree_one = _degree_one(g, r)
     result = {
         "basis_count": basis_count,
-        "hilbert_function": list(profile.dims),
+        "hilbert_function": _render(profile.dims),
         "hilbert_symmetric": profile.symmetric,
-        "point": [_rat(x) for x in report.point],
+        "point": _render(report.point),
         "hessians": [
-            {
-                "degree": c.degree,
-                "dimension": c.dimension,
-                "determinant": _rat(c.determinant),
-                "bijective": c.bijective,
-            }
-            for c in report.checks
+            _pick(c, "degree", "dimension", "determinant", "bijective") for c in report.checks
         ],
         "slp_holds": report.holds,
-        "degree_one": {
-            "bijective": degree_one.bijective,
-            "determinant": _rat(degree_one.determinant),
-            "spectrum_certified": degree_one.spectrum_certified,
-            "in_theorem_range": degree_one.in_theorem_range,
-            "in_stated_range": degree_one.in_stated_range,
-        },
+        "degree_one": _pick(
+            degree_one, "bijective", "determinant", "spectrum_certified",
+            "in_theorem_range", "in_stated_range",
+        ),
     }
     input_ = {"graph": g.name, "r": r, "all_ones": all_ones}
     if not all_ones:

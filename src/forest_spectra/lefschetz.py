@@ -417,10 +417,14 @@ def _reconstruct_graph(m: Matroid) -> Graph:
 
 
 def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
-    """Refuse a rank outside 2..V-1, the ranks the degree-one check takes."""
+    """Refuse a rank outside 2..V-1, the ranks the degree-one check takes,
+    and a K_{m,n} with a part of one vertex, which has no closed-form
+    degree-one spectrum: before any count or search."""
     _require_a_valid_rank(g, who, 2)
     if not 2 <= r < g.vertex_count:
         raise ValueError(f"rank {r} out of range 2..{g.vertex_count - 1}")
+    if g.kind != COMPLETE and min(g.left_size, g.right_size) < 2:
+        raise ValueError(f"{who} on {g.name}: the degree-one spectrum needs m, n >= 2")
 
 
 def _degree_one(g: Graph, r: int) -> DegreeOneLefschetzReport:

@@ -429,3 +429,136 @@ def test_slp_refuses_derivative_maps_over_the_limit_before_any_search(capsys, mo
         f"error: slp on K_8 at rank {r} needs {entries} derivative entries "
         f"({entries >> r} {r}-edge forests with 2^{r} submasks each), over the limit of 4e+06"
     )
+
+
+@pytest.mark.parametrize("m,n,r", [(1, 4, 3), (3, 1, 2)])
+def test_slp_refuses_a_part_of_one_vertex_before_any_count(capsys, monkeypatch, m, n, r):
+    # K_{1,n} has no closed-form degree-one spectrum, so slp refuses it
+    # before the frontier count and the forest search
+    from forest_spectra import forests
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused graph reached a forest count")
+
+    for name in ("_forest_masks", "count_forests_constrained"):
+        patch_everywhere(monkeypatch, forests, name, never)
+    start = time.perf_counter()
+    assert run(["slp", "--bipartite", str(m), str(n), "--r", str(r)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err.strip() == (
+        f"error: slp on K_{{{m},{n}}}: the degree-one spectrum needs m, n >= 2"
+    )
+
+
+def _grid(command):
+    """(graph flags, k or r) for every graph the grid runs ``command`` on:
+    K_0..K_5, and K_{m,n} with m, n <= 3 where the command takes it, with
+    every k or r from -1 to V + 1."""
+    graphs = [(["--complete", str(n)], n) for n in range(6)]
+    if command in ("spectrum", "bijections", "slp"):
+        graphs += [
+            (["--bipartite", str(m), str(n)], m + n) for m in range(4) for n in range(4)
+        ]
+    return [(flags, value) for flags, v in graphs for value in range(-1, v + 2)]
+
+
+REPORT_KEYS = {"command", "input", "result", "verdict", "timing_ms"}
+
+
+@pytest.mark.parametrize("command", ["spectrum", "bijections", "slp", "matroid", "enumerate"])
+def test_every_grid_run_keeps_the_output_contract(command, capsys, monkeypatch):
+    # exit 0 or 1: one JSON report and a quiet stderr; exit 2: one error
+    # line and no report, and for slp and matroid no forest search
+    from forest_spectra import forests
+
+    searches = []
+    search = forests._forest_masks
+
+    def counted(*args, **kwargs):
+        searches.append(args)
+        return search(*args, **kwargs)
+
+    patch_everywhere(monkeypatch, forests, "_forest_masks", counted)
+    flag = "--r" if command in ("slp", "matroid") else "--k"
+    for graph, value in _grid(command):
+        argv = [command, *graph, flag, str(value)]
+        searches.clear()
+        code = run(argv)
+        out, err = capsys.readouterr()
+        if code == 2:
+            assert not out, argv
+            assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
+            if command in ("slp", "matroid"):
+                assert searches == [], argv
+        else:
+            assert code in (0, 1), argv
+            report = json.loads(out)
+            assert set(report) == REPORT_KEYS, argv
+            assert (code == 0) == (report["verdict"] in ("verified", "computed")), argv
+            assert not err, argv
+
+
+# SHA-256 of the whole report without timing_ms, as the golden check takes
+# it, for report paths no benchmark instance reaches
+PINNED_REPORTS = {
+    "bijections --bipartite 3 3 --k 2":
+        "4197b3d93fbebf5e9ca1cc2acea74d8949f75b0f295c3bfa28a11bda8abeb2cf",
+    "spectrum --complete 5 --k 2":
+        "e3d25dba0382038d3926724c68ec425bdb51a756f61e90b7b94e2f745f7978c9",
+    "slp --complete 4 --r 3 --point=-2,0,1/3,5,7/2,1":
+        "da75bf4f386912dff3871d7eef07d3b8b4d530996d4ea4ce1bea6da17d616b7f",
+}
+
+
+def _pinned(argv, capsys):
+    code = run(argv.split())
+    facts = load_perfbench("one_pass")._facts(capsys.readouterr().out, code, False)
+    assert facts["digest"] == PINNED_REPORTS[argv]
+    return facts
+
+
+def test_bijection_failure_reports_are_pinned(capsys, monkeypatch):
+    # the piece-5 map sends each element to itself: every domain element
+    # lands outside the codomain and every codomain element fails its
+    # round trip, each failure naming its element's edges
+    from forest_spectra import bijections
+
+    verify_on = bijections._verify_on
+
+    def identity_forward(name, g, domain, codomain, forward, backward):
+        if name.startswith("share-right piece 2"):
+            forward = lambda x: x
+        return verify_on(name, g, domain, codomain, forward, backward)
+
+    monkeypatch.setattr(bijections, "_verify_on", identity_forward)
+    facts = _pinned("bijections --bipartite 3 3 --k 2", capsys)
+    assert (facts["exit_code"], facts["verdict"]) == (1, "failed")
+
+
+def test_sign_prediction_error_report_is_pinned(capsys, monkeypatch):
+    from forest_spectra import spectra
+    from forest_spectra.errors import VerificationFailure
+
+    def violated(counts, sizes):
+        raise VerificationFailure("sign predictions violated: -2p+q")
+
+    patch_everywhere(monkeypatch, spectra, "predicted_signs", violated)
+    facts = _pinned("spectrum --complete 5 --k 2", capsys)
+    assert (facts["exit_code"], facts["verdict"]) == (1, "failed")
+
+
+def test_slp_point_report_is_pinned(capsys):
+    # a negative, a zero and fractional coordinates, and fractional determinants
+    facts = _pinned("slp --complete 4 --r 3 --point=-2,0,1/3,5,7/2,1", capsys)
+    assert (facts["exit_code"], facts["verdict"]) == (0, "computed")
+
+
+def test_pick_raises_on_a_missing_name():
+    from forest_spectra.cli import _pick
+    from forest_spectra.forests import PairCounts
+
+    assert _pick(PairCounts(1, 2), "p", "q", "r") == {"p": 1, "q": 2}
+    with pytest.raises(AttributeError):
+        _pick(PairCounts(1, 2), "p", "s")

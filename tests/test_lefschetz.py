@@ -247,6 +247,15 @@ def test_check_degree_one_names_a_graph_without_a_valid_rank():
     assert str(err.value) == message
 
 
+def test_check_degree_one_refuses_a_part_of_one_vertex():
+    # K_{1,n} has no closed-form degree-one spectrum: refused before the
+    # bases are compared with the forest search
+    m = truncate(graphic_matroid(complete_bipartite_graph(1, 4)), 3)
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(m)
+    assert str(err.value) == "the degree-one check on K_{1,4}: the degree-one spectrum needs m, n >= 2"
+
+
 def test_check_degree_one_rejects_non_truncation():
     g = complete_graph(4)
     bases = (frozenset([g.edges[0]]),)
