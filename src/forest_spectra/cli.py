@@ -6,7 +6,9 @@ stderr with usage text).  Reports are deterministic: orderings are
 canonical everywhere, and the only wall-clock content is the timing
 field.  Every report value goes through ``_render``, the one place a
 rational becomes its exact string ("-142/3"), and the fields of a result
-object are read off it by ``_pick``.
+object are read off it by ``_pick``.  The report is written by ``_dumps``,
+whose output equals ``json.dumps(report, indent=2, sort_keys=True)`` byte
+for byte without going through ``json``'s pure-Python indent encoder.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _escape
 from typing import Sequence
 
 from .bijections import (
@@ -32,6 +35,7 @@ from .forests import (
     _forest_masks,
     _forests_by_size,
     _mask_bits,
+    _require_k,
     count_forests_constrained,
     edge_pair_counts,
     theorem_range,
@@ -42,6 +46,7 @@ from .linalg import exact_determinant
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
 from .spectra import (
     BipartiteParams,
+    _require_closed_form,
     closed_form_spectrum,
     predicted_signs,
     sign_profile,
@@ -66,6 +71,38 @@ def _pick(obj, *names: str) -> dict:
     """``{name: rendered value}`` for the named attributes of ``obj``,
     leaving out a ``None``; a name ``obj`` lacks raises AttributeError."""
     return {name: _render(value) for name in names if (value := getattr(obj, name)) is not None}
+
+
+def _dumps(value, indent: str = "\n") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
+    report value: strings go through the C escaper that call uses, lists,
+    tuples and str-keyed dicts are joined here, and any other scalar is
+    ``json.dumps(value)``, which raises TypeError on what ``json`` cannot
+    encode.  A list of strings is joined in one ``map``, and a list of
+    non-empty lists of strings (a listing's rows) in one comprehension."""
+    if isinstance(value, str):
+        return _escape(value)
+    if not isinstance(value, (dict, list, tuple)):
+        return json.dumps(value)
+    inner = indent + "  "
+    sep = "," + inner
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        body = sep.join([f"{_escape(key)}: {_dumps(value[key], inner)}" for key in sorted(value)])
+        return f"{{{inner}{body}{indent}}}"
+    if not value:
+        return "[]"
+    try:
+        if all(type(row) is list and row for row in value):
+            row_inner = inner + "  "
+            row_sep = "," + row_inner
+            body = sep.join([f"[{row_inner}{row_sep.join(map(_escape, row))}{inner}]" for row in value])
+        else:
+            body = sep.join(map(_escape, value))
+    except TypeError:  # an element or row entry that is not a string
+        body = sep.join([_dumps(x, inner) for x in value])
+    return f"[{inner}{body}{indent}]"
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +139,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slp", help="strong Lefschetz check for a truncated graphic matroid")
     add_graph_flags(p)
     p.add_argument("--r", type=int, required=True, help="truncation rank")
-    p.add_argument("--point", type=str, help="comma-separated rational coefficients of L")
+    p.add_argument(
+        "--point",
+        type=str,
+        help="comma-separated rational coefficients of L; write a point that starts "
+        "with '-' as --point=-2,...",
+    )
 
     p = sub.add_parser("matroid", help="build a truncated graphic matroid and verify axioms")
     add_graph_flags(p, bipartite=False)
@@ -143,6 +185,8 @@ def _record_dict(record) -> dict:
 def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
+    _require_k(g, k)
+    _require_closed_form(g, "spectrum")
     h = tilde_hessian(g, k)
     params = structured_params(h, g)
     spectrum = closed_form_spectrum(params)
@@ -413,7 +457,7 @@ def run(argv: Sequence[str]) -> int:
         "verdict": verdict,
         "timing_ms": int(round((time.perf_counter() - start) * 1000)),
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_dumps(report))
     return 0 if verdict in ("verified", "computed") else 1
 
 

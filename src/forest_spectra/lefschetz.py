@@ -58,6 +58,7 @@ from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
     Spectrum,
+    _require_closed_form,
     closed_form_spectrum,
     structured_params,
     tilde_hessian,
@@ -423,8 +424,7 @@ def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
     _require_a_valid_rank(g, who, 2)
     if not 2 <= r < g.vertex_count:
         raise ValueError(f"rank {r} out of range 2..{g.vertex_count - 1}")
-    if g.kind != COMPLETE and min(g.left_size, g.right_size) < 2:
-        raise ValueError(f"{who} on {g.name}: the degree-one spectrum needs m, n >= 2")
+    _require_closed_form(g, who)
 
 
 def _degree_one(g: Graph, r: int) -> DegreeOneLefschetzReport:

@@ -203,6 +203,23 @@ def structured_params(mat: ExactMatrix, g: Graph) -> StructuredParams:
     )
 
 
+def _closed_form_need(sizes: tuple[int, ...]) -> str | None:
+    """The size condition of the closed-form spectrum that ``sizes`` (n of
+    K_n, or m and n of K_{m,n}) fails, or None when it holds."""
+    if len(sizes) == 1:
+        return "n >= 3" if sizes[0] < 3 else None
+    return "m, n >= 2" if min(sizes) < 2 else None
+
+
+def _require_closed_form(g: Graph, who: str) -> None:
+    """Refuse a graph with no closed-form degree-one spectrum: K_n with
+    n < 3, or K_{m,n} with a part of one vertex."""
+    sizes = (g.left_size,) if g.kind == COMPLETE else (g.left_size, g.right_size)
+    need = _closed_form_need(sizes)
+    if need:
+        raise ValueError(f"{who} on {g.name}: the degree-one spectrum needs {need}")
+
+
 def closed_form_spectrum(params: StructuredParams) -> Spectrum:
     """The exact spectrum of a structured edge-pair matrix.
 
@@ -211,8 +228,9 @@ def closed_form_spectrum(params: StructuredParams) -> Spectrum:
     """
     if isinstance(params, CompleteParams):
         n = params.n
-        if n < 3:
-            raise ValueError(f"closed form needs n >= 3, got n={n}")
+        need = _closed_form_need((n,))
+        if need:
+            raise ValueError(f"closed form needs {need}, got n={n}")
         a, b, c = params.alpha, params.beta, params.gamma
         return _merge(
             [
@@ -222,8 +240,9 @@ def closed_form_spectrum(params: StructuredParams) -> Spectrum:
             ]
         )
     m, n = params.m, params.n
-    if m < 2 or n < 2:
-        raise ValueError(f"closed form needs m, n >= 2, got ({m}, {n})")
+    need = _closed_form_need((m, n))
+    if need:
+        raise ValueError(f"closed form needs {need}, got ({m}, {n})")
     a, b, c, d = params.alpha, params.beta, params.gamma, params.delta
     return _merge(
         [

@@ -5,8 +5,9 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from forest_spectra.cli import _parse_rational, run
+from forest_spectra.cli import _dumps, _parse_rational, run
 
 from conftest import load_perfbench, patch_everywhere
 
@@ -156,6 +157,15 @@ def test_slp_point_accepts_exponents_decimals_and_ratios(capsys):
     )
     assert code == 0
     assert report["result"]["point"] == [str(10**400), "1/2", "2/3", "-1", "10", "7/1000"]
+
+
+def test_slp_point_starting_with_a_minus_is_written_with_equals(capsys):
+    # argparse reads a spaced "-2,..." as an option, so the help and the
+    # README give the --point=... form
+    point = "-2,0,1/3,5,7/2,1"
+    code, report = capture(capsys, ["slp", "--complete", "4", "--r", "3", f"--point={point}"])
+    assert code == 0
+    assert report["result"]["point"] == point.split(",")
 
 
 def test_point_literal_digits_follow_python_limit():
@@ -452,6 +462,41 @@ def test_slp_refuses_a_part_of_one_vertex_before_any_count(capsys, monkeypatch, 
     )
 
 
+@pytest.mark.parametrize(
+    "graph,k,need",
+    [
+        (["--complete", "1"], 1, "n >= 3"),
+        (["--complete", "2"], 2, "n >= 3"),
+        (["--bipartite", "1", "3"], 2, "m, n >= 2"),
+        (["--bipartite", "3", "1"], 1, "m, n >= 2"),
+    ],
+)
+def test_spectrum_refuses_a_graph_without_a_closed_form_before_any_count(
+    capsys, monkeypatch, graph, k, need
+):
+    # K_1, K_2 and K_{1,n} have no closed-form degree-one spectrum, so
+    # spectrum refuses them before the Hessian's frontier walk
+    from forest_spectra import forests, spectra
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused graph reached the Hessian")
+
+    patch_everywhere(monkeypatch, spectra, "tilde_hessian", never)
+    patch_everywhere(monkeypatch, forests, "_pair_counts_by_frontier", never)
+    start = time.perf_counter()
+    assert run(["spectrum", *graph, "--k", str(k)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    name = "K_" + (graph[1] if len(graph) == 2 else f"{{{graph[1]},{graph[2]}}}")
+    assert captured.err.strip() == f"error: spectrum on {name}: the degree-one spectrum needs {need}"
+
+
+def test_spectrum_checks_the_component_count_before_the_graph(capsys):
+    assert run(["spectrum", "--bipartite", "1", "3", "--k", "5"]) == 2
+    assert capsys.readouterr().err.strip() == "error: component count k=5 out of range 1..4"
+
+
 def _grid(command):
     """(graph flags, k or r) for every graph the grid runs ``command`` on:
     K_0..K_5, and K_{m,n} with m, n <= 3 where the command takes it, with
@@ -562,3 +607,63 @@ def test_pick_raises_on_a_missing_name():
     assert _pick(PairCounts(1, 2), "p", "q", "r") == {"p": 1, "q": 2}
     with pytest.raises(AttributeError):
         _pick(PairCounts(1, 2), "p", "s")
+
+
+# report-shaped values: JSON scalars, strings with any character, lists,
+# tuples, string-keyed dicts and listing rows (lists of lists of strings)
+_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.lists(st.lists(st.text(max_size=3), max_size=3), max_size=3),
+    max_leaves=20,
+)
+
+
+@given(_report_values)
+@example({})
+@example([])
+@example([[]])
+@example([[], ["a"]])
+@example([["a"], []])
+@example(['"', "\\", "\x00\x1f\x7f", "caf\u00e9 \u2211 \U0001f332", "]", ",", "a, b]"])
+@example([["1-2", "]"], ['",\n', "\ud800"]])
+@example({"\u00e9\"": "\t", "]": [","]})
+@example([2**64, 2**200, -(2**70), -1, 0])
+@example([True, False, None, 1, 0])
+@example({"rows": [{"a": [1, True, None]}, [{"b": {}}]], "x": [{}]})
+def test_dumps_equals_the_json_indent_encoder(value):
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_dumps_raises_on_what_json_cannot_encode():
+    for value in ([Fraction(1, 2)], {"a": {1, 2}}, [["a"], [object()]]):
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["spectrum", "--complete", "4", "--k", "1", "--matrix"],
+        ["bijections", "--bipartite", "2", "3", "--k", "2"],
+        ["slp", "--complete", "4", "--r", "3"],
+        ["matroid", "--complete", "4", "--r", "2", "--verify-axioms"],
+        ["enumerate", "--complete", "4", "--k", "2"],
+    ],
+    ids=" ".join,
+)
+def test_reports_never_reach_the_json_indent_encoder(capsys, monkeypatch, argv):
+    # any indent makes json.dumps fall back to its pure-Python encoder
+    dumps = json.dumps
+
+    def no_indent(*args, **kwargs):
+        if "indent" in kwargs:
+            raise AssertionError("json.dumps was called with an indent")
+        return dumps(*args, **kwargs)
+
+    monkeypatch.setattr(json, "dumps", no_indent)
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert out == dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
