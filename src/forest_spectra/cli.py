@@ -372,11 +372,28 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     return verdict, input_, result
 
 
+# a listing holds every forest and prints every edge name, so the largest
+# lists would exhaust memory long before they finish
+MAX_LISTED_FORESTS = 1_000_000
+
+
+def _require_listable(g: Graph, k: int, what: str) -> None:
+    """Refuse, before any search, to list the k-component forests of K_n
+    when there are more than MAX_LISTED_FORESTS of them."""
+    count = _forests_by_size(g.left_size, k)
+    if count > MAX_LISTED_FORESTS:
+        raise ValueError(
+            f"{g.name} has {count} {k}-component forests, more than the "
+            f"{MAX_LISTED_FORESTS} {what}"
+        )
+
+
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
     _require_a_valid_rank(g, "matroid", 1)
     _require_truncation_rank(r, g.vertex_count - 1)
+    _require_listable(g, 1, "matroid may list: it truncates every spanning tree")
     # the spanning trees' r-subsets against an independent r-edge forest search
     bases = _truncated(_forest_masks(g, 1), r)
     bases_match = bases == set(_forest_masks(g, g.vertex_count - r))
@@ -395,11 +412,6 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
     return ("verified" if all(checks) else "failed"), input_, result
 
 
-# a listing holds every forest and prints every edge name, so the largest
-# lists would exhaust memory long before they finish
-MAX_LISTED_FORESTS = 1_000_000
-
-
 def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
@@ -408,12 +420,7 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
         result = {"count": count_forests_constrained(g, k)}
     else:
         # enumerate takes only --complete, so the closed form gives the size
-        count = _forests_by_size(g.left_size, k)
-        if count > MAX_LISTED_FORESTS:
-            raise ValueError(
-                f"{g.name} has {count} {k}-component forests, more than the "
-                f"{MAX_LISTED_FORESTS} a listing may hold; use --count-only to count them"
-            )
+        _require_listable(g, k, "a listing may hold; use --count-only to count them")
         # g.edges is sorted, so ascending edge indices list a forest's edge
         # names in the order Forest.edge_names gives
         names = [edge_name(e) for e in g.edges]

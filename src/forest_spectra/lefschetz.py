@@ -25,9 +25,9 @@ with every coefficient 1, so it takes a second route, on the forest
 search's edge masks (:func:`_slp_on_masks`): d^u phi is the list of F ^ u
 over the forests F containing u, the canonical order within a degree is
 ascending on the masks' edge index lists, and the same :func:`_bases` and
-Bareiss determinants run on them, with no ``Polynomial`` and no exponent
-tuple.  The tuple route above stays the public API, for any form, and is
-the oracle the mask route is tested against.
+symmetric Bareiss determinants run on them, with no ``Polynomial`` and no
+exponent tuple.  The tuple route above stays the public API, for any form,
+and is the oracle the mask route is tested against.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .forests import (
     count_forests_constrained,
     theorem_range,
 )
-from .linalg import ExactMatrix, Rational, _bareiss, _independent_rows, exact_determinant
+from .linalg import ExactMatrix, Rational, _independent_rows, _symmetric_bareiss, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
 from .spectra import (
@@ -362,7 +362,8 @@ def _slp_on_masks(
     of the k-th Hessian is the degree-2k derivative at b_i | b_j, which has
     none where b_i and b_j share an edge, evaluated on integers once per
     mask: the number of its rests at all-ones, else the sum of their
-    monomials at the point with its denominators cleared.
+    monomials at the point with its denominators cleared.  Only the upper
+    triangle is built, for the symmetric kernel.
     """
     count = count_forests_constrained(g, g.vertex_count - r)
     if count << r > MAX_DERIVATIVE_ENTRIES:
@@ -386,8 +387,8 @@ def _slp_on_masks(
             # the rests of the degree-2k operators are the degree-(r-2k) ones
             mono = {w: prod(map(xs.__getitem__, _mask_bits(w))) for w in maps[r - 2 * k]}
             at_point = {u: sum(map(mono.__getitem__, rests)) for u, rests in top}
-        rows = [[at_point.get(bi | bj, 0) for bj in basis] for bi in basis]
-        det = Fraction(_bareiss(rows), d ** ((r - 2 * k) * len(basis)))
+        upper = [[at_point.get(bi | bj, 0) for bj in basis[i:]] for i, bi in enumerate(basis)]
+        det = Fraction(_symmetric_bareiss(upper)[0], d ** ((r - 2 * k) * len(basis)))
         checks.append(GradedHessianCheck(k, len(basis), det))
     return len(forests), profile, SlpReport(r, tuple(values), tuple(checks))
 

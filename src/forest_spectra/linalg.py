@@ -1,16 +1,18 @@
-"""Exact matrices over the rationals, and the integer kernel under them.
+"""Exact matrices over the rationals, and the integer kernels under them.
 
 ``ExactMatrix`` holds integer numerator rows over one positive common
 denominator, kept canonical (the gcd of the denominator and every entry is
 1), so equal matrices have equal integer forms.  The public surface stays
 rational: ``rows`` and ``m[i, j]`` read ``Fraction``s, the row view built
 only when something reads it, and the callers that produce integers build
-matrices through ``_from_ints`` with no ``Fraction`` at all.  Each question
-has one integer kernel: a determinant is a Bareiss (1968) fraction-free
-elimination (``_bareiss``, exact ``//``) divided by den^n at the end, and a
-rank, and each pair of graded bases of ``lefschetz`` (kept rows, lead
-columns), is the greedy left-looking row reduction ``_independent_rows``.
-No floating point; the theorems downstream are about exact nonvanishing.
+matrices through ``_from_ints`` with no ``Fraction`` at all.  A
+determinant is a Bareiss (1968) fraction-free elimination (exact ``//``)
+divided by den^n at the end: of the upper triangle alone for a symmetric
+matrix (``_symmetric_bareiss``, which also gives the exact inertia), of
+the full square otherwise (``_bareiss``).  A rank, and each pair of graded
+bases of ``lefschetz`` (kept rows, lead columns), is the greedy
+left-looking row reduction ``_independent_rows``.  No floating point; the
+theorems downstream are about exact nonvanishing and exact signs.
 """
 
 from __future__ import annotations
@@ -187,6 +189,84 @@ def _bareiss(a: list[list[int]]) -> int:
     return sign * prev
 
 
+def _symmetric_bareiss(upper: list[list[int]]) -> tuple[int, tuple[int, int, int]]:
+    """Determinant and inertia (n+, n0, n-) of a symmetric integer matrix,
+    given as its upper triangle: ``upper[i]`` is a_ii, ..., a_i(n-1).  The
+    rows are consumed.
+
+    Bareiss (1968) elimination on the triangle: with the pivot a_00 and
+    ``prev`` the pivot before it, row i becomes
+    (a_00 a_ij - a_0i a_0j) // prev for j >= i, and row 0 is dropped, so
+    the leading row is always the next pivot row; when the next pivot is
+    nonzero as well, the two steps are taken in one pass over the rows.
+    Each entry is a minor, so every division is exact, and the pivots are
+    the leading principal minors D_1, D_2, ... of the matrix as pivoting
+    left it.  A zero pivot is replaced, in O(n) on the triangle, by a
+    symmetric swap with a later nonzero diagonal; when every diagonal is
+    zero, by the congruence "row and column 0 += row and column j" for the
+    first a_0j != 0, which makes the pivot 2 a_0j.  Neither changes the
+    determinant, and by Sylvester's law neither changes the inertia, which
+    is read off the signs of D_k / D_(k-1).  A zero row left is a zero
+    eigenvalue: it is dropped and counted in n0, and the determinant is 0.
+    """
+    n, neg, zero, prev = len(upper), 0, 0, 1
+    while upper:
+        row = upper[0]
+        if not row[0]:
+            p = next((i for i, r in enumerate(upper) if r[0]), None)
+            if p is not None:
+                # swap indices 0 and p: a_0j trades with a_jp for 0 < j < p,
+                # and with a_pj for j > p
+                rp = upper[p]
+                row[0], rp[0] = rp[0], row[0]
+                for j in range(1, p):
+                    rj = upper[j]
+                    row[j], rj[p - j] = rj[p - j], row[j]
+                row[p + 1 :], rp[1:] = rp[1:], row[p + 1 :]
+            else:
+                j = next((j for j, x in enumerate(row) if x), None)
+                if j is None:
+                    del upper[0]
+                    zero += 1
+                    continue
+                # a_00 = a_jj = 0, so a_00 becomes 2 a_0j and a_0j stays
+                row[0] = 2 * row[j]
+                for i in range(1, j):
+                    row[i] += upper[i][j - i]
+                row[j + 1 :] = map(add, row[j + 1 :], upper[j][1:])
+        pivot = row[0]
+        neg += (pivot > 0) != (prev > 0)
+        if len(upper) > 1:
+            c = row[1]
+            nxt = [(pivot * x - c * y) // prev for x, y in zip(upper[1], row[1:])]
+            m = nxt[0]
+            if m:
+                # row 1 pivots next as it stands: both steps in one pass
+                # (Bareiss's two-step form), a_ij becoming
+                # (m a_ij - a_1i nxt_j + a_0i q_j) // prev, where q_j is the
+                # 2x2 minor (a_01 a_1j - a_0j a_11) over prev
+                row1 = upper[1]
+                a01, a11 = row[1], row1[0]
+                q = [(a01 * y - x * a11) // prev for x, y in zip(row[2:], row1[1:])]
+                for i in range(2, len(upper)):
+                    c0, c1 = row[i], row1[i - 1]
+                    upper[i] = [
+                        (m * x - c1 * y + c0 * z) // prev
+                        for x, y, z in zip(upper[i], nxt[i - 1 :], q[i - 2 :])
+                    ]
+                neg += (m > 0) != (pivot > 0)
+                prev = m
+                del upper[:2]
+                continue
+            upper[1] = nxt
+        for i in range(2, len(upper)):
+            c = row[i]
+            upper[i] = [(pivot * x - c * y) // prev for x, y in zip(upper[i], row[i:])]
+        prev = pivot
+        del upper[0]
+    return (0 if zero else prev), (n - zero - neg, zero, neg)
+
+
 def _independent_rows(rows: Iterable[Sequence[int]]) -> dict[int, int]:
     """Each integer row independent of the rows above it, by index, mapped
     to its lead column, in row order.
@@ -226,10 +306,15 @@ def _independent_rows(rows: Iterable[Sequence[int]]) -> dict[int, int]:
 
 def exact_determinant(mat: ExactMatrix) -> Fraction:
     """Determinant by integer Bareiss elimination of the numerator rows,
-    divided by den^n at the end."""
+    divided by den^n at the end: of their upper triangle when the matrix is
+    symmetric."""
     if not mat.is_square:
         raise ValueError("determinant needs a square matrix")
-    return Fraction(_bareiss(list(map(list, mat._num))), mat._den**mat.nrows)
+    if mat.symmetric:
+        det = _symmetric_bareiss([list(row[i:]) for i, row in enumerate(mat._num)])[0]
+    else:
+        det = _bareiss(list(map(list, mat._num)))
+    return Fraction(det, mat._den**mat.nrows)
 
 
 def exact_rank(mat: ExactMatrix) -> int:

@@ -3,9 +3,11 @@
 Everything here is deliberately naive and independent of the package's
 algorithms: subsets come from itertools.combinations, connectivity from a
 BFS over an adjacency dict (no union-find), determinants from cofactor
-expansion, spectrum certificates from the product of the shifted matrices,
-the basis-exchange axiom from its pairwise definition.  Tests freeze values computed by these oracles and compare the
-package against them.
+expansion, determinants and inertias of symmetric matrices from an LDL^T
+on ``Fraction``s, spectrum certificates from the product of the shifted
+matrices, the basis-exchange axiom from its pairwise definition.  Tests
+freeze values computed by these oracles and compare the package against
+them.
 """
 
 from __future__ import annotations
@@ -119,6 +121,46 @@ def cofactor_determinant(rows) -> Fraction:
         sign = -1 if j % 2 else 1
         total += sign * Fraction(a) * cofactor_determinant(minor)
     return total
+
+
+def ldl_inertia(rows) -> tuple[Fraction, tuple[int, int, int]]:
+    """Determinant and inertia (n+, n0, n-) of a symmetric rational matrix
+    by an LDL^T on ``Fraction``s with symmetric pivoting, in the manner of
+    Bunch and Kaufman: a 1x1 pivot on the first nonzero diagonal entry left,
+    else a 2x2 pivot on the first nonzero entry b = a_ij left, whose block
+    [[0, b], [b, 0]] has determinant -b^2 and one eigenvalue of each sign.
+    What is left when every entry is zero counts as zero eigenvalues."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    left = list(range(len(a)))
+    det, pos, neg = Fraction(1), 0, 0
+    while left:
+        d = next((i for i in left if a[i][i]), None)
+        if d is not None:
+            left.remove(d)
+            piv = a[d][d]
+            for x in left:
+                if a[x][d]:
+                    f = a[x][d] / piv
+                    for y in left:
+                        a[x][y] -= f * a[d][y]
+            det *= piv
+            pos, neg = (pos + 1, neg) if piv > 0 else (pos, neg + 1)
+            continue
+        pair = next(((i, j) for i in left for j in left if i < j and a[i][j]), None)
+        if pair is None:
+            return Fraction(0), (pos, len(left), neg)
+        i, j = pair
+        b = a[i][j]
+        left.remove(i)
+        left.remove(j)
+        # the inverse of [[0, b], [b, 0]] is [[0, 1/b], [1/b, 0]]
+        for x in left:
+            fi, fj = a[x][i] / b, a[x][j] / b
+            for y in left:
+                a[x][y] -= fi * a[j][y] + fj * a[i][y]
+        det *= -b * b
+        pos, neg = pos + 1, neg + 1
+    return det, (pos, 0, neg)
 
 
 def _matmul(a, b):

@@ -225,6 +225,41 @@ def test_enumerate_refuses_an_oversized_listing(capsys, monkeypatch):
     assert 61917364224 > cli.MAX_LISTED_FORESTS
 
 
+@pytest.mark.parametrize("n,trees", [(9, 4782969), (10, 100000000)])
+def test_matroid_refuses_more_spanning_trees_than_the_listing_cap(capsys, monkeypatch, n, trees):
+    # the spanning trees are counted in closed form and refused before the
+    # search that would list them all
+    import forest_spectra.cli as cli
+    from forest_spectra import forests
+
+    def never(*args):
+        raise AssertionError("the oversized matroid reached the forest search")
+
+    patch_everywhere(monkeypatch, forests, "_forest_masks", never)
+    start = time.perf_counter()
+    code = run(["matroid", "--complete", str(n), "--r", "4"])
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert elapsed < 1.0
+    assert captured.err.strip() == (
+        f"error: K_{n} has {trees} 1-component forests, more than the "
+        f"{cli.MAX_LISTED_FORESTS} matroid may list: it truncates every spanning tree"
+    )
+
+
+def test_matroid_cap_refuses_no_ladder_graph():
+    # every ladder matroid is on some K_n with n <= 6, and K_8, with 8^6
+    # spanning trees, is the largest K_n the cap lets through
+    import forest_spectra.cli as cli
+    from forest_spectra.forests import _forests_by_size
+
+    ladder = [inst.argv for inst in load_perfbench("workloads").instances("families-ladder", 0)]
+    sizes = {int(argv[2]) for argv in ladder if argv[0] == "matroid"}
+    assert sizes and max(sizes) <= 6
+    assert _forests_by_size(8, 1) == 262144 <= cli.MAX_LISTED_FORESTS < _forests_by_size(9, 1)
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -554,6 +589,13 @@ PINNED_REPORTS = {
         "e3d25dba0382038d3926724c68ec425bdb51a756f61e90b7b94e2f745f7978c9",
     "slp --complete 4 --r 3 --point=-2,0,1/3,5,7/2,1":
         "da75bf4f386912dff3871d7eef07d3b8b4d530996d4ea4ce1bea6da17d616b7f",
+    # past the ladders' sizes: a 175-row degree-3 Hessian, and K_{3,3}'s
+    # spanning-tree form at a fixed point with negative and fractional
+    # coordinates
+    "slp --complete 7 --r 6":
+        "89357a4872084ec59abe9685d7a9b8aaae88f6994f5bd8a0be1487017fc08819",
+    "slp --bipartite 3 3 --r 5 --point=2,-1,1/3,5,7/2,1,3,-4,1/5":
+        "f6135dcf5b966d8c1e1ed4a1b7096911ca5f41d69117fca57aa56e5f13dde80e",
 }
 
 
@@ -667,3 +709,14 @@ def test_reports_never_reach_the_json_indent_encoder(capsys, monkeypatch, argv):
     assert run(argv) == 0
     out = capsys.readouterr().out
     assert out == dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    ["slp --complete 7 --r 6", "slp --bipartite 3 3 --r 5 --point=2,-1,1/3,5,7/2,1,3,-4,1/5"],
+    ids=["K7 r6", "K33 r5 point"],
+)
+def test_slp_reports_past_the_ladders_are_pinned(argv, capsys):
+    facts = _pinned(argv, capsys)
+    assert facts["exit_code"] == 0
+    assert facts["verdict"] == ("verified" if "--point" not in argv else "computed")

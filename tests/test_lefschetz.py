@@ -33,9 +33,9 @@ from forest_spectra import (
     tilde_hessian,
     truncate,
 )
-from forest_spectra.linalg import RowEchelon
+from forest_spectra.linalg import RowEchelon, _symmetric_bareiss
 
-from conftest import load_perfbench
+from conftest import ldl_inertia, load_perfbench
 
 VARS = ("a", "b", "c")
 
@@ -205,6 +205,38 @@ def test_frozen_profiles_and_determinants(key):
     report = slp_check(phi, all_ones_point(phi))
     assert [str(c.determinant) for c in report.checks] == dets
     assert report.holds
+
+
+# The exact inertia (n+, n0, n-) of the degree-2 Hessian at all-ones of the
+# r-edge forest polynomial.  Hodge-Riemann in degree 2 predicts
+# n+ = h_0 + (h_2 - h_1) and n- = h_1 - h_0; among these it holds exactly
+# for the spanning-tree forms of K_n.  The Maeno-Numata conjecture asks for
+# the strong Lefschetz property (n0 = 0), not for this signature.
+HODGE_RIEMANN_DEGREE_TWO = {
+    ("K", 5, 4): (11, 0, 9),
+    ("K", 6, 5): (36, 0, 14),
+    ("K", 6, 4): (41, 0, 24),
+    ("B", (2, 3), 4): (6, 0, 6),
+    ("B", (3, 3), 4): (22, 0, 14),
+    ("B", (3, 3), 5): (22, 0, 14),
+    ("B", (2, 4), 4): (12, 0, 8),
+    ("B", (2, 4), 5): (14, 0, 8),
+    ("B", (3, 4), 5): (46, 0, 20),
+}
+
+
+@pytest.mark.parametrize("key", list(HODGE_RIEMANN_DEGREE_TWO), ids=repr)
+def test_degree_two_hessian_signatures_are_pinned(key):
+    kind, size, r = key
+    g = complete_graph(size) if kind == "K" else complete_bipartite_graph(*size)
+    phi = forest_generating_polynomial(g, g.vertex_count - r)
+    h = higher_hessian(phi, 2, all_ones_point(phi))
+    inertia = _symmetric_bareiss([list(row[i:]) for i, row in enumerate(h._num)])[1]
+    assert inertia == HODGE_RIEMANN_DEGREE_TWO[key]
+    assert ldl_inertia(h.rows) == (exact_determinant(h), inertia)
+    h0, h1, h2 = hilbert_function(phi).dims[:3]
+    predicted = (h0 + h2 - h1, 0, h1 - h0)
+    assert (inertia == predicted) == (kind == "K" and r == g.vertex_count - 1)
 
 
 def test_check_degree_one_complete():

@@ -18,9 +18,9 @@ from forest_spectra import (
     tilde_hessian,
     verify_spectrum,
 )
-from forest_spectra.linalg import RowEchelon, _independent_rows
+from forest_spectra.linalg import RowEchelon, _bareiss, _independent_rows, _symmetric_bareiss
 
-from conftest import cofactor_determinant
+from conftest import cofactor_determinant, ldl_inertia
 
 
 def test_identity_and_trace():
@@ -248,6 +248,62 @@ def test_independent_rows_stop_once_every_column_has_a_pivot():
     assert _independent_rows(iter([[0, 1], [1, 1], None])) == {0: 1, 1: 0}
     assert _independent_rows([[0, 0], [1, 2], [-2, -4], [3, 1], [1, 1]]) == {1: 0, 3: 1}
     assert _independent_rows([]) == {}
+
+
+@st.composite
+def symmetric_rows(draw):
+    """Symmetric integer matrices of size 0..6: plain, with a zero diagonal
+    (as the Hessians of square-free forms have), or M S M^T for an n x r M
+    with r < n, which is singular; dense, or mostly zero."""
+    n = draw(st.integers(0, 6))
+    kind = draw(st.sampled_from(["plain", "zero diagonal", "low rank"]))
+    entries = draw(st.sampled_from([small_ints, st.sampled_from([0, 0, 0, 1, -1, 2])]))
+    size = draw(st.integers(0, max(n - 1, 0))) if kind == "low rank" else n
+    upper = [draw(st.lists(entries, min_size=size - i, max_size=size - i)) for i in range(size)]
+    if kind == "zero diagonal":
+        for row in upper:
+            row[0] = 0
+    s = [[upper[min(i, j)][abs(i - j)] for j in range(size)] for i in range(size)]
+    if kind != "low rank":
+        return s
+    m = draw(st.lists(st.lists(st.integers(-2, 2), min_size=size, max_size=size), min_size=n, max_size=n))
+    return [[sum(mi[p] * s[p][q] * mj[q] for p in range(size) for q in range(size)) for mj in m] for mi in m]
+
+
+@settings(max_examples=300)
+@given(symmetric_rows())
+@example([])
+@example([[0]])
+# an all-zero diagonal: the first pivot is a congruence
+@example([[0, 1, 2], [1, 0, 3], [2, 3, 0]])
+# the congruence's j = 2 lies past a zero a_01, which gains a_21
+@example([[0, 0, 1], [0, 0, 1], [1, 1, 0]])
+@example([[2, 0, 1], [0, 0, 0], [1, 0, 3]])  # a zero row
+# singular, and the first pivot needs the congruence
+@example([[0, 1, 1, 0], [1, 0, 0, 1], [1, 0, 0, 1], [0, 1, 1, 0]])
+# the trailing block is zero after one pivot, and after two
+@example([[1, 2, 3], [2, 4, 6], [3, 6, 9]])
+@example([[0, 2, 0, 0], [2, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+def test_symmetric_kernel_matches_bareiss_and_ldl(rows):
+    det, inertia = _symmetric_bareiss([row[i:] for i, row in enumerate(rows)])
+    expected_det, expected_inertia = ldl_inertia(rows)
+    assert det == _bareiss([list(row) for row in rows]) == expected_det
+    assert inertia == expected_inertia
+    assert sum(inertia) == len(rows)
+    assert exact_determinant(ExactMatrix.from_rows(rows)) == det
+
+
+def test_only_an_asymmetric_determinant_reaches_the_full_square_kernel(monkeypatch):
+    import forest_spectra.linalg as linalg
+
+    def never(a):
+        raise AssertionError("a symmetric matrix reached the full-square kernel")
+
+    monkeypatch.setattr(linalg, "_bareiss", never)
+    m = ExactMatrix.from_rows([[0, Fraction(1, 2), 3], [Fraction(1, 2), 0, -1], [3, -1, 0]])
+    assert exact_determinant(m) == cofactor_determinant(m.rows)
+    with pytest.raises(AssertionError):
+        exact_determinant(ExactMatrix.from_rows([[0, 1], [2, 0]]))
 
 
 def _k5_hessian_and_spectrum():

@@ -29,8 +29,9 @@ from forest_spectra import (
 )
 from forest_spectra.errors import StructureViolation, VerificationFailure
 from forest_spectra.forests import _forests_by_size
+from forest_spectra.linalg import _symmetric_bareiss
 
-from conftest import brute_forests, cofactor_determinant, product_form_certificate
+from conftest import brute_forests, cofactor_determinant, load_perfbench, product_form_certificate
 
 
 def spectrum_of(pairs):
@@ -328,6 +329,27 @@ def test_determinant_equals_eigenvalue_product():
         spectrum = closed_form_spectrum(structured_params(h, g))
         assert verify_spectrum(h, spectrum)
         assert exact_determinant(h) == spectrum_determinant(spectrum)
+
+
+def _ladder_graph(argv):
+    if argv[1] == "--complete":
+        return complete_graph(int(argv[2])), int(argv[4])
+    return complete_bipartite_graph(int(argv[2]), int(argv[3])), int(argv[5])
+
+
+SPECTRUM_LADDER = load_perfbench("workloads").instances("spectrum-ladder", 0)
+
+
+@pytest.mark.parametrize("inst", SPECTRUM_LADDER, ids=lambda inst: inst.key)
+def test_inertia_decides_the_sign_profile_on_the_ladder(inst):
+    # the pivot signs of the symmetric kernel against the closed form's
+    # sign profile: the one-positive-eigenvalue claim by a second route
+    g, k = _ladder_graph(inst.argv)
+    h = tilde_hessian(g, k)
+    inertia = _symmetric_bareiss([list(row[i:]) for i, row in enumerate(h._num)])[1]
+    assert inertia == tuple(sign_profile(closed_form_spectrum(structured_params(h, g))))
+    if theorem_range(g, k):
+        assert inertia == (1, 0, h.nrows - 1)
 
 
 def test_full_pipeline_small_range():
