@@ -4,23 +4,27 @@ Exit codes: 0 for verified/computed runs, 1 when a theorem check fails,
 2 for invalid input (including unknown flags, which argparse reports on
 stderr with usage text).  Reports are deterministic: orderings are
 canonical everywhere, and the only wall-clock content is the timing
-field.  Every report value goes through ``_render``, the one place a
-rational becomes its exact string ("-142/3"), and the fields of a result
-object are read off it by ``_pick``.  The report is written by ``_dumps``,
-whose output equals ``json.dumps(report, indent=2, sort_keys=True)`` byte
-for byte without going through ``json``'s pure-Python indent encoder.
+field.  The fields of a result object are read off it by ``_pick``, and
+the report is written by ``_dumps``, the one place a rational becomes its
+exact string ("-142/3"): its output equals ``json.dumps(report, indent=2,
+sort_keys=True, default=str)`` byte for byte, without going through
+``json``'s pure-Python indent encoder.  A reader that closes stdout early,
+as ``| head`` does, gets the report's prefix, and the exit code is the
+verdict's.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Sequence
+from math import comb
+from typing import Iterable, Iterator, Sequence
 
 from .bijections import (
     bijection_forestbij,
@@ -32,12 +36,15 @@ from .bijections import (
 )
 from .errors import StructureViolation, VerificationFailure
 from .forests import (
+    MAX_FRONTIER_WORK,
     _forest_masks,
     _forests_by_size,
     _mask_bits,
     _require_k,
+    _split_family_size,
     count_forests_constrained,
     edge_pair_counts,
+    pq_decomposition,
     theorem_range,
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
@@ -57,31 +64,22 @@ from .spectra import (
 )
 
 
-def _render(value):
-    """A report value: a ``Fraction`` as its exact string, a tuple as a list,
-    recursively; any other value, an int, bool or str, as it is."""
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, tuple):
-        return [_render(x) for x in value]
-    return value
-
-
 def _pick(obj, *names: str) -> dict:
-    """``{name: rendered value}`` for the named attributes of ``obj``,
-    leaving out a ``None``; a name ``obj`` lacks raises AttributeError."""
-    return {name: _render(value) for name in names if (value := getattr(obj, name)) is not None}
+    """``{name: value}`` for the named attributes of ``obj``, leaving out a
+    ``None``; a name ``obj`` lacks raises AttributeError."""
+    return {name: value for name in names if (value := getattr(obj, name)) is not None}
 
 
 def _dumps(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True)``, byte for byte, for a
-    report value: strings go through the C escaper that call uses, lists,
-    tuples and str-keyed dicts are joined here, and any other scalar is
+    """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
+    for byte, for a report value: strings, and ``Fraction``s as their exact
+    strings, go through the C escaper that call uses, lists, tuples and
+    str-keyed dicts are joined here, and any other scalar is
     ``json.dumps(value)``, which raises TypeError on what ``json`` cannot
     encode.  A list of strings is joined in one ``map``, and a list of
     non-empty lists of strings (a listing's rows) in one comprehension."""
-    if isinstance(value, str):
-        return _escape(value)
+    if isinstance(value, (str, Fraction)):
+        return _escape(str(value))
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     inner = indent + "  "
@@ -176,7 +174,7 @@ def _record_dict(record) -> dict:
     return {
         **_pick(record, "name", "domain_size", "codomain_size", "verified"),
         "failures": [
-            {**_pick(f, "kind", "detail"), "element": _render(f.element.edge_names())}
+            {**_pick(f, "kind", "detail"), "element": f.element.edge_names()}
             for f in record.failures
         ],
     }
@@ -198,15 +196,15 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     result: dict = {
         "dimension": h.nrows,
         "entry_pattern": _pick(params, "alpha", "beta", "gamma", *delta),
-        "eigenvalues": [{"value": _render(v), "multiplicity": m} for v, m in spectrum.pairs],
+        "eigenvalues": [{"value": v, "multiplicity": m} for v, m in spectrum.pairs],
         "sign_profile": _pick(profile, *profile._fields),
-        "determinant": _render(det),
-        "eigenvalue_product": _render(spectrum_determinant(spectrum)),
+        "determinant": det,
+        "eigenvalue_product": spectrum_determinant(spectrum),
         "spectrum_certified": certified,
         "theorem_range": in_range,
     }
     if args.matrix:
-        result["matrix"] = _render(h.rows)
+        result["matrix"] = h.rows
     checks = [certified, det == spectrum_determinant(spectrum)]
     if in_range:
         counts = edge_pair_counts(g, k)
@@ -237,6 +235,35 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     return verdict, input_, result
 
 
+def _complete_family_members(n: int, k: int) -> Iterator[int]:
+    """The members of ``build_families`` on K_n (n >= 4), in parts: for
+    each size w the C(n-4, w-4) per-subset families, which do not depend
+    on k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and twice
+    ``_split_family_size(w)`` split forests), then p + q in the theorem
+    range; outside it the two anchored families hold at most one forest
+    each and are left out."""
+    for w in range(4, n + 1):
+        yield comb(n - 4, w - 4) * (7 * w ** (w - 4) + 2 * _split_family_size(w))
+    if 0 < k < n - 2:
+        d = pq_decomposition(n, k)
+        yield 7 * d.t + 2 * d.f
+
+
+def _require_family_room(g: Graph, members: Iterable[int]) -> None:
+    """Refuse, before ``build_families``, families whose members, summed
+    from ``members`` until the sum passes the limit, times the edge count
+    (each member is an edge mask the checks walk) exceed MAX_FRONTIER_WORK."""
+    total = 0
+    for part in members:
+        total += part
+        if total * g.edge_count > MAX_FRONTIER_WORK:
+            raise ValueError(
+                f"bijections on {g.name} would build at least {total} family members "
+                f"on {g.edge_count} edges each, {total * g.edge_count:.2e} member-edges, "
+                f"over the limit of {MAX_FRONTIER_WORK:.0e}"
+            )
+
+
 def _cmd_bijections(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     if g.kind != COMPLETE and args.w is not None:
@@ -246,10 +273,13 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
     if g.kind == COMPLETE:
         n = g.left_size
         w = args.w if args.w is not None else n
-        # below n = 4, build_families refuses the graph itself
-        if n >= 4 and not 4 <= w <= n:
-            raise ValueError(f"--w must be between 4 and {n}, got {w}")
         input_["w"] = w
+        # below n = 4, build_families refuses the graph itself
+        if n >= 4:
+            if not 4 <= w <= n:
+                raise ValueError(f"--w must be between 4 and {n}, got {w}")
+            _require_k(g, k)
+            _require_family_room(g, _complete_family_members(n, k))
         fam = build_families(g, k)
         labels = tuple(range(1, w + 1))
         split = next(sf for sf in fam.per_subset if sf.labels == labels)
@@ -270,6 +300,10 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
             "subsets": subset_checks,
         }
         return ("verified" if ok else "failed"), input_, result
+    # outside the theorem range each anchored family holds at most one forest
+    counts = edge_pair_counts(g, k) if theorem_range(g, k) else None
+    if counts is not None:
+        _require_family_room(g, [counts.p + counts.q + counts.r])
     fam = build_families(g, k)
     records = [bijections_pr123(g, k, i, families=fam) for i in (1, 2, 3)]
     records.append(bijection_pr4(g, k, families=fam))
@@ -279,8 +313,7 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
         "bijections": [_record_dict(rec) for rec in records],
     }
     checks = [rec.verified for rec in records]
-    if theorem_range(g, k):
-        counts = edge_pair_counts(g, k)
+    if counts is not None:
         agree = fam.pair_counts() == counts
         result["counts_agree_with_enumeration"] = agree
         checks.append(agree)
@@ -348,9 +381,9 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     degree_one = _degree_one(g, r)
     result = {
         "basis_count": basis_count,
-        "hilbert_function": _render(profile.dims),
+        "hilbert_function": profile.dims,
         "hilbert_symmetric": profile.symmetric,
-        "point": _render(report.point),
+        "point": report.point,
         "hessians": [
             _pick(c, "degree", "dimension", "determinant", "bijective") for c in report.checks
         ],
@@ -464,7 +497,12 @@ def run(argv: Sequence[str]) -> int:
         "verdict": verdict,
         "timing_ms": int(round((time.perf_counter() - start) * 1000)),
     }
-    print(_dumps(report))
+    try:
+        print(_dumps(report), flush=True)
+    except BrokenPipeError:
+        # the reader closed stdout (as `| head` does): point it at devnull, so
+        # that the flush at shutdown neither fails nor prints a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if verdict in ("verified", "computed") else 1
 
 

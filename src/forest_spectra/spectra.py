@@ -114,19 +114,6 @@ class SignPredictions:
         return all(q.satisfied for q in self.quantities)
 
 
-def _merge(pairs: list[tuple[Fraction, int]]) -> Spectrum:
-    order: list[Fraction] = []
-    mult: dict[Fraction, int] = {}
-    for value, m in pairs:
-        if m <= 0:
-            continue
-        if value not in mult:
-            order.append(value)
-            mult[value] = 0
-        mult[value] += m
-    return Spectrum(tuple((v, mult[v]) for v in order))
-
-
 def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     """Hessian of the k-forest generating function at all-ones.
 
@@ -220,38 +207,45 @@ def _require_closed_form(g: Graph, who: str) -> None:
         raise ValueError(f"{who} on {g.name}: the degree-one spectrum needs {need}")
 
 
-def closed_form_spectrum(params: StructuredParams) -> Spectrum:
-    """The exact spectrum of a structured edge-pair matrix.
-
-    Coincident eigenvalues are merged with summed multiplicities, and
-    multiplicity-zero entries (possible at the smallest sizes) are dropped.
-    """
+def _eigenvalues(params: StructuredParams) -> list[tuple[Fraction, int]]:
+    """The closed-form eigenvalues of a structured edge-pair matrix with
+    their multiplicities, unmerged, the top eigenvalue first: the one list
+    of the formulas, which ``predicted_signs`` evaluates at the counts."""
     if isinstance(params, CompleteParams):
         n = params.n
         need = _closed_form_need((n,))
         if need:
             raise ValueError(f"closed form needs {need}, got n={n}")
         a, b, c = params.alpha, params.beta, params.gamma
-        return _merge(
-            [
-                (a + (2 * n - 4) * b + Fraction((n - 2) * (n - 3), 2) * c, 1),
-                (a - 2 * b + c, n * (n - 1) // 2 - n),
-                (a + (n - 4) * b - (n - 3) * c, n - 1),
-            ]
-        )
+        return [
+            (a + (2 * n - 4) * b + Fraction((n - 2) * (n - 3), 2) * c, 1),
+            (a - 2 * b + c, n * (n - 1) // 2 - n),
+            (a + (n - 4) * b - (n - 3) * c, n - 1),
+        ]
     m, n = params.m, params.n
     need = _closed_form_need((m, n))
     if need:
         raise ValueError(f"closed form needs {need}, got ({m}, {n})")
     a, b, c, d = params.alpha, params.beta, params.gamma, params.delta
-    return _merge(
-        [
-            (a + (n - 1) * b + (m - 1) * c + (m - 1) * (n - 1) * d, 1),
-            (a + (n - 1) * b - c - (n - 1) * d, m - 1),
-            (a - b + (m - 1) * c - (m - 1) * d, n - 1),
-            (a - b - c + d, (m - 1) * (n - 1)),
-        ]
-    )
+    return [
+        (a + (n - 1) * b + (m - 1) * c + (m - 1) * (n - 1) * d, 1),
+        (a + (n - 1) * b - c - (n - 1) * d, m - 1),
+        (a - b + (m - 1) * c - (m - 1) * d, n - 1),
+        (a - b - c + d, (m - 1) * (n - 1)),
+    ]
+
+
+def closed_form_spectrum(params: StructuredParams) -> Spectrum:
+    """The exact spectrum of a structured edge-pair matrix.
+
+    Coincident eigenvalues are merged with summed multiplicities, and
+    multiplicity-zero entries (possible at the smallest sizes) are dropped.
+    """
+    mult: dict[Fraction, int] = {}
+    for value, m in _eigenvalues(params):
+        if m > 0:
+            mult[value] = mult.get(value, 0) + m
+    return Spectrum(tuple(mult.items()))
 
 
 def _times(power: Sequence[Sequence[int]], a: Sequence[Sequence[int]]) -> list[list[int]]:
@@ -344,7 +338,9 @@ def predicted_signs(counts: PairCounts, sizes: int | tuple[int, int]) -> SignPre
     negative, and therefore the non-top eigenvalues
     (p-r)n + (-p-q+r) and (q-r)m + (-p-q+r) are negative.  Strictness of
     p < r and q < r fails at small sizes (see the family inequality
-    report); the weak form is what the spectrum argument consumes.
+    report); the weak form is what the spectrum argument consumes.  The
+    eigenvalues are read off ``_eigenvalues``, the formulas of
+    ``closed_form_spectrum``, at alpha = 0, beta = p, gamma = q, delta = r.
 
     All quantities are returned exactly; a violated sign raises
     VerificationFailure since each is guaranteed in the valid range.
@@ -357,38 +353,30 @@ def predicted_signs(counts: PairCounts, sizes: int | tuple[int, int]) -> SignPre
         if n < 4:
             raise ValueError(f"need n >= 4, got {n}")
         p, q = f(counts.p), f(counts.q)
+        top, wedge, star = (v for v, _m in _eigenvalues(CompleteParams(f(0), p, q, n)))
         quantities = (
             SignedQuantity("p", p, ">0"),
             SignedQuantity("q", q, ">0"),
-            SignedQuantity(
-                "(2n-4)p + (n-2)(n-3)/2 q",
-                (2 * n - 4) * p + f((n - 2) * (n - 3), 2) * q,
-                ">0",
-            ),
-            SignedQuantity("-2p+q", -2 * p + q, "<0"),
-            SignedQuantity("(n-4)p-(n-3)q", (n - 4) * p - (n - 3) * q, "<0"),
+            SignedQuantity("(2n-4)p + (n-2)(n-3)/2 q", top, ">0"),
+            SignedQuantity("-2p+q", wedge, "<0"),
+            SignedQuantity("(n-4)p-(n-3)q", star, "<0"),
         )
     else:
         if isinstance(sizes, int):
             raise ValueError("bipartite-case counts need sizes (m, n)")
         m, n = sizes
-        if m < 2 or n < 2:
-            raise ValueError(f"need m, n >= 2, got ({m}, {n})")
         p, q, r = f(counts.p), f(counts.q), f(counts.r)
+        top, left, right, rest = (v for v, _m in _eigenvalues(BipartiteParams(f(0), p, q, r, m, n)))
         quantities = (
             SignedQuantity("p", p, ">0"),
             SignedQuantity("q", q, ">0"),
             SignedQuantity("r", r, ">0"),
-            SignedQuantity(
-                "(n-1)p+(m-1)q+(m-1)(n-1)r",
-                (n - 1) * p + (m - 1) * q + (m - 1) * (n - 1) * r,
-                ">0",
-            ),
+            SignedQuantity("(n-1)p+(m-1)q+(m-1)(n-1)r", top, ">0"),
             SignedQuantity("p-r", p - r, "<=0"),
             SignedQuantity("q-r", q - r, "<=0"),
-            SignedQuantity("-p-q+r", -p - q + r, "<0"),
-            SignedQuantity("(n-1)p-q-(n-1)r", (p - r) * n + (-p - q + r), "<0"),
-            SignedQuantity("-p+(m-1)q-(m-1)r", (q - r) * m + (-p - q + r), "<0"),
+            SignedQuantity("-p-q+r", rest, "<0"),
+            SignedQuantity("(n-1)p-q-(n-1)r", left, "<0"),
+            SignedQuantity("-p+(m-1)q-(m-1)r", right, "<0"),
         )
     predictions = SignPredictions(quantities)
     if not predictions.all_satisfied:

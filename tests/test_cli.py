@@ -680,9 +680,35 @@ def test_dumps_equals_the_json_indent_encoder(value):
 
 
 def test_dumps_raises_on_what_json_cannot_encode():
-    for value in ([Fraction(1, 2)], {"a": {1, 2}}, [["a"], [object()]]):
+    assert _dumps([Fraction(1, 2)]) == '[\n  "1/2"\n]'
+    for value in ({"a": {1, 2}}, [["a"], [object()]]):
         with pytest.raises(TypeError):
             _dumps(value)
+
+
+# report values as the commands build them: the same shapes, with exact
+# rationals at the leaves, alone, in tuples (a point, a matrix row) and in
+# tuples of tuples (a matrix)
+_fractions = st.fractions(max_denominator=10**6)
+_rational_report_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text() | _fractions,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    | st.lists(st.lists(_fractions, max_size=3).map(tuple), max_size=3).map(tuple),
+    max_leaves=20,
+)
+
+
+@given(_rational_report_values)
+@example(Fraction(-142, 3))
+@example([Fraction(0), Fraction(5), Fraction(-1, 2)])
+@example(((Fraction(1), Fraction(2, 3)), (Fraction(2, 3), Fraction(-7))))
+@example({"point": (Fraction(1, 5),), "dims": (1, 6, 6, 1), "x": [[Fraction(1)], ["a"]]})
+def test_dumps_writes_rationals_as_json_default_str(value):
+    # the one place a Fraction becomes text: its exact string, as json's
+    # default=str would write it
+    assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, default=str)
 
 
 @pytest.mark.parametrize(
@@ -720,3 +746,120 @@ def test_slp_reports_past_the_ladders_are_pinned(argv, capsys):
     facts = _pinned(argv, capsys)
     assert facts["exit_code"] == 0
     assert facts["verdict"] == ("verified" if "--point" not in argv else "computed")
+
+
+def test_a_closed_stdout_ends_quietly_with_the_verdicts_exit_code():
+    # `| head -c 100` reads 100 bytes and closes the pipe: the report's
+    # prefix arrives, and neither a traceback nor Python's shutdown flush
+    # writes to stderr
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "forest_spectra.cli", "enumerate", "--complete", "7", "--k", "1"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert err == b""
+    assert head.startswith(b'{\n  "command": "enumerate",')
+
+
+@pytest.mark.parametrize(
+    "graph,members,edges",
+    [
+        (["--complete", "10", "--k", "3"], 3347133, 45),
+        (["--bipartite", "6", "6", "--k", "1"], 14556672, 36),
+    ],
+)
+def test_bijections_refuses_families_over_the_limit_before_the_build(
+    capsys, monkeypatch, graph, members, edges
+):
+    # the members are counted in closed form on K_n and by the pair counts
+    # the report makes on K_{m,n}, before any family is searched
+    from forest_spectra import forests
+
+    def never(*args, **kwargs):
+        raise AssertionError("the refused families reached the forest search")
+
+    patch_everywhere(monkeypatch, forests, "_forest_masks", never)
+    start = time.perf_counter()
+    assert run(["bijections", *graph]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert not captured.out
+    name = "K_10" if graph[0] == "--complete" else "K_{6,6}"
+    assert captured.err.strip() == (
+        f"error: bijections on {name} would build at least {members} family members "
+        f"on {edges} edges each, {members * edges:.2e} member-edges, over the limit of 1e+08"
+    )
+
+
+def _family_members(g, k):
+    """The members bijections counts before building the families of (g, k)."""
+    from forest_spectra import cli
+    from forest_spectra.forests import edge_pair_counts, theorem_range
+    from forest_spectra.graphs import COMPLETE
+
+    if g.kind == COMPLETE:
+        return sum(cli._complete_family_members(g.left_size, k))
+    if not theorem_range(g, k):
+        return 0
+    counts = edge_pair_counts(g, k)
+    return counts.p + counts.q + counts.r
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_complete_family_members_are_counted_exactly(n):
+    # every per-subset family and, in the theorem range, both anchored
+    # families are counted exactly; outside it the anchored families, of at
+    # most one forest each, are left out
+    from forest_spectra import build_families, complete_graph, theorem_range
+
+    g = complete_graph(n)
+    for k in range(1, n + 1):
+        fam = build_families(g, k)
+        sizes = ("trees_wedge", "trees_matching", "split_wedge", "split_matching")
+        per_subset = sum(len(getattr(sf, name)) for sf in fam.per_subset for name in sizes)
+        anchored = len(fam.with_wedge) + len(fam.with_matching)
+        estimate = _family_members(g, k)
+        if theorem_range(g, k):
+            assert estimate == per_subset + anchored
+        else:
+            assert estimate == per_subset and anchored <= 2
+
+
+def test_the_largest_families_bijections_builds_pass_the_limit():
+    from forest_spectra import complete_bipartite_graph, complete_graph
+    from forest_spectra.forests import MAX_FRONTIER_WORK
+
+    k9, k56 = complete_graph(9), complete_bipartite_graph(5, 6)
+    assert _family_members(k9, 1) == 1_074_168
+    assert _family_members(k56, 1) == 1_161_000
+    assert _family_members(k9, 1) * k9.edge_count <= MAX_FRONTIER_WORK
+    assert _family_members(k56, 1) * k56.edge_count <= MAX_FRONTIER_WORK
+
+
+def test_no_ladder_bijections_instance_is_refused(monkeypatch):
+    # every one reaches the build, which is stopped there
+    from forest_spectra import cli
+
+    class Built(Exception):
+        pass
+
+    def stop(*args):
+        raise Built
+
+    monkeypatch.setattr(cli, "build_families", stop)
+    workloads = load_perfbench("workloads")
+    argvs = {
+        inst.argv
+        for name in workloads.WHY
+        for inst in workloads.instances(name, 1)
+        if inst.argv[0] == "bijections"
+    }
+    assert argvs
+    for argv in argvs:
+        with pytest.raises(Built):
+            run(list(argv))

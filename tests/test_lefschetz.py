@@ -1,9 +1,10 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 from operator import add
 
+import networkx
 import pytest
 import sympy
 from hypothesis import given, settings, strategies as st
@@ -591,6 +592,12 @@ def positive_eigenvalue_count(matrix):
     return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
+def kernel_inertia(matrix):
+    """(n+, n0, n-) of a symmetric ExactMatrix from the symmetric kernel, on
+    its integer rows over their positive common denominator."""
+    return _symmetric_bareiss([list(row[i:]) for i, row in enumerate(matrix._num)])[1]
+
+
 @settings(max_examples=60)
 @given(st.integers(0, len(LORENTZIAN_CASES) - 1), st.data())
 def test_degree_one_hessian_has_one_positive_eigenvalue_at_positive_points(i, data):
@@ -600,4 +607,38 @@ def test_degree_one_hessian_has_one_positive_eigenvalue_at_positive_points(i, da
     point = {v: data.draw(positive_rationals) for v in phi.variables}
     h = higher_hessian(phi, 1, point)
     assert h.symmetric and h.nrows == len(phi.variables)
-    assert positive_eigenvalue_count(h) == 1
+    assert kernel_inertia(h)[0] == 1
+    if h.nrows <= 6:  # K_4 and K_{2,3}: sympy's characteristic polynomial agrees
+        assert positive_eigenvalue_count(h) == 1
+
+
+@st.composite
+def graphic_truncations(draw):
+    """A connected networkx graph on 3..6 vertices with at most 10 edges (a
+    random tree plus extra edges), a truncation rank 2..V-1 and a positive
+    rational point on the edges."""
+    nv = draw(st.integers(3, 6))
+    tree = [(draw(st.integers(0, v - 1)), v) for v in range(1, nv)]
+    others = [e for e in combinations(range(nv), 2) if e not in tree]
+    extra = draw(st.lists(st.sampled_from(others), max_size=10 - len(tree), unique=True))
+    graph = networkx.Graph(tree + extra)
+    r = draw(st.integers(2, nv - 1))
+    point = {tuple(sorted(e)): draw(positive_rationals) for e in graph.edges}
+    return graph, r, point
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphic_truncations())
+def test_truncated_graphic_matroids_are_lorentzian_off_complete_graphs(case):
+    # Branden-Huh: every matroid's basis polynomial is Lorentzian, so the
+    # Hessian at a positive point has exactly one positive eigenvalue on any
+    # graph, not only on K_n and K_{m,n}; a counterexample is a bug
+    graph, r, point = case
+    trees = [
+        frozenset(map(tuple, map(sorted, t.edges))) for t in networkx.SpanningTreeIterator(graph)
+    ]
+    phi = basis_generating_polynomial(truncate(Matroid(tuple(point), trees), r))
+    assert phi.homogeneous_degree() == r
+    h = hessian_matrix(phi, point)
+    assert h.symmetric and h.nrows == graph.number_of_edges()
+    assert kernel_inertia(h)[0] == 1
