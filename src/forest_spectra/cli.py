@@ -34,20 +34,21 @@ from .bijections import (
     build_families,
     verify_count_inequalities,
 )
-from .errors import StructureViolation, VerificationFailure
+from .errors import StructureViolation, VerificationFailure, WalkTooLarge
 from .forests import (
     MAX_FRONTIER_WORK,
     _forest_masks,
+    _forest_rows,
+    _forest_table_work,
     _forests_by_size,
     _mask_bits,
     _require_k,
     _split_family_size,
-    count_forests_constrained,
     edge_pair_counts,
     pq_decomposition,
     theorem_range,
 )
-from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
+from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name, graph_name
 from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .linalg import exact_determinant
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
@@ -166,6 +167,19 @@ def _graph_from(args: argparse.Namespace) -> Graph:
     return complete_bipartite_graph(m, n)
 
 
+def _graph_name(args: argparse.Namespace) -> str:
+    """The name of the graph ``_graph_from`` builds from valid arguments."""
+    return graph_name(args.complete) if args.complete is not None else graph_name(*args.bipartite)
+
+
+def _complete_size(args: argparse.Namespace) -> int:
+    """N of ``--complete N``, refused as ``_graph_from`` refuses it, with
+    K_N not built."""
+    if args.complete is None or args.complete < 1:
+        _graph_from(args)  # raises: no graph chosen, or one with no vertex
+    return args.complete
+
+
 def _sizes(g: Graph) -> int | tuple[int, int]:
     return g.left_size if g.kind == COMPLETE else (g.left_size, g.right_size)
 
@@ -183,7 +197,7 @@ def _record_dict(record) -> dict:
 def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
-    _require_k(g, k)
+    _require_k(g.vertex_count, k)
     _require_closed_form(g, "spectrum")
     h = tilde_hessian(g, k)
     params = structured_params(h, g)
@@ -278,7 +292,7 @@ def _cmd_bijections(args) -> tuple[str, dict, dict]:
         if n >= 4:
             if not 4 <= w <= n:
                 raise ValueError(f"--w must be between 4 and {n}, got {w}")
-            _require_k(g, k)
+            _require_k(g.vertex_count, k)
             _require_family_room(g, _complete_family_members(n, k))
         fam = build_families(g, k)
         labels = tuple(range(1, w + 1))
@@ -354,9 +368,16 @@ def _parse_rational(text: str) -> Fraction:
         if n + e > limit or -e - n >= limit:
             raise ValueError(too_long)
     value = Fraction(text)
-    if max(abs(value.numerator), value.denominator) >= 10**limit:
+    if not _printable(max(abs(value.numerator), value.denominator)):
         raise ValueError(too_long)
     return value
+
+
+def _printable(count: int) -> bool:
+    """Whether Python writes the integer ``count`` >= 0 in decimal: not past
+    ``sys.get_int_max_str_digits()`` digits, unless that is 0."""
+    limit = sys.get_int_max_str_digits()
+    return not limit or count < 10**limit
 
 
 def _parse_point(raw: str, count: int) -> list[Fraction]:
@@ -410,23 +431,49 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
 MAX_LISTED_FORESTS = 1_000_000
 
 
-def _require_listable(g: Graph, k: int, what: str) -> None:
-    """Refuse, before any search, to list the k-component forests of K_n
-    when there are more than MAX_LISTED_FORESTS of them."""
-    count = _forests_by_size(g.left_size, k)
-    if count > MAX_LISTED_FORESTS:
+def _require_table_room(command: str, n: int, k: int) -> None:
+    """Refuse, from n and k alone, a closed-form count of the k-component
+    forests of K_n whose table is estimated past MAX_FRONTIER_WORK."""
+    work = _forest_table_work(n, k)
+    if work > MAX_FRONTIER_WORK:
         raise ValueError(
-            f"{g.name} has {count} {k}-component forests, more than the "
-            f"{MAX_LISTED_FORESTS} {what}"
+            f"{command} on {graph_name(n)}: the closed form's table for its {k}-component "
+            f"forests is estimated at {work:.2e} integer operations, over the limit of "
+            f"{MAX_FRONTIER_WORK:.0e}"
         )
 
 
+def _require_listable(command: str, n: int, k: int, what: str) -> None:
+    """Refuse, before K_n is built, to list its k-component forests when
+    there are more than MAX_LISTED_FORESTS of them.  The closed form's table
+    stops at its first row past the cap, since no entry exceeds the count;
+    the message names the count when that row is the last and Python
+    writes it, and the cap by name otherwise."""
+    _require_table_room(command, n, k)
+    for j, row in enumerate(_forest_rows(n, k), 1):
+        if row[-1] > MAX_LISTED_FORESTS:
+            break
+    else:
+        return
+    name = graph_name(n)
+    if j == k and _printable(row[-1]):
+        raise ValueError(
+            f"{name} has {row[-1]} {k}-component forests, more than the "
+            f"{MAX_LISTED_FORESTS} {what}"
+        )
+    raise ValueError(
+        f"{name} has more {k}-component forests than the "
+        f"MAX_LISTED_FORESTS = {MAX_LISTED_FORESTS} {what}"
+    )
+
+
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
-    g = _graph_from(args)
+    n = _complete_size(args)
     r = args.r
-    _require_a_valid_rank(g, "matroid", 1)
-    _require_truncation_rank(r, g.vertex_count - 1)
-    _require_listable(g, 1, "matroid may list: it truncates every spanning tree")
+    _require_a_valid_rank(graph_name(n), n, "matroid", 1)
+    _require_truncation_rank(r, n - 1)
+    _require_listable("matroid", n, 1, "matroid may list: it truncates every spanning tree")
+    g = _graph_from(args)
     # the spanning trees' r-subsets against an independent r-edge forest search
     bases = _truncated(_forest_masks(g, 1), r)
     bases_match = bases == set(_forest_masks(g, g.vertex_count - r))
@@ -446,22 +493,33 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
 
 
 def _cmd_enumerate(args) -> tuple[str, dict, dict]:
-    g = _graph_from(args)
+    # enumerate takes only --complete, so the closed form gives every count,
+    # and the checks before K_n is built need only n and k
+    n = _complete_size(args)
     k = args.k
-    input_ = {"graph": g.name, "k": k, "count_only": bool(args.count_only)}
+    name = graph_name(n)
+    input_ = {"graph": name, "k": k, "count_only": bool(args.count_only)}
+    _require_k(n, k)
     if args.count_only:
-        result = {"count": count_forests_constrained(g, k)}
-    else:
-        # enumerate takes only --complete, so the closed form gives the size
-        _require_listable(g, k, "a listing may hold; use --count-only to count them")
-        # g.edges is sorted, so ascending edge indices list a forest's edge
-        # names in the order Forest.edge_names gives
-        names = [edge_name(e) for e in g.edges]
-        masks = _forest_masks(g, k)
-        result = {
-            "count": len(masks),
-            "forests": [[names[i] for i in _mask_bits(mask)] for mask in masks],
-        }
+        _require_table_room("enumerate", n, k)
+        count = _forests_by_size(n, k)
+        if not _printable(count):
+            raise ValueError(
+                f"enumerate on {name}: the count of its {k}-component forests has "
+                f"more digits than the {sys.get_int_max_str_digits()} Python writes "
+                f"(sys.get_int_max_str_digits())"
+            )
+        return "computed", input_, {"count": count}
+    _require_listable("enumerate", n, k, "enumerate may list; use --count-only to count them")
+    g = _graph_from(args)
+    # g.edges is sorted, so ascending edge indices list a forest's edge
+    # names in the order Forest.edge_names gives
+    names = [edge_name(e) for e in g.edges]
+    masks = _forest_masks(g, k)
+    result = {
+        "count": len(masks),
+        "forests": [[names[i] for i in _mask_bits(mask)] for mask in masks],
+    }
     return "computed", input_, result
 
 
@@ -487,6 +545,10 @@ def run(argv: Sequence[str]) -> int:
     # a StructureViolation is a ValueError, but a failed check, not bad input
     except (StructureViolation, VerificationFailure) as err:
         verdict, input_, result = "failed", {}, {"error": str(err)}
+    # a walk knows its arcs, not the command or graph it counts for
+    except WalkTooLarge as err:
+        print(f"error: {args.command} on {_graph_name(args)}: {err}", file=sys.stderr)
+        return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -5,6 +5,11 @@ class InsufficientVertices(ValueError):
     """The graph is too small to carry the requested anchor edges."""
 
 
+class WalkTooLarge(ValueError):
+    """A frontier walk's estimated work passes MAX_FRONTIER_WORK; raised
+    before the walk takes its first step."""
+
+
 class StructureViolation(ValueError):
     """A matrix failed the entry-uniformity pattern it was expected to have.
 

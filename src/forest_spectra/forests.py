@@ -10,7 +10,9 @@ connectivity states of the vertices still in play, with no forest ever
 built and an input refused up front when its estimated work is too large.
 Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
-pair packed into each state's integers.  Enumeration is the search:
+pair packed into each state's integers.  The k-forests of K_n itself are
+counted with no walk, by a table over Cayley's tree counts
+(:func:`_forests_by_size`).  Enumeration is the search:
 recursive edge inclusion with union-find cycle rejection, pruned by
 remaining-edge feasibility.  The search lists forests as ``int`` edge
 masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
@@ -28,10 +30,10 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import add
-from typing import Iterable, Sequence
+from operator import add, mul
+from typing import Iterable, Iterator, Sequence
 
-from .errors import InsufficientVertices
+from .errors import InsufficientVertices, WalkTooLarge
 from .graphs import (
     COMPLETE,
     Edge,
@@ -357,8 +359,8 @@ def _frontier_schedule(
         work += per_state * min(1 << i + 1, _bell(width))
         if work > MAX_FRONTIER_WORK:
             size = f" of up to {bits} bits" if bits else ""
-            raise ValueError(
-                f"a frontier walk over {len(ends)} edges (frontier width {width} by edge "
+            raise WalkTooLarge(
+                f"a frontier walk over {len(ends)} arcs (frontier width {width} by arc "
                 f"{i + 1}, {ints} integers{size} per state) is estimated at more than "
                 f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
             )
@@ -535,9 +537,9 @@ def _collect_from(
         i += 1
 
 
-def _require_k(g: Graph, k: int) -> None:
-    if not isinstance(k, int) or not 1 <= k <= g.vertex_count:
-        raise ValueError(f"component count k={k} out of range 1..{g.vertex_count}")
+def _require_k(vertices: int, k: int) -> None:
+    if not isinstance(k, int) or not 1 <= k <= vertices:
+        raise ValueError(f"component count k={k} out of range 1..{vertices}")
 
 
 def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]):
@@ -547,7 +549,7 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
     in canonical order, and the edge mask of the required edges.  None when
     no forest qualifies: the required edges close a cycle or leave fewer
     than k components."""
-    _require_k(g, k)
+    _require_k(g.vertex_count, k)
     req = list(dict.fromkeys(required))
     forb = set(forbidden)
     overlap = set(req) & forb
@@ -700,23 +702,78 @@ def moon_tree_counts(w: int) -> tuple[int, int]:
     return 3 * scale, 4 * scale
 
 
+def _cayley(s: int) -> int:
+    """Cayley's s^(s-2) labelled trees on s vertices (one for s <= 2)."""
+    return s ** (s - 2) if s > 2 else 1
+
+
+def _forest_rows(n: int, k: int) -> Iterator[list[int]]:
+    """The rows of the table behind ``_forests_by_size(n, k)``, 1 <= k <= n.
+
+    F(m, j), the number of j-component forests of K_m, sums over the size
+    s = t + 1 of the tree through vertex 1: C(m-1, t) choices of its other
+    vertices, Cayley's T(s) trees on them, and F(m-s, j-1) forests on the
+    rest.  Row j holds F(m, j) for m = j..j+n-k, and row k holds F(n, k)
+    alone; one tree (k = 1) or no edge (k = n) is one row.  Each entry is
+    a term, with a coefficient of at least one, of an entry of the next
+    row, so no entry exceeds F(n, k), and a row past a bound shows that
+    F(n, k) is past it too.  Within a row the binomials C(m-1, t) come
+    from the entry before by Pascal's rule.
+    """
+    width = n - k + 1
+    if k == 1 or width == 1:
+        yield [_cayley(n) if k == 1 else 1]
+        return
+    cayley = [_cayley(s) for s in range(1, width + 1)]
+    row = cayley
+    last = width - 1
+    for j in range(2, k):
+        yield row
+        back = row[::-1]
+        binom: list[int] = []
+        nxt = []
+        for i in range(width):  # m = j + i
+            binom = list(map(add, binom + [comb(j + i - 2, i)], [0] + binom)) if i else [1]
+            nxt.append(sum(map(mul, map(mul, binom, cayley), back[last - i:])))
+        row = nxt
+    yield row
+    binom = [comb(n - 1, t) for t in range(width)]
+    yield [sum(map(mul, map(mul, binom, cayley), reversed(row)))]
+
+
+def _forest_table_work(n: int, k: int) -> int:
+    """Estimated cost of :func:`_forest_rows` in the units of
+    MAX_FRONTIER_WORK: 20 per entry of the k - 2 middle rows (the Python
+    steps of one sum), and 2 + (bits / 2^10)^2 per product of operands of
+    up to ``bits`` bits, where entry i of a row sums i + 1 products, the
+    last entry a row's width, and each Cayley power takes about log2(n)
+    squarings.  No operand exceeds F(n, k), which is below C(n,2)^(n-k)
+    and at most n^(n-2) C(n-1, k-1) (a k-forest is a spanning tree less
+    k - 1 of its edges).
+    """
+    width = n - k + 1
+    b = n.bit_length()
+    bits = min((width - 1) * (2 * b - 1), (n - 2) * b + n)
+    per_product = 2 + (bits >> 10) ** 2
+    if k == 1 or width == 1:  # one Cayley power, or none
+        return b * per_product
+    entries = (k - 2) * width
+    products = entries * (width + 1) // 2 + (1 + b) * width
+    return 20 * entries + products * per_product
+
+
 @lru_cache(maxsize=None)
 def _forests_by_size(n: int, k: int) -> int:
-    """Number of spanning forests of K_n with k components; defined as 1 for
-    the empty vertex set with k = 0 (the boundary the subset sums need).
-
-    The tree through vertex 1 has s vertices: C(n-1, s-1) choices of the
-    others, Cayley's s^(s-2) trees on them (one for s <= 2), and a forest
-    with k - 1 components on the rest.
-    """
+    """Number of spanning forests of K_n with k components, from the table
+    of :func:`_forest_rows`; defined as 1 for the empty vertex set with
+    k = 0 (the boundary the subset sums need)."""
     if n == 0:
         return 1 if k == 0 else 0
     if k < 1 or k > n:
         return 0
-    return sum(
-        comb(n - 1, s - 1) * (s ** (s - 2) if s > 2 else 1) * _forests_by_size(n - s, k - 1)
-        for s in range(1, n - k + 2)
-    )
+    for row in _forest_rows(n, k):
+        pass
+    return row[0]
 
 
 def _split_family_size(w: int) -> int:
@@ -729,7 +786,7 @@ def _split_family_size(w: int) -> int:
     """
     return sum(
         comb(w - 4, s - 3) * (3 * s ** (s - 4) if s > 3 else 1)
-        * ((w - s) ** (w - s - 2) if w - s > 1 else 1)
+        * _cayley(w - s)
         for s in range(3, w)
     )
 

@@ -98,9 +98,12 @@ class Graph:
 
     @property
     def name(self) -> str:
-        if self.kind == COMPLETE:
-            return f"K_{self.left_size}"
-        return f"K_{{{self.left_size},{self.right_size}}}"
+        return graph_name(self.left_size, self.right_size)
+
+
+def graph_name(left: int, right: int = 0) -> str:
+    """K_n, or K_{m,n} for parts of m and n vertices (0 marks K_n)."""
+    return f"K_{{{left},{right}}}" if right else f"K_{left}"
 
 
 def complete_graph(n: int) -> Graph:

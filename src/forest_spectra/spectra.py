@@ -124,7 +124,7 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     forest and no polynomial built; an input too large for that walk
     raises ValueError before it starts.
     """
-    _require_k(g, k)
+    _require_k(g.vertex_count, k)
     # a k-forest has n - k edges; the walk fills the lower triangle with its
     # pair counts, and adding the transpose mirrors it
     lower = _pair_counts_by_frontier(_edge_ends(g), g.vertex_count - k)
@@ -138,7 +138,7 @@ def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
     Diagonal entries are zero because the generating function is square
     free.  This route never touches the polynomial.
     """
-    _require_k(g, k)
+    _require_k(g.vertex_count, k)
     m = g.edge_count
     rows = [[0] * m for _ in range(m)]
     for i in range(m):

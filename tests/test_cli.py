@@ -3,6 +3,8 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
@@ -264,9 +266,9 @@ def test_matroid_cap_refuses_no_ladder_graph():
     "argv",
     [
         ["spectrum", "--complete", "13", "--k", "1"],
-        ["enumerate", "--complete", "30", "--k", "1", "--count-only"],
+        ["bijections", "--bipartite", "30", "30", "--k", "1"],
     ],
-    ids=["spectrum K_13", "count K_30"],
+    ids=["spectrum K_13", "bijections K_30,30"],
 )
 def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
     # the walk's own guard runs, but a walk that passed it would fail here
@@ -286,6 +288,106 @@ def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
     assert elapsed < 1.0
     assert "is estimated at more than" in captured.err and "integer operations" in captured.err
     assert f"over the limit of {forests.MAX_FRONTIER_WORK:.0e}" in captured.err
+
+
+def test_a_refused_walk_names_the_command_and_the_graph(capsys):
+    # the walk counts the 869 arcs left when the anchored pair is contracted
+    # (K_{30,30} has 900 edges); the command and the graph come from the CLI
+    assert run(["bijections", "--bipartite", "30", "30", "--k", "1"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: bijections on K_{30,30}: a frontier walk over 869 arcs (frontier width 21 "
+        "by arc 20, 57 integers per state) is estimated at more than 1.20e+08 integer "
+        "operations, over the limit of 1e+08\n"
+    )
+
+
+def _never_build_a_graph(monkeypatch):
+    from forest_spectra import graphs
+
+    def never(*args):
+        raise AssertionError("the input built its graph")
+
+    patch_everywhere(monkeypatch, graphs, "complete_graph", never)
+
+
+def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
+    # K_n's forests are counted by the closed form's table: every ladder
+    # count keeps its golden report, and K_30 has Cayley's 30^28 spanning
+    # trees, past what a frontier walk can count
+    from forest_spectra import forests
+
+    def never(*args):
+        raise AssertionError("count-only reached the frontier count")
+
+    monkeypatch.setattr(forests, "_count_by_frontier", never)
+    _never_build_a_graph(monkeypatch)
+    one_pass = load_perfbench("one_pass")
+    golden = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "golden.json").read_text())
+    workloads = load_perfbench("workloads")
+    ladder = [inst for inst in workloads.instances("families-ladder", 0) if "--count-only" in inst.argv]
+    assert len(ladder) == 5
+    for inst in ladder:
+        code = run(list(inst.argv))
+        facts = one_pass._facts(capsys.readouterr().out, code, False)
+        expected = golden["families-ladder"][inst.key]
+        assert (facts["exit_code"], facts["digest"]) == (0, expected["digest"]), inst.key
+    code, report = capture(capsys, ["enumerate", "--complete", "30", "--k", "1", "--count-only"])
+    assert code == 0
+    assert report["input"] == {"graph": "K_30", "k": 1, "count_only": True}
+    assert report["result"] == {"count": 30**28}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "enumerate --complete 1100 --k 1050",
+            "K_1100 has more 1050-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "enumerate may list; use --count-only to count them",
+        ),
+        (
+            "enumerate --complete 2000 --k 1",
+            "K_2000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "enumerate may list; use --count-only to count them",
+        ),
+        (
+            "matroid --complete 2000 --r 4",
+            "K_2000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "matroid may list: it truncates every spanning tree",
+        ),
+        (
+            "enumerate --complete 2000 --k 1 --count-only",
+            "enumerate on K_2000: the count of its 1-component forests has more digits "
+            "than the 4300 Python writes (sys.get_int_max_str_digits())",
+        ),
+        (
+            "enumerate --complete 100000 --k 3 --count-only",
+            "enumerate on K_100000: the closed form's table for its 3-component forests "
+            "is estimated at 1.54e+16 integer operations, over the limit of 1e+08",
+        ),
+        ("enumerate --complete 4 --k 9 --count-only", "component count k=9 out of range 1..4"),
+    ],
+    ids=[
+        "list K_1100 k=1050", "list K_2000", "matroid K_2000",
+        "count digits K_2000", "count table K_100000", "count k out of range",
+    ],
+)
+def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv, message):
+    # the listing cap's table stops at its first row past the cap (K_51's
+    # 51^49 trees for k = 1050, with no recursion over 1050 levels), and
+    # K_2000's 2000^1998 trees have more digits than Python writes, so the
+    # cap is named in place of the count
+    _never_build_a_graph(monkeypatch)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    start = time.perf_counter()
+    code = run(argv.split())
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert elapsed < 1.0
+    assert captured.err == f"error: {message}\n"
 
 
 def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
@@ -550,7 +652,8 @@ REPORT_KEYS = {"command", "input", "result", "verdict", "timing_ms"}
 @pytest.mark.parametrize("command", ["spectrum", "bijections", "slp", "matroid", "enumerate"])
 def test_every_grid_run_keeps_the_output_contract(command, capsys, monkeypatch):
     # exit 0 or 1: one JSON report and a quiet stderr; exit 2: one error
-    # line and no report, and for slp and matroid no forest search
+    # line and no report, and for slp and matroid no forest search; an
+    # enumerate count exits as its listing does, with the listing's count
     from forest_spectra import forests
 
     searches = []
@@ -562,11 +665,15 @@ def test_every_grid_run_keeps_the_output_contract(command, capsys, monkeypatch):
 
     patch_everywhere(monkeypatch, forests, "_forest_masks", counted)
     flag = "--r" if command in ("slp", "matroid") else "--k"
-    for graph, value in _grid(command):
-        argv = [command, *graph, flag, str(value)]
+    extras = ([], ["--count-only"]) if command == "enumerate" else ([],)
+    outcomes: dict = {}
+    for (graph, value), extra in product(_grid(command), extras):
+        argv = [command, *graph, flag, str(value), *extra]
         searches.clear()
         code = run(argv)
         out, err = capsys.readouterr()
+        count = json.loads(out)["result"]["count"] if command == "enumerate" and code == 0 else None
+        outcomes.setdefault((*graph, value), []).append((code, count))
         if code == 2:
             assert not out, argv
             assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), argv
@@ -578,6 +685,7 @@ def test_every_grid_run_keeps_the_output_contract(command, capsys, monkeypatch):
             assert set(report) == REPORT_KEYS, argv
             assert (code == 0) == (report["verdict"] in ("verified", "computed")), argv
             assert not err, argv
+    assert all(len(set(runs)) == 1 for runs in outcomes.values())
 
 
 # SHA-256 of the whole report without timing_ms, as the golden check takes

@@ -1,4 +1,5 @@
 from itertools import combinations
+from math import comb
 
 import networkx as nx
 import pytest
@@ -21,7 +22,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices
-from forest_spectra.forests import _forests_by_size
+from forest_spectra.forests import _forest_rows, _forests_by_size
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -290,11 +291,34 @@ def test_pq_identity_against_counts(n, k):
 
 @pytest.mark.parametrize("n", range(11))
 def test_forests_by_size_recursion_matches_counting(n):
+    # the closed form's table against the frontier count on K_1..K_10 at
+    # every k, and against the subset oracle on K_1..K_6
     expected = [1 if n == 0 else 0]
     if n:
         g = complete_graph(n)
         expected += [count_forests_constrained(g, j) for j in range(1, n + 1)]
+        if n <= 6:
+            assert expected[1:] == [brute_count(g, j) for j in range(1, n + 1)]
     assert [_forests_by_size(n, j) for j in range(n + 2)] == expected + [0]
+
+
+@pytest.mark.parametrize("n", range(1, 25))
+def test_no_table_entry_exceeds_the_count(n):
+    # the listing cap stops at the first row past it, which is sound only if
+    # the last row is the count and no earlier entry exceeds it
+    for k in range(1, n + 1):
+        rows = list(_forest_rows(n, k))
+        count = _forests_by_size(n, k)
+        assert rows[-1] == [count]
+        assert all(entry <= count for row in rows for entry in row)
+        assert len(rows) == (1 if k in (1, n) else k)
+
+
+def test_forests_by_size_needs_no_recursion():
+    # the table is built bottom-up, so k levels take no call stack: a
+    # recursion over k = 4999 would pass Python's limit; one edge is a
+    # (n-1)-forest, so there are C(n, 2)
+    assert _forests_by_size(5000, 4999) == comb(5000, 2)
 
 
 def test_bipartite_spanning_tree_counts_match_scoins_formula():
@@ -575,5 +599,5 @@ def test_frontier_walks_refuse_oversized_inputs_before_any_state():
     for ints, bits in ((36, 120120), (12, 0)):
         with pytest.raises(ValueError, match="is estimated at more than .* integer operations"):
             _frontier_schedule(k13, ints, bits)
-    with pytest.raises(ValueError, match=r"frontier walk over 435 edges"):
+    with pytest.raises(ValueError, match=r"frontier walk over 435 arcs"):
         _frontier_schedule(_edge_ends(complete_graph(30)), 29, 0)
