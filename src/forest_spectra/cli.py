@@ -50,18 +50,15 @@ from .forests import (
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name, graph_name
 from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
-from .linalg import exact_determinant
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
 from .spectra import (
     BipartiteParams,
+    _degree_one_certificate,
     _require_closed_form,
-    closed_form_spectrum,
     predicted_signs,
     sign_profile,
     spectrum_determinant,
-    structured_params,
     tilde_hessian,
-    verify_spectrum,
 )
 
 
@@ -194,17 +191,29 @@ def _record_dict(record) -> dict:
     }
 
 
+def _require_hessian_room(g: Graph) -> None:
+    """Refuse, before the Hessian is built, one whose m^2 entries pass
+    MAX_FRONTIER_WORK at 10 integer operations each: building, checking and
+    certifying it takes about 1 us per entry even where every entry is zero
+    and no walk runs (K_60 at k = 59, 3.1e6 entries, 2.8 s; K_70 at k = 70,
+    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11)."""
+    work = 10 * g.edge_count**2
+    if work > MAX_FRONTIER_WORK:
+        raise ValueError(
+            f"spectrum on {g.name}: its {g.edge_count}x{g.edge_count} Hessian is estimated "
+            f"at {work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+        )
+
+
 def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
     _require_k(g.vertex_count, k)
     _require_closed_form(g, "spectrum")
+    _require_hessian_room(g)
     h = tilde_hessian(g, k)
-    params = structured_params(h, g)
-    spectrum = closed_form_spectrum(params)
-    certified = verify_spectrum(h, spectrum)
+    params, spectrum, certified, det = _degree_one_certificate(h, g)
     profile = sign_profile(spectrum)
-    det = exact_determinant(h)
     in_range = theorem_range(g, k)
     delta = ("delta",) if isinstance(params, BipartiteParams) else ()
     result: dict = {
@@ -398,8 +407,8 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     # L's coefficients, one per edge: the form's variables are g.edges
     values = [Fraction(1)] * g.edge_count if all_ones else _parse_point(args.point, g.edge_count)
     # the bases of the rank-r truncation are the r-edge forests
-    basis_count, profile, report = _slp_on_masks(g, r, values)
-    degree_one = _degree_one(g, r)
+    basis_count, profile, report, hessian = _slp_on_masks(g, r, values)
+    degree_one = _degree_one(g, r, hessian)
     result = {
         "basis_count": basis_count,
         "hilbert_function": profile.dims,
@@ -511,6 +520,8 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
             )
         return "computed", input_, {"count": count}
     _require_listable("enumerate", n, k, "enumerate may list; use --count-only to count them")
+    if k == n:  # the one forest with no edge, K_n not built
+        return "computed", input_, {"count": 1, "forests": [[]]}
     g = _graph_from(args)
     # g.edges is sorted, so ascending edge indices list a forest's edge
     # names in the order Forest.edge_names gives

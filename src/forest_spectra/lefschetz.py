@@ -26,8 +26,9 @@ search's edge masks (:func:`_slp_on_masks`): d^u phi is the list of F ^ u
 over the forests F containing u, the canonical order within a degree is
 ascending on the masks' edge index lists, and the same :func:`_bases` and
 symmetric Bareiss determinants run on them, with no ``Polynomial`` and no
-exponent tuple.  The tuple route above stays the public API, for any form,
-and is the oracle the mask route is tested against.
+exponent tuple; the degree-2 map also gives the degree-one Hessian that
+:func:`_degree_one` certifies.  The tuple route above stays the public API,
+for any form, and is the oracle the mask route is tested against.
 """
 
 from __future__ import annotations
@@ -56,14 +57,7 @@ from .forests import (
 from .linalg import ExactMatrix, Rational, _independent_rows, _symmetric_bareiss, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
-from .spectra import (
-    Spectrum,
-    _require_closed_form,
-    closed_form_spectrum,
-    structured_params,
-    tilde_hessian,
-    verify_spectrum,
-)
+from .spectra import Spectrum, _degree_one_certificate, _require_closed_form, tilde_hessian
 
 
 @dataclass(frozen=True)
@@ -350,12 +344,13 @@ def _mask_catalecticant(rows: dict[int, list[int]], cols: Iterable[int]) -> Iter
 
 def _slp_on_masks(
     g: Graph, r: int, values: Sequence[Fraction]
-) -> tuple[int, HilbertProfile, SlpReport]:
+) -> tuple[int, HilbertProfile, SlpReport, ExactMatrix]:
     """The number of r-edge forests of ``g``, the Hilbert function and the
     Hessian determinants at ``values`` (one per edge of ``g.edges``) of
     their generating polynomial, read off the forest search's masks: what
     :func:`hilbert_function` and :func:`slp_check` give on
-    ``forest_generating_polynomial(g, V - r)``; r is in range.
+    ``forest_generating_polynomial(g, V - r)``, and its Hessian at all-ones
+    over every edge, ``tilde_hessian(g, V - r)``; r is in range.
 
     The maps hold (#r-forests) 2^r entries, so the frontier count refuses
     more than MAX_DERIVATIVE_ENTRIES before the search runs.  Entry (i, j)
@@ -390,7 +385,9 @@ def _slp_on_masks(
         upper = [[at_point.get(bi | bj, 0) for bj in basis[i:]] for i, bi in enumerate(basis)]
         det = Fraction(_symmetric_bareiss(upper)[0], d ** ((r - 2 * k) * len(basis)))
         checks.append(GradedHessianCheck(k, len(basis), det))
-    return len(forests), profile, SlpReport(r, tuple(values), tuple(checks))
+    edges, pairs = range(g.edge_count), maps[2]
+    hessian = ExactMatrix._from_ints([len(pairs.get(1 << i | 1 << j, ())) for j in edges] for i in edges)
+    return len(forests), profile, SlpReport(r, tuple(values), tuple(checks)), hessian
 
 
 def _reconstruct_graph(m: Matroid) -> Graph:
@@ -428,14 +425,12 @@ def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
     _require_closed_form(g, who)
 
 
-def _degree_one(g: Graph, r: int) -> DegreeOneLefschetzReport:
+def _degree_one(g: Graph, r: int, h: ExactMatrix) -> DegreeOneLefschetzReport:
     """The degree-one certificate for the rank-r truncation of the graphic
-    matroid of ``g``, whose bases are the r-edge forests; r is in range."""
+    matroid of ``g``, whose bases are the r-edge forests, from ``h``, their
+    generating polynomial's Hessian at all-ones; r is in range."""
     k = g.vertex_count - r
-    h = tilde_hessian(g, k)
-    spectrum = closed_form_spectrum(structured_params(h, g))
-    certified = verify_spectrum(h, spectrum)
-    det = exact_determinant(h)
+    _params, spectrum, certified, det = _degree_one_certificate(h, g)
     if g.kind == COMPLETE:
         stated = 2 < r < g.left_size
     else:
@@ -471,4 +466,4 @@ def check_degree_one_lefschetz(m: Matroid) -> DegreeOneLefschetzReport:
         raise ValueError(
             f"bases are not the {r}-edge forests of {g.name}; not a truncation"
         )
-    return _degree_one(g, r)
+    return _degree_one(g, r, tilde_hessian(g, g.vertex_count - r))

@@ -9,7 +9,8 @@ claimed minimal polynomial evaluated at A from them must vanish, and the
 traces of the same powers must match the claimed power sums.  The two
 conditions together are a proof, not a heuristic; no numerical
 eigensolver is involved anywhere.  The Hessians are built, checked and
-certified on Python ints with no ``Fraction`` in between.
+certified on Python ints with no ``Fraction`` in between, the last two by
+one routine, :func:`_degree_one_certificate`.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import NamedTuple, Sequence, Union
 from .errors import StructureViolation, VerificationFailure
 from .forests import PairCounts, _pair_counts_by_frontier, _require_k, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, _edge_ends, _pair_class, edge_name
-from .linalg import ExactMatrix
+from .linalg import ExactMatrix, exact_determinant
 
 
 @dataclass(frozen=True)
@@ -311,6 +312,16 @@ def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
         if tail[0] + coeffs[0] or any(tail[1:]):
             return False
     return True
+
+
+def _degree_one_certificate(
+    h: ExactMatrix, g: Graph
+) -> tuple[StructuredParams, Spectrum, bool, Fraction]:
+    """The degree-one certificate of ``h``, a forest Hessian of ``g`` at all-ones:
+    entry pattern, closed-form spectrum, whether ``h`` certifies it, determinant."""
+    params = structured_params(h, g)
+    spectrum = closed_form_spectrum(params)
+    return params, spectrum, verify_spectrum(h, spectrum), exact_determinant(h)
 
 
 def sign_profile(spectrum: Spectrum) -> SignProfile:

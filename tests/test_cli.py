@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 import time
@@ -130,6 +131,34 @@ def test_slp_k4(capsys):
     assert report["result"]["slp_holds"] is True
     assert report["result"]["hilbert_function"] == [1, 6, 6, 1]
     assert report["result"]["hessians"][-1]["determinant"] == "-4096"
+
+
+DEGREE_ONE_GRID = (
+    [(["--complete", str(n)], r) for n in (3, 4, 5, 6) for r in range(2, n)]
+    + [(["--complete", "7"], r) for r in (2, 3, 4)]
+    + [
+        (["--bipartite", str(m), str(n)], r)
+        for m in (2, 3, 4)
+        for n in range(m, 5)
+        for r in range(2, m + n)
+        if (m, n) != (4, 4) or r < 5
+    ]
+)
+
+
+@pytest.mark.parametrize(
+    "graph,r", DEGREE_ONE_GRID, ids=[f"{' '.join(g)} r{r}" for g, r in DEGREE_ONE_GRID]
+)
+def test_degree_one_is_the_first_hessian_check_at_all_ones(capsys, graph, r):
+    # slp reads its degree-one Hessian off the search that gives the k = 1
+    # check: at all-ones the two are one matrix over every edge
+    code, report = capture(capsys, ["slp", *graph, "--r", str(r)])
+    assert code == 0
+    sizes = [int(x) for x in graph[1:]]
+    edges = sizes[0] * (sizes[0] - 1) // 2 if len(sizes) == 1 else sizes[0] * sizes[1]
+    first = report["result"]["hessians"][1]
+    assert first["degree"] == 1 and first["dimension"] == edges
+    assert first["determinant"] == report["result"]["degree_one"]["determinant"]
 
 
 def test_slp_custom_point(capsys):
@@ -390,6 +419,35 @@ def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv
     assert captured.err == f"error: {message}\n"
 
 
+def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
+    # k = n leaves one forest, the one with no edge, whatever n is: K_5000
+    # (12,497,500 edges) is never built
+    _never_build_a_graph(monkeypatch)
+    start = time.perf_counter()
+    code, report = capture(capsys, ["enumerate", "--complete", "5000", "--k", "5000"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert report["input"] == {"graph": "K_5000", "k": 5000, "count_only": False}
+    assert report["result"] == {"count": 1, "forests": [[]]}
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_enumerate_edgeless_forest_report_bytes_are_pinned(capsys, n):
+    # the bytes the listing route wrote for the edgeless forest, before
+    # k = n stopped building K_n
+    assert run(["enumerate", "--complete", str(n), "--k", str(n)]) == 0
+    out = capsys.readouterr().out
+    timing = json.loads(out)["timing_ms"]
+    report = {
+        "command": "enumerate",
+        "input": {"count_only": False, "graph": f"K_{n}", "k": n},
+        "result": {"count": 1, "forests": [[]]},
+        "timing_ms": timing,
+        "verdict": "computed",
+    }
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
 def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
     import forest_spectra.cli as cli
 
@@ -436,18 +494,19 @@ def test_verification_failure_exits_1(capsys, monkeypatch):
 )
 def test_structure_violation_is_a_failed_report(argv, capsys, monkeypatch):
     # a Hessian that breaks its entry pattern fails the theorem check (exit
-    # 1, the entry named), though StructureViolation is a ValueError
+    # 1, the entry named), though StructureViolation is a ValueError; both
+    # commands hand their Hessian to the one degree-one certificate
     from forest_spectra import ExactMatrix, edge_name, spectra
 
-    honest = spectra.tilde_hessian
+    honest = spectra._degree_one_certificate
 
-    def bent(g, k):
-        rows = [list(row) for row in honest(g, k).rows]
+    def bent(h, g):
+        rows = [list(row) for row in h.rows]
         j = [edge_name(e) for e in g.edges].index("2-4")
         rows[0][j] = rows[j][0] = rows[0][j] + 1
-        return ExactMatrix(rows)
+        return honest(ExactMatrix(rows), g)
 
-    patch_everywhere(monkeypatch, spectra, "tilde_hessian", bent)
+    patch_everywhere(monkeypatch, spectra, "_degree_one_certificate", bent)
     code, report = capture(capsys, argv)
     assert code == 1
     assert type(report.pop("timing_ms")) is int
@@ -627,6 +686,40 @@ def test_spectrum_refuses_a_graph_without_a_closed_form_before_any_count(
     assert not captured.out
     name = "K_" + (graph[1] if len(graph) == 2 else f"{{{graph[1]},{graph[2]}}}")
     assert captured.err.strip() == f"error: spectrum on {name}: the degree-one spectrum needs {need}"
+
+
+@pytest.mark.parametrize("n", [150, 300])
+def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkeypatch, n):
+    # at k = n no edge is taken, so no frontier walk runs to refuse the
+    # C(n,2) x C(n,2) zero Hessian: K_150's took 139 s to build and certify
+    from forest_spectra import spectra
+
+    def never(*args):
+        raise AssertionError("the oversized Hessian was built")
+
+    patch_everywhere(monkeypatch, spectra, "tilde_hessian", never)
+    start = time.perf_counter()
+    assert run(["spectrum", "--complete", str(n), "--k", str(n)]) == 2
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    m = n * (n - 1) // 2
+    assert not captured.out
+    assert captured.err == (
+        f"error: spectrum on K_{n}: its {m}x{m} Hessian is estimated at {10 * m * m:.2e} "
+        "integer operations, over the limit of 1e+08\n"
+    )
+
+
+def test_spectrum_hessian_limit_sits_between_k80_and_k81():
+    # K_80's 3160^2 entries (about 9 s at k = 80) pass; K_81's 3240^2 do not
+    from forest_spectra.cli import _require_hessian_room
+    from forest_spectra.graphs import complete_bipartite_graph, complete_graph
+
+    _require_hessian_room(complete_graph(80))
+    _require_hessian_room(complete_bipartite_graph(56, 56))
+    for g in (complete_graph(81), complete_bipartite_graph(57, 56)):
+        with pytest.raises(ValueError, match=re.escape(f"spectrum on {g.name}: its")):
+            _require_hessian_room(g)
 
 
 def test_spectrum_checks_the_component_count_before_the_graph(capsys):

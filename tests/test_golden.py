@@ -54,8 +54,9 @@ SLP_LADDER = WORKLOADS.instances("slp-ladder", 0)
 def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
     # the bases of the truncation are the r-edge forests: the report comes
     # from one search's edge masks, with no spanning trees, truncation or
-    # basis polynomial, and no Polynomial or tuple-keyed graded cache at all
-    from forest_spectra import forests, lefschetz, matroids, polynomials
+    # basis polynomial, and no Polynomial or tuple-keyed graded cache at all;
+    # the degree-one Hessian is read off the same search, with no pair walk
+    from forest_spectra import forests, lefschetz, matroids, polynomials, spectra
 
     def never(*args):
         raise AssertionError("slp left the edge masks")
@@ -66,6 +67,8 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
         (matroids, "basis_generating_polynomial"),
         (forests, "forest_generating_polynomial"),
         (lefschetz, "_graded"),
+        (spectra, "tilde_hessian"),
+        (forests, "_pair_counts_by_frontier"),
     ):
         patch_everywhere(monkeypatch, module, name, never)
     monkeypatch.setattr(polynomials.Polynomial, "__post_init__", never)

@@ -549,12 +549,15 @@ def test_slp_mask_route_matches_the_tuple_route(g, r, monkeypatch):
     rng = random.Random(f"{g.name} {r}")
     drawn = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9)) for _ in width]
     drawn[rng.randrange(g.edge_count)] = Fraction(0)
+    # the degree-one Hessian at all-ones, at either point, read off the search
+    hessian = tilde_hessian(g, g.vertex_count - r)
     for values in ([Fraction(1)] * g.edge_count, drawn):
         reductions.clear()
-        count, profile, report = lefschetz._slp_on_masks(g, r, values)
+        count, profile, report, degree_one = lefschetz._slp_on_masks(g, r, values)
         assert len(reductions) == r // 2 + 1
         assert (count, profile) == (phi.term_count(), hilbert_function(phi))
         assert report == slp_check(phi, dict(zip(phi.variables, values)))
+        assert degree_one == hessian
     forests, (maps, bases) = graded[0]
     # every forest reaches each of its 2^r submasks once: the guard's count
     assert sum(len(rests) for m in maps for rests in m.values()) == len(forests) << r
