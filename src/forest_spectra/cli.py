@@ -4,13 +4,15 @@ Exit codes: 0 for verified/computed runs, 1 when a theorem check fails,
 2 for invalid input (including unknown flags, which argparse reports on
 stderr with usage text).  Reports are deterministic: orderings are
 canonical everywhere, and the only wall-clock content is the timing
-field.  The fields of a result object are read off it by ``_pick``, and
-the report is written by ``_dumps``, the one place a rational becomes its
-exact string ("-142/3"): its output equals ``json.dumps(report, indent=2,
-sort_keys=True, default=str)`` byte for byte, without going through
-``json``'s pure-Python indent encoder.  A reader that closes stdout early,
-as ``| head`` does, gets the report's prefix, and the exit code is the
-verdict's.
+field.  Every command starts from one ``Graph`` of its sizes
+(``_graph_from``), and every refusal that reads only sizes comes before
+any vertex or edge is built.  The fields of a result object are read off
+it by ``_pick``, and the report is written by ``_dumps``, the one place a
+rational becomes its exact string ("-142/3"): its output equals
+``json.dumps(report, indent=2, sort_keys=True, default=str)`` byte for
+byte, without going through ``json``'s pure-Python indent encoder.  A
+reader that closes stdout early, as ``| head`` does, gets the report's
+prefix, and the exit code is the verdict's.
 """
 
 from __future__ import annotations
@@ -34,12 +36,11 @@ from .bijections import (
     build_families,
     verify_count_inequalities,
 )
-from .errors import StructureViolation, VerificationFailure, WalkTooLarge
+from .errors import StructureViolation, TooLarge, VerificationFailure
 from .forests import (
     MAX_FRONTIER_WORK,
     _forest_masks,
     _forest_rows,
-    _forest_table_work,
     _forests_by_size,
     _mask_bits,
     _require_k,
@@ -48,7 +49,7 @@ from .forests import (
     pq_decomposition,
     theorem_range,
 )
-from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name, graph_name
+from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
 from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
 from .spectra import (
@@ -155,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _graph_from(args: argparse.Namespace) -> Graph:
+    """The chosen graph, as its sizes: O(1), with no vertex or edge built."""
     has_bip = getattr(args, "bipartite", None) is not None
     if (args.complete is not None) == has_bip:
         raise ValueError("choose exactly one of --complete N or --bipartite M N")
@@ -162,19 +164,6 @@ def _graph_from(args: argparse.Namespace) -> Graph:
         return complete_graph(args.complete)
     m, n = args.bipartite
     return complete_bipartite_graph(m, n)
-
-
-def _graph_name(args: argparse.Namespace) -> str:
-    """The name of the graph ``_graph_from`` builds from valid arguments."""
-    return graph_name(args.complete) if args.complete is not None else graph_name(*args.bipartite)
-
-
-def _complete_size(args: argparse.Namespace) -> int:
-    """N of ``--complete N``, refused as ``_graph_from`` refuses it, with
-    K_N not built."""
-    if args.complete is None or args.complete < 1:
-        _graph_from(args)  # raises: no graph chosen, or one with no vertex
-    return args.complete
 
 
 def _sizes(g: Graph) -> int | tuple[int, int]:
@@ -191,8 +180,9 @@ def _record_dict(record) -> dict:
     }
 
 
-def _require_hessian_room(g: Graph) -> None:
-    """Refuse, before the Hessian is built, one whose m^2 entries pass
+def _require_hessian_room(g: Graph, who: str) -> None:
+    """Refuse, from the edge count alone, the m x m degree-one Hessian that
+    ``who`` (``spectrum`` or ``slp``) certifies when its m^2 entries pass
     MAX_FRONTIER_WORK at 10 integer operations each: building, checking and
     certifying it takes about 1 us per entry even where every entry is zero
     and no walk runs (K_60 at k = 59, 3.1e6 entries, 2.8 s; K_70 at k = 70,
@@ -200,7 +190,7 @@ def _require_hessian_room(g: Graph) -> None:
     work = 10 * g.edge_count**2
     if work > MAX_FRONTIER_WORK:
         raise ValueError(
-            f"spectrum on {g.name}: its {g.edge_count}x{g.edge_count} Hessian is estimated "
+            f"{who} on {g.name}: its {g.edge_count}x{g.edge_count} Hessian is estimated "
             f"at {work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
         )
 
@@ -210,7 +200,7 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     k = args.k
     _require_k(g.vertex_count, k)
     _require_closed_form(g, "spectrum")
-    _require_hessian_room(g)
+    _require_hessian_room(g, "spectrum")
     h = tilde_hessian(g, k)
     params, spectrum, certified, det = _degree_one_certificate(h, g)
     profile = sign_profile(spectrum)
@@ -403,6 +393,7 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
     _require_degree_one_rank(g, r, "slp")
+    _require_hessian_room(g, "slp")
     all_ones = args.point is None
     # L's coefficients, one per edge: the form's variables are g.edges
     values = [Fraction(1)] * g.edge_count if all_ones else _parse_point(args.point, g.edge_count)
@@ -440,49 +431,35 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
 MAX_LISTED_FORESTS = 1_000_000
 
 
-def _require_table_room(command: str, n: int, k: int) -> None:
-    """Refuse, from n and k alone, a closed-form count of the k-component
-    forests of K_n whose table is estimated past MAX_FRONTIER_WORK."""
-    work = _forest_table_work(n, k)
-    if work > MAX_FRONTIER_WORK:
-        raise ValueError(
-            f"{command} on {graph_name(n)}: the closed form's table for its {k}-component "
-            f"forests is estimated at {work:.2e} integer operations, over the limit of "
-            f"{MAX_FRONTIER_WORK:.0e}"
-        )
-
-
-def _require_listable(command: str, n: int, k: int, what: str) -> None:
-    """Refuse, before K_n is built, to list its k-component forests when
-    there are more than MAX_LISTED_FORESTS of them.  The closed form's table
-    stops at its first row past the cap, since no entry exceeds the count;
-    the message names the count when that row is the last and Python
-    writes it, and the cap by name otherwise."""
-    _require_table_room(command, n, k)
-    for j, row in enumerate(_forest_rows(n, k), 1):
+def _require_listable(g: Graph, k: int, what: str) -> None:
+    """Refuse, before an edge of K_n is read, to list its k-component
+    forests when there are more than MAX_LISTED_FORESTS of them.  The
+    closed form's table, which refuses itself past MAX_FRONTIER_WORK, stops
+    at its first row past the cap, since no entry exceeds the count; the
+    message names the count when that row is the last and Python writes
+    it, and the cap by name otherwise."""
+    for j, row in enumerate(_forest_rows(g.left_size, k), 1):
         if row[-1] > MAX_LISTED_FORESTS:
             break
     else:
         return
-    name = graph_name(n)
     if j == k and _printable(row[-1]):
         raise ValueError(
-            f"{name} has {row[-1]} {k}-component forests, more than the "
+            f"{g.name} has {row[-1]} {k}-component forests, more than the "
             f"{MAX_LISTED_FORESTS} {what}"
         )
     raise ValueError(
-        f"{name} has more {k}-component forests than the "
+        f"{g.name} has more {k}-component forests than the "
         f"MAX_LISTED_FORESTS = {MAX_LISTED_FORESTS} {what}"
     )
 
 
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
-    n = _complete_size(args)
-    r = args.r
-    _require_a_valid_rank(graph_name(n), n, "matroid", 1)
-    _require_truncation_rank(r, n - 1)
-    _require_listable("matroid", n, 1, "matroid may list: it truncates every spanning tree")
     g = _graph_from(args)
+    r = args.r
+    _require_a_valid_rank(g, "matroid", 1)
+    _require_truncation_rank(r, g.vertex_count - 1)
+    _require_listable(g, 1, "matroid may list: it truncates every spanning tree")
     # the spanning trees' r-subsets against an independent r-edge forest search
     bases = _truncated(_forest_masks(g, 1), r)
     bases_match = bases == set(_forest_masks(g, g.vertex_count - r))
@@ -503,26 +480,23 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
 
 def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     # enumerate takes only --complete, so the closed form gives every count,
-    # and the checks before K_n is built need only n and k
-    n = _complete_size(args)
-    k = args.k
-    name = graph_name(n)
-    input_ = {"graph": name, "k": k, "count_only": bool(args.count_only)}
+    # and the checks before an edge is read need only n and k
+    g = _graph_from(args)
+    n, k = g.left_size, args.k
+    input_ = {"graph": g.name, "k": k, "count_only": bool(args.count_only)}
     _require_k(n, k)
     if args.count_only:
-        _require_table_room("enumerate", n, k)
         count = _forests_by_size(n, k)
         if not _printable(count):
             raise ValueError(
-                f"enumerate on {name}: the count of its {k}-component forests has "
+                f"enumerate on {g.name}: the count of its {k}-component forests has "
                 f"more digits than the {sys.get_int_max_str_digits()} Python writes "
                 f"(sys.get_int_max_str_digits())"
             )
         return "computed", input_, {"count": count}
-    _require_listable("enumerate", n, k, "enumerate may list; use --count-only to count them")
-    if k == n:  # the one forest with no edge, K_n not built
+    _require_listable(g, k, "enumerate may list; use --count-only to count them")
+    if k == n:  # the one forest with no edge, with no edge read
         return "computed", input_, {"count": 1, "forests": [[]]}
-    g = _graph_from(args)
     # g.edges is sorted, so ascending edge indices list a forest's edge
     # names in the order Forest.edge_names gives
     names = [edge_name(e) for e in g.edges]
@@ -556,9 +530,9 @@ def run(argv: Sequence[str]) -> int:
     # a StructureViolation is a ValueError, but a failed check, not bad input
     except (StructureViolation, VerificationFailure) as err:
         verdict, input_, result = "failed", {}, {"error": str(err)}
-    # a walk knows its arcs, not the command or graph it counts for
-    except WalkTooLarge as err:
-        print(f"error: {args.command} on {_graph_name(args)}: {err}", file=sys.stderr)
+    # a walk or a table knows its own size, not the command or graph it is for
+    except TooLarge as err:
+        print(f"error: {args.command} on {_graph_from(args).name}: {err}", file=sys.stderr)
         return 2
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)

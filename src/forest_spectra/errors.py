@@ -5,9 +5,10 @@ class InsufficientVertices(ValueError):
     """The graph is too small to carry the requested anchor edges."""
 
 
-class WalkTooLarge(ValueError):
-    """A frontier walk's estimated work passes MAX_FRONTIER_WORK; raised
-    before the walk takes its first step."""
+class TooLarge(ValueError):
+    """A frontier walk's or a closed-form table's estimated work passes
+    MAX_FRONTIER_WORK; raised before its first step.  The message names
+    the walk or the table, not the command or graph it is for."""
 
 
 class StructureViolation(ValueError):

@@ -12,9 +12,9 @@ Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
 pair packed into each state's integers.  The k-forests of K_n itself are
 counted with no walk, by a table over Cayley's tree counts
-(:func:`_forests_by_size`).  Enumeration is the search:
-recursive edge inclusion with union-find cycle rejection, pruned by
-remaining-edge feasibility.  The search lists forests as ``int`` edge
+(:func:`_forests_by_size`), refused up front the same way.  Enumeration
+is the search: recursive edge inclusion with union-find cycle rejection,
+pruned by remaining-edge feasibility.  The search lists forests as ``int`` edge
 masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
 :class:`Forest` objects are built only at the boundary, by the public
 enumerators and by :class:`MaskedForests` when one of its items is read,
@@ -33,7 +33,7 @@ from math import comb
 from operator import add, mul
 from typing import Iterable, Iterator, Sequence
 
-from .errors import InsufficientVertices, WalkTooLarge
+from .errors import InsufficientVertices, TooLarge
 from .graphs import (
     COMPLETE,
     Edge,
@@ -359,7 +359,7 @@ def _frontier_schedule(
         work += per_state * min(1 << i + 1, _bell(width))
         if work > MAX_FRONTIER_WORK:
             size = f" of up to {bits} bits" if bits else ""
-            raise WalkTooLarge(
+            raise TooLarge(
                 f"a frontier walk over {len(ends)} arcs (frontier width {width} by arc "
                 f"{i + 1}, {ints} integers{size} per state) is estimated at more than "
                 f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
@@ -718,8 +718,16 @@ def _forest_rows(n: int, k: int) -> Iterator[list[int]]:
     a term, with a coefficient of at least one, of an entry of the next
     row, so no entry exceeds F(n, k), and a row past a bound shows that
     F(n, k) is past it too.  Within a row the binomials C(m-1, t) come
-    from the entry before by Pascal's rule.
+    from the entry before by Pascal's rule.  A table whose
+    :func:`_forest_table_work` passes MAX_FRONTIER_WORK is refused with
+    TooLarge before its first row.
     """
+    work = _forest_table_work(n, k)
+    if work > MAX_FRONTIER_WORK:
+        raise TooLarge(
+            f"the closed form's table for its {k}-component forests is estimated at "
+            f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+        )
     width = n - k + 1
     if k == 1 or width == 1:
         yield [_cayley(n) if k == 1 else 1]

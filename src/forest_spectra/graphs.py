@@ -4,16 +4,18 @@ Vertices are ``(part, index)`` pairs: part 0 is the left side (or the whole
 vertex set of a complete graph), part 1 is the right side of a bipartite
 graph.  Edges are sorted vertex pairs.  The edge list of every graph is
 lexicographic in the endpoint labels, so any matrix indexed by edges is
-reproducible bit for bit.
+reproducible bit for bit.  A graph is held as its sizes: its vertices and
+edges are built when first read, so a check that needs only the sizes
+costs O(1) however large the graph.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import Iterable
+from typing import Iterable, Sequence
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -57,37 +59,48 @@ class PairClass(Enum):
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable complete or complete bipartite graph.
+    """Immutable complete or complete bipartite graph, held as its sizes.
 
     ``left_size`` is n for a complete graph; for bipartite graphs the two
     part sizes are ``left_size`` and ``right_size`` (0 marks a complete
-    graph).  All operations on graphs are pure.
+    graph).  ``labels`` are the left part's labels, ascending: a ``range``
+    from 1 unless the graph is a K_W on a vertex subset W.  Vertex and edge
+    counts come from the sizes; ``vertices``, ``edges`` and ``edge_index``
+    are built on first read, so a guard that reads only sizes costs O(1).
+    All operations on graphs are pure.
     """
 
     kind: str
     left_size: int
     right_size: int
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.vertices))
+    labels: Sequence[int]
 
     @property
     def vertex_count(self) -> int:
-        return len(self.vertices)
+        return self.left_size + self.right_size
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        n = self.left_size
+        return n * self.right_size if self.right_size else n * (n - 1) // 2
 
-    @property
+    @cached_property
+    def vertices(self) -> tuple[Vertex, ...]:
+        right = [(1, j) for j in range(1, self.right_size + 1)]
+        return tuple([(0, i) for i in self.labels] + right)
+
+    @cached_property
+    def edges(self) -> tuple[Edge, ...]:
+        """Sorted vertex pairs in lexicographic order: ``combinations`` of
+        the sorted vertices on K_n, left-major on K_{m,n}."""
+        if self.kind == COMPLETE:
+            return tuple(combinations(self.vertices, 2))
+        left, right = self.vertices[: self.left_size], self.vertices[self.left_size :]
+        return tuple((u, v) for u in left for v in right)
+
+    @cached_property
     def edge_index(self) -> dict[Edge, int]:
-        idx = self.__dict__.get("_edge_index")
-        if idx is None:
-            idx = {e: i for i, e in enumerate(self.edges)}
-            object.__setattr__(self, "_edge_index", idx)
-        return idx
+        return {e: i for i, e in enumerate(self.edges)}
 
     def has_edge(self, e: Edge) -> bool:
         return e in self.edge_index
@@ -98,42 +111,39 @@ class Graph:
 
     @property
     def name(self) -> str:
-        return graph_name(self.left_size, self.right_size)
-
-
-def graph_name(left: int, right: int = 0) -> str:
-    """K_n, or K_{m,n} for parts of m and n vertices (0 marks K_n)."""
-    return f"K_{{{left},{right}}}" if right else f"K_{left}"
+        """K_n, or K_{m,n} for parts of m and n vertices."""
+        m, n = self.left_size, self.right_size
+        return f"K_{{{m},{n}}}" if n else f"K_{m}"
 
 
 def complete_graph(n: int) -> Graph:
     """Complete graph on vertices 1..n with C(n,2) lexicographic edges."""
     if n < 1:
         raise ValueError(f"complete graph needs at least one vertex, got n={n}")
-    return complete_graph_on(range(1, n + 1))
+    return Graph(COMPLETE, n, 0, range(1, n + 1))
 
 
 def complete_graph_on(labels: Iterable[int]) -> Graph:
-    """Complete graph on an arbitrary set of positive integer labels.
+    """Complete graph on an arbitrary set of positive integer labels; on
+    1..n it is ``complete_graph(n)``.
 
     Used for the vertex-subset families, where forests live on K_W for a
     subset W of the ambient vertex labels.
     """
-    verts = tuple(sorted(vertex(i) for i in set(labels)))
-    if not verts:
+    labels = sorted(set(labels))
+    if not labels:
         raise ValueError("complete graph needs at least one vertex")
-    edges = tuple(edge(u, v) for u, v in combinations(verts, 2))
-    return Graph(COMPLETE, len(verts), 0, verts, edges)
+    vertex(labels[0])  # refuses a label below 1
+    if labels[-1] == len(labels):
+        return complete_graph(len(labels))
+    return Graph(COMPLETE, len(labels), 0, tuple(labels))
 
 
 def complete_bipartite_graph(m: int, n: int) -> Graph:
     """Complete bipartite graph with left part 1..m and right part 1'..n'."""
     if m < 1 or n < 1:
         raise ValueError(f"both parts need at least one vertex, got m={m}, n={n}")
-    left = tuple(vertex(i) for i in range(1, m + 1))
-    right = tuple(vertex(j, right=True) for j in range(1, n + 1))
-    edges = tuple(edge(u, v) for u in left for v in right)
-    return Graph(BIPARTITE, m, n, left + right, edges)
+    return Graph(BIPARTITE, m, n, range(1, m + 1))
 
 
 @lru_cache(maxsize=None)

@@ -419,7 +419,7 @@ def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
     """Refuse a rank outside 2..V-1, the ranks the degree-one check takes,
     and a K_{m,n} with a part of one vertex, which has no closed-form
     degree-one spectrum: before any count or search."""
-    _require_a_valid_rank(g.name, g.vertex_count, who, 2)
+    _require_a_valid_rank(g, who, 2)
     if not 2 <= r < g.vertex_count:
         raise ValueError(f"rank {r} out of range 2..{g.vertex_count - 1}")
     _require_closed_form(g, who)

@@ -69,14 +69,13 @@ def graphic_matroid(g: Graph) -> Matroid:
     return _from_masks(g.edges, _forest_masks(g, 1))
 
 
-def _require_a_valid_rank(name: str, vertices: int, who: str, lowest: int) -> None:
-    """Refuse the graph ``name`` on ``vertices`` vertices when its graphic
-    matroid has a rank, V - 1, below the lowest rank ``who`` takes, so that
-    no rank is valid for it."""
-    if vertices - 1 < lowest:
+def _require_a_valid_rank(g: Graph, who: str, lowest: int) -> None:
+    """Refuse ``g`` when its graphic matroid has a rank, V - 1, below the
+    lowest rank ``who`` takes, so that no rank is valid for it."""
+    if g.vertex_count - 1 < lowest:
         raise ValueError(
-            f"{name} admits no valid rank: {who} needs r >= {lowest} "
-            f"and its graphic matroid has rank {vertices - 1}"
+            f"{g.name} admits no valid rank: {who} needs r >= {lowest} "
+            f"and its graphic matroid has rank {g.vertex_count - 1}"
         )
 
 

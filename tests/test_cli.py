@@ -333,12 +333,14 @@ def test_a_refused_walk_names_the_command_and_the_graph(capsys):
 
 
 def _never_build_a_graph(monkeypatch):
+    # a Graph is its sizes until its vertices or edges are read
     from forest_spectra import graphs
 
     def never(*args):
         raise AssertionError("the input built its graph")
 
-    patch_everywhere(monkeypatch, graphs, "complete_graph", never)
+    for name in ("vertices", "edges"):
+        monkeypatch.setattr(graphs.Graph, name, property(never))
 
 
 def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
@@ -429,6 +431,66 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
     assert code == 0
     assert report["input"] == {"graph": "K_5000", "k": 5000, "count_only": False}
     assert report["result"] == {"count": 1, "forests": [[]]}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "spectrum --complete 100000 --k 1",
+            "spectrum on K_100000: its 4999950000x4999950000 Hessian is estimated at "
+            "2.50e+20 integer operations, over the limit of 1e+08",
+        ),
+        (
+            "spectrum --bipartite 1000 1000 --k 1",
+            "spectrum on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
+            "1.00e+13 integer operations, over the limit of 1e+08",
+        ),
+        (
+            "bijections --complete 100000 --k 3",
+            "bijections on K_100000 would build at least 9 family members on 4999950000 "
+            "edges each, 4.50e+10 member-edges, over the limit of 1e+08",
+        ),
+        (
+            "slp --complete 100000 --r 2",
+            "slp on K_100000: its 4999950000x4999950000 Hessian is estimated at "
+            "2.50e+20 integer operations, over the limit of 1e+08",
+        ),
+        (
+            "slp --bipartite 1000 1000 --r 3",
+            "slp on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
+            "1.00e+13 integer operations, over the limit of 1e+08",
+        ),
+    ],
+    ids=["spectrum K_100000", "spectrum K_1000,1000", "bijections K_100000", "slp K_100000", "slp K_1000,1000"],
+)
+def test_size_guards_refuse_before_any_edge(capsys, monkeypatch, argv, message):
+    # K_100000 has 4,999,950,000 edges, which would exhaust memory as tuples;
+    # every guard here reads the graph's sizes only
+    _never_build_a_graph(monkeypatch)
+    start = time.perf_counter()
+    code = run(argv.split())
+    elapsed = time.perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert elapsed < 1.0
+    assert captured.err == f"error: {message}\n"
+
+
+def test_slp_hessian_limit_sits_between_3162_and_3164_edges(capsys, monkeypatch):
+    # K_{1581,2}'s 3,162 edges pass the Hessian-size rule and are refused by
+    # the derivative-entry count; K_{1582,2}'s 3,164 are refused before it
+    assert run(["slp", "--bipartite", "1581", "2", "--r", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: slp on K_{1581,2} at rank 2 needs 19990164 derivative entries "
+        "(4997541 2-edge forests with 2^2 submasks each), over the limit of 4e+06\n"
+    )
+    _never_build_a_graph(monkeypatch)
+    assert run(["slp", "--bipartite", "1582", "2", "--r", "2"]) == 2
+    assert capsys.readouterr().err == (
+        "error: slp on K_{1582,2}: its 3164x3164 Hessian is estimated at 1.00e+08 "
+        "integer operations, over the limit of 1e+08\n"
+    )
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -715,11 +777,11 @@ def test_spectrum_hessian_limit_sits_between_k80_and_k81():
     from forest_spectra.cli import _require_hessian_room
     from forest_spectra.graphs import complete_bipartite_graph, complete_graph
 
-    _require_hessian_room(complete_graph(80))
-    _require_hessian_room(complete_bipartite_graph(56, 56))
+    _require_hessian_room(complete_graph(80), "spectrum")
+    _require_hessian_room(complete_bipartite_graph(56, 56), "spectrum")
     for g in (complete_graph(81), complete_bipartite_graph(57, 56)):
         with pytest.raises(ValueError, match=re.escape(f"spectrum on {g.name}: its")):
-            _require_hessian_room(g)
+            _require_hessian_room(g, "spectrum")
 
 
 def test_spectrum_checks_the_component_count_before_the_graph(capsys):

@@ -1,3 +1,4 @@
+import time
 from itertools import combinations
 from math import comb
 
@@ -21,7 +22,7 @@ from forest_spectra import (
     split_tree_at_edge,
     vertex,
 )
-from forest_spectra.errors import InsufficientVertices
+from forest_spectra.errors import InsufficientVertices, TooLarge
 from forest_spectra.forests import _forest_rows, _forests_by_size
 
 from conftest import (
@@ -319,6 +320,15 @@ def test_forests_by_size_needs_no_recursion():
     # recursion over k = 4999 would pass Python's limit; one edge is a
     # (n-1)-forest, so there are C(n, 2)
     assert _forests_by_size(5000, 4999) == comb(5000, 2)
+
+
+def test_a_table_past_the_work_limit_refuses_itself():
+    # pq_decomposition reads a table per subset size; the first one, for the
+    # 49,999-component forests of K_99,996, is refused before its first row
+    start = time.perf_counter()
+    with pytest.raises(TooLarge, match="the closed form's table for its 49999-component forests"):
+        pq_decomposition(100000, 50000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_bipartite_spanning_tree_counts_match_scoins_formula():

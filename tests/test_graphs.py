@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -111,3 +113,36 @@ def test_edge_requires_distinct_endpoints():
 def test_vertex_requires_positive_label():
     with pytest.raises(ValueError):
         vertex(0)
+
+
+GRAPHS = [complete_graph(n) for n in range(1, 9)] + [
+    complete_bipartite_graph(m, n) for m in range(1, 6) for n in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("g", GRAPHS, ids=lambda g: g.name)
+def test_sizes_and_edges_match_the_built_graph(g):
+    # the counts come from the sizes, the tuples are built on first read;
+    # the oracle is the edge(u, v) construction over the labelled vertices
+    left = [vertex(i) for i in range(1, g.left_size + 1)]
+    right = [vertex(j, right=True) for j in range(1, g.right_size + 1)]
+    if g.right_size:
+        oracle = [edge(u, v) for u in left for v in right]
+    else:
+        oracle = [edge(u, v) for u, v in combinations(left, 2)]
+    assert g.vertices == tuple(left + right)
+    assert list(g.edges) == oracle
+    assert (g.vertex_count, g.edge_count) == (len(g.vertices), len(g.edges))
+    assert g.edge_index == {e: i for i, e in enumerate(oracle)}
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_complete_graph_on_one_to_n_is_complete_graph(n):
+    g = complete_graph_on(range(1, n + 1))
+    assert g == complete_graph(n) and hash(g) == hash(complete_graph(n))
+    assert complete_graph_on(reversed(range(1, n + 1))) == g
+
+
+def test_complete_graph_on_refuses_a_label_below_one():
+    with pytest.raises(ValueError, match="vertex labels are positive integers, got 0"):
+        complete_graph_on([0, 3])
