@@ -2,7 +2,8 @@
 
 Exit codes: 0 for verified/computed runs, 1 when a theorem check fails,
 2 for invalid input (including unknown flags, which argparse reports on
-stderr with usage text).  Reports are deterministic: orderings are
+stderr with usage text).  One parser is built per process and every
+``run`` parses with it.  Reports are deterministic: orderings are
 canonical everywhere, and the only wall-clock content is the timing
 field.  Every command starts from one ``Graph`` of its sizes
 (``_graph_from``), and every refusal that reads only sizes comes before
@@ -24,6 +25,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from json.encoder import encode_basestring_ascii as _escape
 from math import comb
 from typing import Iterable, Iterator, Sequence
@@ -102,7 +104,10 @@ def _dumps(value, indent: str = "\n") -> str:
     return f"[{inner}{body}{indent}]"
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``forest-spectra`` parser, built on the first call and shared by
+    every later call in the process: parse with it, but add nothing to it."""
     parser = argparse.ArgumentParser(
         prog="forest-spectra",
         description=(
@@ -191,7 +196,7 @@ def _require_hessian_room(g: Graph, who: str) -> None:
     if work > MAX_FRONTIER_WORK:
         raise ValueError(
             f"{who} on {g.name}: its {g.edge_count}x{g.edge_count} Hessian is estimated "
-            f"at {work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+            f"at {work} integer operations, over the limit of {MAX_FRONTIER_WORK}"
         )
 
 
@@ -520,9 +525,8 @@ _HANDLERS = {
 def run(argv: Sequence[str]) -> int:
     """Parse arguments, execute, print the JSON report; returns the exit code."""
     start = time.perf_counter()
-    parser = build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = build_parser().parse_args(list(argv))
     except SystemExit as err:
         return err.code if isinstance(err.code, int) else 2
     try:

@@ -725,7 +725,7 @@ def _forest_rows(n: int, k: int) -> Iterator[list[int]]:
     work = _forest_table_work(n, k)
     if work > MAX_FRONTIER_WORK:
         raise TooLarge(
-            f"the closed form's table for its {k}-component forests is estimated at "
+            f"the closed form's table for the {k}-component forests of K_{n} is estimated at "
             f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
         )
     width = n - k + 1

@@ -395,8 +395,8 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
         ),
         (
             "enumerate --complete 100000 --k 3 --count-only",
-            "enumerate on K_100000: the closed form's table for its 3-component forests "
-            "is estimated at 1.54e+16 integer operations, over the limit of 1e+08",
+            "enumerate on K_100000: the closed form's table for the 3-component forests "
+            "of K_100000 is estimated at 1.54e+16 integer operations, over the limit of 1e+08",
         ),
         ("enumerate --complete 4 --k 9 --count-only", "component count k=9 out of range 1..4"),
     ],
@@ -439,12 +439,12 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
         (
             "spectrum --complete 100000 --k 1",
             "spectrum on K_100000: its 4999950000x4999950000 Hessian is estimated at "
-            "2.50e+20 integer operations, over the limit of 1e+08",
+            "249995000025000000000 integer operations, over the limit of 100000000",
         ),
         (
             "spectrum --bipartite 1000 1000 --k 1",
             "spectrum on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
-            "1.00e+13 integer operations, over the limit of 1e+08",
+            "10000000000000 integer operations, over the limit of 100000000",
         ),
         (
             "bijections --complete 100000 --k 3",
@@ -454,12 +454,12 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
         (
             "slp --complete 100000 --r 2",
             "slp on K_100000: its 4999950000x4999950000 Hessian is estimated at "
-            "2.50e+20 integer operations, over the limit of 1e+08",
+            "249995000025000000000 integer operations, over the limit of 100000000",
         ),
         (
             "slp --bipartite 1000 1000 --r 3",
             "slp on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
-            "1.00e+13 integer operations, over the limit of 1e+08",
+            "10000000000000 integer operations, over the limit of 100000000",
         ),
     ],
     ids=["spectrum K_100000", "spectrum K_1000,1000", "bijections K_100000", "slp K_100000", "slp K_1000,1000"],
@@ -488,8 +488,8 @@ def test_slp_hessian_limit_sits_between_3162_and_3164_edges(capsys, monkeypatch)
     _never_build_a_graph(monkeypatch)
     assert run(["slp", "--bipartite", "1582", "2", "--r", "2"]) == 2
     assert capsys.readouterr().err == (
-        "error: slp on K_{1582,2}: its 3164x3164 Hessian is estimated at 1.00e+08 "
-        "integer operations, over the limit of 1e+08\n"
+        "error: slp on K_{1582,2}: its 3164x3164 Hessian is estimated at 100108960 "
+        "integer operations, over the limit of 100000000\n"
     )
 
 
@@ -590,6 +590,43 @@ def test_console_entry_point():
     report = json.loads(proc.stdout)
     assert report["verdict"] == "computed"  # k = n-2 boundary
     assert report["result"]["eigenvalues"][0]["value"] == "5"
+
+
+def test_one_parser_serves_every_run_without_carrying_state(capsys, monkeypatch):
+    # build_parser is cached per process: a run after --matrix, a usage
+    # error, --help or a refusal writes what a fresh interpreter writes
+    from forest_spectra.cli import build_parser
+
+    assert build_parser() is build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # help text is wrapped to the terminal
+    matrix = ["spectrum", "--complete", "5", "--k", "1", "--matrix"]
+    sequence = [
+        matrix,
+        matrix[:-1],
+        ["spectrum", "--complete", "4", "--k", "1", "--bogus"],
+        ["--help"],
+        ["spectrum", "--complete", "100000", "--k", "1"],
+        ["slp", "--bipartite", "3", "3", "--r", "4", "--point=2,-1,1/3,5,7/2,1,3,-4,1/5"],
+        matrix,
+    ]
+    untimed = re.compile(r'\n  "timing_ms": \d+,')
+    outcomes = []
+    for argv in sequence:
+        code = run(argv)
+        captured = capsys.readouterr()
+        outcomes.append((code, untimed.sub("", captured.out), captured.err))
+        fresh = subprocess.run(
+            [sys.executable, "-m", "forest_spectra.cli", *argv], capture_output=True, text=True
+        )
+        assert outcomes[-1] == (fresh.returncode, untimed.sub("", fresh.stdout), fresh.stderr)
+    assert "matrix" in json.loads(outcomes[0][1])["result"]
+    assert "matrix" not in json.loads(outcomes[1][1])["result"]
+    code, out, err = outcomes[2]
+    assert code == 2 and not out and err.startswith("usage: forest-spectra ") and "--bogus" in err
+    assert outcomes[3][0] == 0 and outcomes[3][1].startswith("usage: forest-spectra")
+    assert outcomes[4][0] == 2 and not outcomes[4][1]
+    assert json.loads(outcomes[5][1])["verdict"] == "computed"
+    assert outcomes[6] == outcomes[0]
 
 
 @pytest.mark.parametrize(
@@ -767,8 +804,8 @@ def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkey
     m = n * (n - 1) // 2
     assert not captured.out
     assert captured.err == (
-        f"error: spectrum on K_{n}: its {m}x{m} Hessian is estimated at {10 * m * m:.2e} "
-        "integer operations, over the limit of 1e+08\n"
+        f"error: spectrum on K_{n}: its {m}x{m} Hessian is estimated at {10 * m * m} "
+        "integer operations, over the limit of 100000000\n"
     )
 
 

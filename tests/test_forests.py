@@ -326,7 +326,8 @@ def test_a_table_past_the_work_limit_refuses_itself():
     # pq_decomposition reads a table per subset size; the first one, for the
     # 49,999-component forests of K_99,996, is refused before its first row
     start = time.perf_counter()
-    with pytest.raises(TooLarge, match="the closed form's table for its 49999-component forests"):
+    table = "the closed form's table for the 49999-component forests of K_99996 "
+    with pytest.raises(TooLarge, match=table):
         pq_decomposition(100000, 50000)
     assert time.perf_counter() - start < 1.0
 
