@@ -8,25 +8,22 @@ canonical everywhere, and the only wall-clock content is the timing
 field.  Every command starts from one ``Graph`` of its sizes
 (``_graph_from``), and every refusal that reads only sizes comes before
 any vertex or edge is built.  The fields of a result object are read off
-it by ``_pick``, and the report is written by ``_dumps``, the one place a
-rational becomes its exact string ("-142/3"): its output equals
-``json.dumps(report, indent=2, sort_keys=True, default=str)`` byte for
-byte, without going through ``json``'s pure-Python indent encoder.  A
-reader that closes stdout early, as ``| head`` does, gets the report's
-prefix, and the exit code is the verdict's.
+it by ``_pick``, and the report's text comes from ``reports._dumps``: one
+string, or for a listing, which ``enumerate`` hands over as the search's
+edge masks, blocks of rows written as they are rendered.  A reader that
+closes stdout early, as ``| head`` does, gets the report's prefix, and
+the exit code is the verdict's.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
 import time
 from fractions import Fraction
 from functools import cache
-from json.encoder import encode_basestring_ascii as _escape
 from math import comb
 from typing import Iterable, Iterator, Sequence
 
@@ -44,7 +41,6 @@ from .forests import (
     _forest_masks,
     _forest_rows,
     _forests_by_size,
-    _mask_bits,
     _require_k,
     _split_family_size,
     edge_pair_counts,
@@ -54,10 +50,12 @@ from .forests import (
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
 from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
+from .reports import _dumps, _Listing
 from .spectra import (
     BipartiteParams,
     _degree_one_certificate,
     _require_closed_form,
+    _zero_certificate,
     predicted_signs,
     sign_profile,
     spectrum_determinant,
@@ -69,39 +67,6 @@ def _pick(obj, *names: str) -> dict:
     """``{name: value}`` for the named attributes of ``obj``, leaving out a
     ``None``; a name ``obj`` lacks raises AttributeError."""
     return {name: value for name in names if (value := getattr(obj, name)) is not None}
-
-
-def _dumps(value, indent: str = "\n") -> str:
-    """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
-    for byte, for a report value: strings, and ``Fraction``s as their exact
-    strings, go through the C escaper that call uses, lists, tuples and
-    str-keyed dicts are joined here, and any other scalar is
-    ``json.dumps(value)``, which raises TypeError on what ``json`` cannot
-    encode.  A list of strings is joined in one ``map``, and a list of
-    non-empty lists of strings (a listing's rows) in one comprehension."""
-    if isinstance(value, (str, Fraction)):
-        return _escape(str(value))
-    if not isinstance(value, (dict, list, tuple)):
-        return json.dumps(value)
-    inner = indent + "  "
-    sep = "," + inner
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        body = sep.join([f"{_escape(key)}: {_dumps(value[key], inner)}" for key in sorted(value)])
-        return f"{{{inner}{body}{indent}}}"
-    if not value:
-        return "[]"
-    try:
-        if all(type(row) is list and row for row in value):
-            row_inner = inner + "  "
-            row_sep = "," + row_inner
-            body = sep.join([f"[{row_inner}{row_sep.join(map(_escape, row))}{inner}]" for row in value])
-        else:
-            body = sep.join(map(_escape, value))
-    except TypeError:  # an element or row entry that is not a string
-        body = sep.join([_dumps(x, inner) for x in value])
-    return f"[{inner}{body}{indent}]"
 
 
 @cache
@@ -189,9 +154,10 @@ def _require_hessian_room(g: Graph, who: str) -> None:
     """Refuse, from the edge count alone, the m x m degree-one Hessian that
     ``who`` (``spectrum`` or ``slp``) certifies when its m^2 entries pass
     MAX_FRONTIER_WORK at 10 integer operations each: building, checking and
-    certifying it takes about 1 us per entry even where every entry is zero
+    certifying it took about 1 us per entry even where every entry is zero
     and no walk runs (K_60 at k = 59, 3.1e6 entries, 2.8 s; K_70 at k = 70,
-    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11)."""
+    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11), before the zero
+    Hessians of k >= V - 1 were read off the sizes."""
     work = 10 * g.edge_count**2
     if work > MAX_FRONTIER_WORK:
         raise ValueError(
@@ -206,13 +172,19 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     _require_k(g.vertex_count, k)
     _require_closed_form(g, "spectrum")
     _require_hessian_room(g, "spectrum")
-    h = tilde_hessian(g, k)
-    params, spectrum, certified, det = _degree_one_certificate(h, g)
+    dim = g.edge_count
+    # past k = V - 2 no forest holds two edges, so the Hessian is zero
+    zero = k >= g.vertex_count - 1
+    if zero:
+        params, spectrum, certified, det = _zero_certificate(g)
+    else:
+        h = tilde_hessian(g, k)
+        params, spectrum, certified, det = _degree_one_certificate(h, g)
     profile = sign_profile(spectrum)
     in_range = theorem_range(g, k)
     delta = ("delta",) if isinstance(params, BipartiteParams) else ()
     result: dict = {
-        "dimension": h.nrows,
+        "dimension": dim,
         "entry_pattern": _pick(params, "alpha", "beta", "gamma", *delta),
         "eigenvalues": [{"value": v, "multiplicity": m} for v, m in spectrum.pairs],
         "sign_profile": _pick(profile, *profile._fields),
@@ -222,7 +194,8 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         "theorem_range": in_range,
     }
     if args.matrix:
-        result["matrix"] = h.rows
+        # the zero matrix's rows are one shared row of zeros
+        result["matrix"] = ((Fraction(0),) * dim,) * dim if zero else h.rows
     checks = [certified, det == spectrum_determinant(spectrum)]
     if in_range:
         counts = edge_pair_counts(g, k)
@@ -241,7 +214,7 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         except VerificationFailure as err:
             result["sign_predictions_error"] = str(err)
             checks.append(False)
-        checks.append(tuple(profile) == (1, 0, h.nrows - 1))
+        checks.append(tuple(profile) == (1, 0, dim - 1))
         checks.append(det != 0)
     else:
         result["note"] = "outside the nonvanishing theorem range; computed, not asserted"
@@ -438,15 +411,24 @@ MAX_LISTED_FORESTS = 1_000_000
 
 def _require_listable(g: Graph, k: int, what: str) -> None:
     """Refuse, before an edge of K_n is read, to list its k-component
-    forests when there are more than MAX_LISTED_FORESTS of them.  The
-    closed form's table, which refuses itself past MAX_FRONTIER_WORK, stops
-    at its first row past the cap, since no entry exceeds the count; the
-    message names the count when that row is the last and Python writes
-    it, and the cap by name otherwise."""
+    forests when there are more than MAX_LISTED_FORESTS of them, or when
+    their edge masks, of C(n,2) bits and so ceil(C(n,2)/30) CPython digits
+    each, pass MAX_FRONTIER_WORK digits in all.  The closed form's table,
+    which refuses itself past MAX_FRONTIER_WORK, stops at its first row
+    past the cap, since no entry exceeds the count; the message names the
+    count when that row is the last and Python writes it, and the cap by
+    name otherwise."""
     for j, row in enumerate(_forest_rows(g.left_size, k), 1):
         if row[-1] > MAX_LISTED_FORESTS:
             break
     else:
+        work = row[-1] * -(-g.edge_count // 30)
+        if work > MAX_FRONTIER_WORK:
+            raise ValueError(
+                f"the {row[-1]} {k}-component forests of {g.name}, as masks of "
+                f"{g.edge_count} bits, are estimated at {work} digit operations, "
+                f"more than the {MAX_FRONTIER_WORK} {what}"
+            )
         return
     if j == k and _printable(row[-1]):
         raise ValueError(
@@ -499,18 +481,14 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
                 f"(sys.get_int_max_str_digits())"
             )
         return "computed", input_, {"count": count}
-    _require_listable(g, k, "enumerate may list; use --count-only to count them")
     if k == n:  # the one forest with no edge, with no edge read
         return "computed", input_, {"count": 1, "forests": [[]]}
+    _require_listable(g, k, "enumerate may list; use --count-only to count them")
+    masks = _forest_masks(g, k)
     # g.edges is sorted, so ascending edge indices list a forest's edge
     # names in the order Forest.edge_names gives
     names = [edge_name(e) for e in g.edges]
-    masks = _forest_masks(g, k)
-    result = {
-        "count": len(masks),
-        "forests": [[names[i] for i in _mask_bits(mask)] for mask in masks],
-    }
-    return "computed", input_, result
+    return "computed", input_, {"count": len(masks), "forests": _Listing(names, masks)}
 
 
 _HANDLERS = {
@@ -548,8 +526,10 @@ def run(argv: Sequence[str]) -> int:
         "verdict": verdict,
         "timing_ms": int(round((time.perf_counter() - start) * 1000)),
     }
+    text = _dumps(report)
     try:
-        print(_dumps(report), flush=True)
+        sys.stdout.writelines([text] if type(text) is str else text)
+        print(flush=True)
     except BrokenPipeError:
         # the reader closed stdout (as `| head` does): point it at devnull, so
         # that the flush at shutdown neither fails nor prints a traceback

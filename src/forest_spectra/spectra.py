@@ -324,6 +324,19 @@ def _degree_one_certificate(
     return params, spectrum, verify_spectrum(h, spectrum), exact_determinant(h)
 
 
+def _zero_certificate(g: Graph) -> tuple[StructuredParams, Spectrum, bool, Fraction]:
+    """``_degree_one_certificate`` of the zero Hessian of ``g``, from its
+    sizes: an all-zero pattern, eigenvalue 0 of multiplicity m, which the
+    zero matrix certifies (x annihilates it, and its traces are 0), and
+    determinant 0."""
+    zero = Fraction(0)
+    if g.kind == COMPLETE:
+        params: StructuredParams = CompleteParams(zero, zero, zero, g.left_size)
+    else:
+        params = BipartiteParams(zero, zero, zero, zero, g.left_size, g.right_size)
+    return params, Spectrum(((zero, g.edge_count),)), True, zero
+
+
 def sign_profile(spectrum: Spectrum) -> SignProfile:
     """Multiplicity-weighted counts of positive, zero and negative eigenvalues."""
     pos = sum(m for v, m in spectrum.pairs if v > 0)

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from forest_spectra.cli import _dumps, _parse_rational, run
+from forest_spectra.cli import _parse_rational, run
+from forest_spectra.reports import _dumps
 
 from conftest import load_perfbench, patch_everywhere
 
@@ -399,10 +400,16 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
             "of K_100000 is estimated at 1.54e+16 integer operations, over the limit of 1e+08",
         ),
         ("enumerate --complete 4 --k 9 --count-only", "component count k=9 out of range 1..4"),
+        (
+            "enumerate --complete 700 --k 699",
+            "the 244650 699-component forests of K_700, as masks of 244650 bits, are "
+            "estimated at 1995120750 digit operations, more than the 100000000 "
+            "enumerate may list; use --count-only to count them",
+        ),
     ],
     ids=[
         "list K_1100 k=1050", "list K_2000", "matroid K_2000",
-        "count digits K_2000", "count table K_100000", "count k out of range",
+        "count digits K_2000", "count table K_100000", "count k out of range", "list K_700 masks",
     ],
 )
 def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv, message):
@@ -419,6 +426,19 @@ def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv
     assert code == 2 and not captured.out
     assert elapsed < 1.0
     assert captured.err == f"error: {message}\n"
+
+
+def test_listing_mask_limit_sits_between_k300_and_k500():
+    # each of K_n's forests is a C(n,2)-bit mask: K_300's 44,850 single
+    # edges are 44,850 * 1,495 = 6.7e7 digits and pass, K_500's 124,750 are
+    # 124,750 * 4,159 = 5.2e8 and do not; decided from the estimate, with
+    # no forest listed
+    from forest_spectra.cli import _require_listable
+    from forest_spectra.graphs import complete_graph
+
+    _require_listable(complete_graph(300), 299, "enumerate may list")
+    with pytest.raises(ValueError, match="are estimated at 518835250 digit operations"):
+        _require_listable(complete_graph(500), 499, "enumerate may list")
 
 
 def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
@@ -519,6 +539,96 @@ def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
     monkeypatch.setattr(cli, "MAX_LISTED_FORESTS", 15)
     assert run(["enumerate", "--complete", "4", "--k", "1"]) == 2
     assert "16 1-component forests" in capsys.readouterr().err
+
+
+def _listing_the_old_way(n, k, out):
+    """The enumerate report of K_n at k as ``json.dumps(indent=2,
+    sort_keys=True)`` writes it, with each row a list of edge names built
+    from ``_mask_bits``, at the timing ``out`` reports."""
+    from forest_spectra import complete_graph, edge_name
+    from forest_spectra.forests import _forest_masks, _mask_bits
+
+    g = complete_graph(n)
+    names = [edge_name(e) for e in g.edges]
+    masks = _forest_masks(g, k) if k < n else [0]
+    report = {
+        "command": "enumerate",
+        "input": {"count_only": False, "graph": f"K_{n}", "k": k},
+        "result": {"count": len(masks), "forests": [[names[i] for i in _mask_bits(x)] for x in masks]},
+        "timing_ms": json.loads(out)["timing_ms"],
+        "verdict": "computed",
+    }
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize(
+    "n,k",
+    # k = n - 1 lists single edges, k = n the edgeless forest; K_12's masks
+    # are 66 bits, and K_100's single edges are 4,950-bit masks
+    [(n, k) for n in range(1, 8) for k in range(1, n + 1)] + [(12, 10), (100, 99)],
+    ids=lambda v: str(v),
+)
+def test_enumerate_writes_the_listing_json_dumps_writes(capsys, n, k):
+    assert run(["enumerate", "--complete", str(n), "--k", str(k)]) == 0
+    out = capsys.readouterr().out
+    assert out == _listing_the_old_way(n, k, out)
+
+
+@pytest.mark.parametrize("block", [1, 7, 109, 110, 111])
+def test_enumerate_listing_blocks_join_seamlessly(capsys, monkeypatch, block):
+    # K_5 has 110 two-component forests: blocks of one row, a few rows,
+    # and around the whole listing
+    from forest_spectra import reports
+
+    monkeypatch.setattr(reports, "LISTING_BLOCK", block)
+    assert run(["enumerate", "--complete", "5", "--k", "2"]) == 0
+    out = capsys.readouterr().out
+    assert out == _listing_the_old_way(5, 2, out)
+
+
+def test_enumerate_writes_the_listing_block_by_block(monkeypatch):
+    # K_7's 16,807 spanning trees span five blocks; each is written as it
+    # is rendered, so no write holds the whole listing
+    import io
+
+    from forest_spectra import reports
+
+    class Writes(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    stdout = Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["enumerate", "--complete", "7", "--k", "1"]) == 0
+    out = stdout.getvalue()
+    assert 16807 > 4 * reports.LISTING_BLOCK
+    assert out == _listing_the_old_way(7, 1, out)
+    assert max(stdout.sizes) < len(out) / 4
+
+
+def test_dumps_writes_a_listing_in_a_dict_as_json_writes_its_rows():
+    from itertools import combinations
+
+    from forest_spectra.reports import _Listing
+
+    def rows_of(names, masks):
+        return [[names[i] for i in range(len(names)) if x >> i & 1] for x in masks]
+
+    for m, edges in product((1, 2, 5, 40, 90, 91, 200), (1, 2, 3)):
+        # names that need escaping, masks narrow and wide, and rows of one
+        # edge and of several
+        names = [f"{i}-\u00e9\"{'x' * (i % 3)}" for i in range(m)]
+        masks = [sum(1 << i for i in c) for c in combinations(range(m), edges)][:500]
+        if not masks:  # a listing holds at least one forest
+            continue
+        value = {"a": [1, "b"], "forests": _Listing(names, masks), "z": {"y": None}}
+        expected = json.dumps({**value, "forests": rows_of(names, masks)}, indent=2, sort_keys=True)
+        assert "".join(_dumps(value)) == expected, (m, edges)
 
 
 def test_reports_are_deterministic(capsys):
@@ -790,7 +900,8 @@ def test_spectrum_refuses_a_graph_without_a_closed_form_before_any_count(
 @pytest.mark.parametrize("n", [150, 300])
 def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkeypatch, n):
     # at k = n no edge is taken, so no frontier walk runs to refuse the
-    # C(n,2) x C(n,2) zero Hessian: K_150's took 139 s to build and certify
+    # C(n,2) x C(n,2) Hessian; the size rule refuses it before the zero
+    # Hessian is read off the sizes, as it does at every k
     from forest_spectra import spectra
 
     def never(*args):
@@ -810,7 +921,7 @@ def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkey
 
 
 def test_spectrum_hessian_limit_sits_between_k80_and_k81():
-    # K_80's 3160^2 entries (about 9 s at k = 80) pass; K_81's 3240^2 do not
+    # K_80's 3160^2 entries pass; K_81's 3240^2 do not
     from forest_spectra.cli import _require_hessian_room
     from forest_spectra.graphs import complete_bipartite_graph, complete_graph
 
@@ -819,6 +930,56 @@ def test_spectrum_hessian_limit_sits_between_k80_and_k81():
     for g in (complete_graph(81), complete_bipartite_graph(57, 56)):
         with pytest.raises(ValueError, match=re.escape(f"spectrum on {g.name}: its")):
             _require_hessian_room(g, "spectrum")
+
+
+def _zero_hessian_graphs():
+    """(graph flags, V) for K_4..K_7 and K_{2,2}..K_{3,4}."""
+    return [(["--complete", str(n)], n) for n in range(4, 8)] + [
+        (["--bipartite", str(m), str(n)], m + n) for m, n in ((2, 2), (2, 3), (2, 4), (3, 3), (3, 4))
+    ]
+
+
+@pytest.mark.parametrize(
+    "graph,k",
+    [(graph, k) for graph, v in _zero_hessian_graphs() for k in (v - 1, v)],
+    ids=lambda v: " ".join(v) if isinstance(v, list) else str(v),
+)
+def test_spectrum_at_k_past_v_minus_2_reads_the_zero_hessian_off_the_sizes(
+    capsys, monkeypatch, graph, k
+):
+    # no forest of at most one edge holds two edges, so every entry is zero:
+    # the report, --matrix included, is the one the certificate of the
+    # Hessian built by tilde_hessian gives
+    import forest_spectra.cli as cli
+    from forest_spectra.spectra import _degree_one_certificate, tilde_hessian
+
+    argv = ["spectrum", *graph, "--k", str(k), "--matrix"]
+    assert run(argv) == 0
+    shortcut = re.sub(r'\n  "timing_ms": \d+,', "", capsys.readouterr().out)
+    g = cli._graph_from(cli.build_parser().parse_args(argv))
+    h = tilde_hessian(g, k)
+    monkeypatch.setattr(cli, "_zero_certificate", lambda g: _degree_one_certificate(h, g))
+    assert run(argv) == 0
+    built = re.sub(r'\n  "timing_ms": \d+,', "", capsys.readouterr().out)
+    assert shortcut == built
+    assert json.loads(shortcut)["result"]["matrix"] == [list(map(str, row)) for row in h.rows]
+
+
+def test_spectrum_on_k80_at_k80_builds_no_hessian(capsys, monkeypatch):
+    from forest_spectra import spectra
+
+    def never(*args):
+        raise AssertionError("the zero Hessian was built or certified")
+
+    for name in ("tilde_hessian", "_degree_one_certificate"):
+        patch_everywhere(monkeypatch, spectra, name, never)
+    start = time.perf_counter()
+    code, report = capture(capsys, ["spectrum", "--complete", "80", "--k", "80"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and report["verdict"] == "computed"
+    assert report["result"]["dimension"] == 3160
+    assert report["result"]["eigenvalues"] == [{"multiplicity": 3160, "value": "0"}]
+    assert report["result"]["determinant"] == "0" and report["result"]["spectrum_certified"]
 
 
 def test_spectrum_checks_the_component_count_before_the_graph(capsys):
@@ -1048,12 +1209,14 @@ def test_slp_reports_past_the_ladders_are_pinned(argv, capsys):
     assert facts["verdict"] == ("verified" if "--point" not in argv else "computed")
 
 
-def test_a_closed_stdout_ends_quietly_with_the_verdicts_exit_code():
+@pytest.mark.parametrize("n,k", [(7, 1), (8, 3)])
+def test_a_closed_stdout_ends_quietly_with_the_verdicts_exit_code(n, k):
     # `| head -c 100` reads 100 bytes and closes the pipe: the report's
     # prefix arrives, and neither a traceback nor Python's shutdown flush
-    # writes to stderr
+    # writes to stderr, whichever of a listing's blocks the pipe closes in
+    # (K_8's 76,608 three-component forests are 19 blocks)
     proc = subprocess.Popen(
-        [sys.executable, "-m", "forest_spectra.cli", "enumerate", "--complete", "7", "--k", "1"],
+        [sys.executable, "-m", "forest_spectra.cli", "enumerate", "--complete", str(n), "--k", str(k)],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
     )
