@@ -39,7 +39,6 @@ from .errors import StructureViolation, TooLarge, VerificationFailure
 from .forests import (
     MAX_FRONTIER_WORK,
     _forest_masks,
-    _forest_rows,
     _forests_by_size,
     _require_k,
     _split_family_size,
@@ -156,8 +155,9 @@ def _require_hessian_room(g: Graph, who: str) -> None:
     MAX_FRONTIER_WORK at 10 integer operations each: building, checking and
     certifying it took about 1 us per entry even where every entry is zero
     and no walk runs (K_60 at k = 59, 3.1e6 entries, 2.8 s; K_70 at k = 70,
-    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11), before the zero
-    Hessians of k >= V - 1 were read off the sizes."""
+    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11).  The zero Hessians
+    of k >= V - 1 are read off the sizes, so ``spectrum`` applies the rule
+    to them only when ``--matrix`` writes their m^2 entries."""
     work = 10 * g.edge_count**2
     if work > MAX_FRONTIER_WORK:
         raise ValueError(
@@ -171,10 +171,12 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     k = args.k
     _require_k(g.vertex_count, k)
     _require_closed_form(g, "spectrum")
-    _require_hessian_room(g, "spectrum")
     dim = g.edge_count
-    # past k = V - 2 no forest holds two edges, so the Hessian is zero
+    # past k = V - 2 no forest holds two edges, so the Hessian is zero: read
+    # off the sizes, and written only for --matrix
     zero = k >= g.vertex_count - 1
+    if args.matrix or not zero:
+        _require_hessian_room(g, "spectrum")
     if zero:
         params, spectrum, certified, det = _zero_certificate(g)
     else:
@@ -409,36 +411,39 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
 MAX_LISTED_FORESTS = 1_000_000
 
 
+def _forest_count(n: int, k: int) -> int | None:
+    """F(n, k), the k-component forests of K_n, or None when Python would
+    not write it in decimal.  Among them are the (n-k+1)^(n-k-1) spanning
+    trees of K_{n-k+1} with every other vertex alone; when those alone
+    reach 2^(4 L) > 10^L, for L = sys.get_int_max_str_digits() > 0, None
+    comes from n and k before the closed form runs (seconds of work there)."""
+    limit = sys.get_int_max_str_digits()
+    s = n - k + 1
+    if limit and (s - 2) * (s.bit_length() - 1) >= 4 * limit:
+        return None
+    count = _forests_by_size(n, k)
+    return count if _printable(count) else None
+
+
 def _require_listable(g: Graph, k: int, what: str) -> None:
     """Refuse, before an edge of K_n is read, to list its k-component
     forests when there are more than MAX_LISTED_FORESTS of them, or when
     their edge masks, of C(n,2) bits and so ceil(C(n,2)/30) CPython digits
-    each, pass MAX_FRONTIER_WORK digits in all.  The closed form's table,
-    which refuses itself past MAX_FRONTIER_WORK, stops at its first row
-    past the cap, since no entry exceeds the count; the message names the
-    count when that row is the last and Python writes it, and the cap by
-    name otherwise."""
-    for j, row in enumerate(_forest_rows(g.left_size, k), 1):
-        if row[-1] > MAX_LISTED_FORESTS:
-            break
-    else:
-        work = row[-1] * -(-g.edge_count // 30)
-        if work > MAX_FRONTIER_WORK:
-            raise ValueError(
-                f"the {row[-1]} {k}-component forests of {g.name}, as masks of "
-                f"{g.edge_count} bits, are estimated at {work} digit operations, "
-                f"more than the {MAX_FRONTIER_WORK} {what}"
-            )
-        return
-    if j == k and _printable(row[-1]):
+    each, pass MAX_FRONTIER_WORK digits in all.  The message names the
+    count when Python writes it, and the cap by name otherwise (Python
+    writes at least 640 digits, far past the cap)."""
+    count = _forest_count(g.left_size, k)
+    if count is None or count > MAX_LISTED_FORESTS:
+        has = (f"{count} {k}-component forests, more than the" if count else
+               f"more {k}-component forests than the MAX_LISTED_FORESTS =")
+        raise ValueError(f"{g.name} has {has} {MAX_LISTED_FORESTS} {what}")
+    work = count * -(-g.edge_count // 30)
+    if work > MAX_FRONTIER_WORK:
         raise ValueError(
-            f"{g.name} has {row[-1]} {k}-component forests, more than the "
-            f"{MAX_LISTED_FORESTS} {what}"
+            f"the {count} {k}-component forests of {g.name}, as masks of "
+            f"{g.edge_count} bits, are estimated at {work} digit operations, "
+            f"more than the {MAX_FRONTIER_WORK} {what}"
         )
-    raise ValueError(
-        f"{g.name} has more {k}-component forests than the "
-        f"MAX_LISTED_FORESTS = {MAX_LISTED_FORESTS} {what}"
-    )
 
 
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
@@ -473,8 +478,8 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     input_ = {"graph": g.name, "k": k, "count_only": bool(args.count_only)}
     _require_k(n, k)
     if args.count_only:
-        count = _forests_by_size(n, k)
-        if not _printable(count):
+        count = _forest_count(n, k)
+        if count is None:
             raise ValueError(
                 f"enumerate on {g.name}: the count of its {k}-component forests has "
                 f"more digits than the {sys.get_int_max_str_digits()} Python writes "
@@ -512,7 +517,7 @@ def run(argv: Sequence[str]) -> int:
     # a StructureViolation is a ValueError, but a failed check, not bad input
     except (StructureViolation, VerificationFailure) as err:
         verdict, input_, result = "failed", {}, {"error": str(err)}
-    # a walk or a table knows its own size, not the command or graph it is for
+    # a walk or the formula knows its own size, not the command or graph it is for
     except TooLarge as err:
         print(f"error: {args.command} on {_graph_from(args).name}: {err}", file=sys.stderr)
         return 2

@@ -6,9 +6,9 @@ class InsufficientVertices(ValueError):
 
 
 class TooLarge(ValueError):
-    """A frontier walk's or a closed-form table's estimated work passes
-    MAX_FRONTIER_WORK; raised before its first step.  The message names
-    the walk or the table, not the command or graph it is for."""
+    """A frontier walk's or the forest-count formula's estimated work
+    passes MAX_FRONTIER_WORK; raised before its first step.  The message
+    names the walk or the formula, not the command or graph it is for."""
 
 
 class StructureViolation(ValueError):

@@ -11,7 +11,7 @@ built and an input refused up front when its estimated work is too large.
 Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
 pair packed into each state's integers.  The k-forests of K_n itself are
-counted with no walk, by a table over Cayley's tree counts
+counted with no walk, by Renyi's closed formula
 (:func:`_forests_by_size`), refused up front the same way.  Enumeration
 is the search: recursive edge inclusion with union-find cycle rejection,
 pruned by remaining-edge feasibility.  The search lists forests as ``int`` edge
@@ -30,8 +30,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from math import comb
-from operator import add, mul
-from typing import Iterable, Iterator, Sequence
+from operator import add
+from typing import Iterable, Sequence
 
 from .errors import InsufficientVertices, TooLarge
 from .graphs import (
@@ -707,81 +707,40 @@ def _cayley(s: int) -> int:
     return s ** (s - 2) if s > 2 else 1
 
 
-def _forest_rows(n: int, k: int) -> Iterator[list[int]]:
-    """The rows of the table behind ``_forests_by_size(n, k)``, 1 <= k <= n.
-
-    F(m, j), the number of j-component forests of K_m, sums over the size
-    s = t + 1 of the tree through vertex 1: C(m-1, t) choices of its other
-    vertices, Cayley's T(s) trees on them, and F(m-s, j-1) forests on the
-    rest.  Row j holds F(m, j) for m = j..j+n-k, and row k holds F(n, k)
-    alone; one tree (k = 1) or no edge (k = n) is one row.  Each entry is
-    a term, with a coefficient of at least one, of an entry of the next
-    row, so no entry exceeds F(n, k), and a row past a bound shows that
-    F(n, k) is past it too.  Within a row the binomials C(m-1, t) come
-    from the entry before by Pascal's rule.  A table whose
-    :func:`_forest_table_work` passes MAX_FRONTIER_WORK is refused with
-    TooLarge before its first row.
-    """
-    work = _forest_table_work(n, k)
-    if work > MAX_FRONTIER_WORK:
-        raise TooLarge(
-            f"the closed form's table for the {k}-component forests of K_{n} is estimated at "
-            f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
-        )
-    width = n - k + 1
-    if k == 1 or width == 1:
-        yield [_cayley(n) if k == 1 else 1]
-        return
-    cayley = [_cayley(s) for s in range(1, width + 1)]
-    row = cayley
-    last = width - 1
-    for j in range(2, k):
-        yield row
-        back = row[::-1]
-        binom: list[int] = []
-        nxt = []
-        for i in range(width):  # m = j + i
-            binom = list(map(add, binom + [comb(j + i - 2, i)], [0] + binom)) if i else [1]
-            nxt.append(sum(map(mul, map(mul, binom, cayley), back[last - i:])))
-        row = nxt
-    yield row
-    binom = [comb(n - 1, t) for t in range(width)]
-    yield [sum(map(mul, map(mul, binom, cayley), reversed(row)))]
-
-
-def _forest_table_work(n: int, k: int) -> int:
-    """Estimated cost of :func:`_forest_rows` in the units of
-    MAX_FRONTIER_WORK: 20 per entry of the k - 2 middle rows (the Python
-    steps of one sum), and 2 + (bits / 2^10)^2 per product of operands of
-    up to ``bits`` bits, where entry i of a row sums i + 1 products, the
-    last entry a row's width, and each Cayley power takes about log2(n)
-    squarings.  No operand exceeds F(n, k), which is below C(n,2)^(n-k)
-    and at most n^(n-2) C(n-1, k-1) (a k-forest is a spanning tree less
-    k - 1 of its edges).
-    """
-    width = n - k + 1
-    b = n.bit_length()
-    bits = min((width - 1) * (2 * b - 1), (n - 2) * b + n)
-    per_product = 2 + (bits >> 10) ** 2
-    if k == 1 or width == 1:  # one Cayley power, or none
-        return b * per_product
-    entries = (k - 2) * width
-    products = entries * (width + 1) // 2 + (1 + b) * width
-    return 20 * entries + products * per_product
-
-
 @lru_cache(maxsize=None)
 def _forests_by_size(n: int, k: int) -> int:
-    """Number of spanning forests of K_n with k components, from the table
-    of :func:`_forest_rows`; defined as 1 for the empty vertex set with
-    k = 0 (the boundary the subset sums need)."""
-    if n == 0:
-        return 1 if k == 0 else 0
-    if k < 1 or k > n:
-        return 0
-    for row in _forest_rows(n, k):
-        pass
-    return row[0]
+    """Number of spanning forests of K_n with k components, by Renyi's
+    formula (Renyi 1959; Moon, *Counting Labelled Trees*, 1970): with
+    t = min(k, n - k) and (d)_j the falling factorial,
+
+        F(n, k) = C(n, k) sum_{j<=t} (-1)^j C(k, j) (k + j) (n - k)_j n^(n-k-j-1) / 2^j,
+
+    summed by Horner in 2n over the common denominator n 2^t, so every
+    step is exact.  Defined as 1 for the empty vertex set with k = 0 (the
+    boundary the subset sums need) and 0 for k outside 1..n.
+
+    The t Horner steps act on a sum of about t (2 log2 n + 1) bits, and
+    the product has about (n - k) log2 n bits more; past MAX_FRONTIER_WORK,
+    at 20 plus one per 2^9 bits a step and (bits / 2^10)^2 for the
+    product, TooLarge refuses the formula before it computes.
+    """
+    if not 0 < k <= n:
+        return int(n == k == 0)
+    t = min(k, n - k)
+    b = n.bit_length()
+    horner = t * (2 * b + 1)
+    work = t * (20 + (horner >> 9)) + ((horner + (n - k) * b) >> 10) ** 2
+    if work > MAX_FRONTIER_WORK:
+        raise TooLarge(
+            f"the closed form for the {k}-component forests of K_{n} is estimated at "
+            f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+        )
+    acc = 0
+    term = 1  # (-1)^j C(k, j) (n - k)_j
+    for j in range(t + 1):
+        acc = acc * 2 * n + term * (k + j)
+        term = -term * (k - j) * (n - k - j) // (j + 1)
+    return comb(n, k) * acc * n ** (n - k - t) // (n << t)
 
 
 def _split_family_size(w: int) -> int:

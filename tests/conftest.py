@@ -5,7 +5,8 @@ algorithms: subsets come from itertools.combinations, connectivity from a
 BFS over an adjacency dict (no union-find), determinants from cofactor
 expansion, determinants and inertias of symmetric matrices from an LDL^T
 on ``Fraction``s, spectrum certificates from the product of the shifted
-matrices, the basis-exchange axiom from its pairwise definition.  Tests
+matrices, the basis-exchange axiom from its pairwise definition, the
+forest counts of K_n from the recurrence over the tree through vertex 1.  Tests
 freeze values computed by these oracles and compare the package against
 them.
 """
@@ -16,7 +17,8 @@ import importlib.util
 import itertools
 import sys
 from fractions import Fraction
-from math import lcm
+from functools import lru_cache
+from math import comb, lcm
 from operator import mul
 from pathlib import Path
 
@@ -103,6 +105,19 @@ def brute_acyclic_subset_count(graph) -> int:
             if is_acyclic(vertices, sub):
                 total += 1
     return total
+
+
+@lru_cache(maxsize=None)
+def recurrence_forest_count(n: int, k: int) -> int:
+    """k-component spanning forests of K_n by the size s of the tree through
+    vertex 1: C(n-1, s-1) vertex sets, Cayley's s^(s-2) trees on them, and
+    the (k-1)-forests of the other n - s vertices."""
+    if n == 0 or k == 0:
+        return int(n == k)
+    return sum(
+        comb(n - 1, s - 1) * s ** max(s - 2, 0) * recurrence_forest_count(n - s, k - 1)
+        for s in range(1, n + 1)
+    )
 
 
 def cofactor_determinant(rows) -> Fraction:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -345,7 +346,7 @@ def _never_build_a_graph(monkeypatch):
 
 
 def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
-    # K_n's forests are counted by the closed form's table: every ladder
+    # K_n's forests are counted by the closed form: every ladder
     # count keeps its golden report, and K_30 has Cayley's 30^28 spanning
     # trees, past what a frontier walk can count
     from forest_spectra import forests
@@ -376,7 +377,10 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
     [
         (
             "enumerate --complete 1100 --k 1050",
-            "K_1100 has more 1050-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "K_1100 has 38371552682050213457241502065759840621265087885210078217043192986310"
+            "187272811082925637622452006185898931023002858329833921770701473645056583470421"
+            "393949198729597166454021908024310683819833255380138418151604417080710156250000"
+            "0 1050-component forests, more than the 1000000 "
             "enumerate may list; use --count-only to count them",
         ),
         (
@@ -396,8 +400,8 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
         ),
         (
             "enumerate --complete 100000 --k 3 --count-only",
-            "enumerate on K_100000: the closed form's table for the 3-component forests "
-            "of K_100000 is estimated at 1.54e+16 integer operations, over the limit of 1e+08",
+            "enumerate on K_100000: the count of its 3-component forests has more digits "
+            "than the 4300 Python writes (sys.get_int_max_str_digits())",
         ),
         ("enumerate --complete 4 --k 9 --count-only", "component count k=9 out of range 1..4"),
         (
@@ -409,14 +413,15 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
     ],
     ids=[
         "list K_1100 k=1050", "list K_2000", "matroid K_2000",
-        "count digits K_2000", "count table K_100000", "count k out of range", "list K_700 masks",
+        "count digits K_2000", "count digits K_100000", "count k out of range",
+        "list K_700 masks",
     ],
 )
 def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv, message):
-    # the listing cap's table stops at its first row past the cap (K_51's
-    # 51^49 trees for k = 1050, with no recursion over 1050 levels), and
-    # K_2000's 2000^1998 trees have more digits than Python writes, so the
-    # cap is named in place of the count
+    # K_1100's 1050-forests, a 225-digit count, are named; K_2000's
+    # 2000^1998 trees, and K_100000's 3-forests with K_99998's 99998^99996
+    # trees among them, have more digits than Python writes, so the cap or
+    # the digit limit is named in place of the count
     _never_build_a_graph(monkeypatch)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
     start = time.perf_counter()
@@ -426,6 +431,95 @@ def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv
     assert code == 2 and not captured.out
     assert elapsed < 1.0
     assert captured.err == f"error: {message}\n"
+
+
+def test_count_only_past_the_formula_estimate_is_refused(capsys, monkeypatch):
+    # with no digit limit the count is not refused for its digits, so the
+    # closed form's own estimate refuses K_1,000,000's 20-million-bit
+    # (10^6)^(10^6-2) spanning trees before the power is taken
+    _never_build_a_graph(monkeypatch)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 0)
+    start = time.perf_counter()
+    code = run(["enumerate", "--complete", "1000000", "--k", "1", "--count-only"])
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == (
+        "error: enumerate on K_1000000: the closed form for the 1-component forests of "
+        "K_1000000 is estimated at 3.81e+08 integer operations, over the limit of 1e+08\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (
+            "enumerate --complete 70000 --k 35000 --count-only",
+            "enumerate on K_70000: the count of its 35000-component forests has more "
+            "digits than the 4300 Python writes (sys.get_int_max_str_digits())",
+        ),
+        (
+            "enumerate --complete 500000 --k 1",
+            "K_500000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "enumerate may list; use --count-only to count them",
+        ),
+        (
+            "matroid --complete 500000 --r 3",
+            "K_500000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
+            "matroid may list: it truncates every spanning tree",
+        ),
+    ],
+    ids=["count K_70000 k=35000", "list K_500000", "matroid K_500000"],
+)
+def test_an_unwritable_count_is_refused_before_the_formula_runs(
+    capsys, monkeypatch, argv, message
+):
+    # K_35001's 35001^34999 trees, and K_500000's own, have more digits than
+    # Python writes, so the formula, seconds of work here, is never run
+    import forest_spectra.cli as cli
+
+    def never(*args):
+        raise AssertionError("the formula ran")
+
+    monkeypatch.setattr(cli, "_forests_by_size", never)
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
+    start = time.perf_counter()
+    code = run(argv.split())
+    assert time.perf_counter() - start < 1.0
+    captured = capsys.readouterr()
+    assert code == 2 and not captured.out
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("n", [256, 322, 400, 1000])
+def test_the_tree_bound_never_refuses_a_writable_count(monkeypatch, n):
+    # at Python's smallest digit limit, 640, the bound from K_{n-k+1}'s
+    # trees turns at n - k + 1 = 322; around it, a count it refuses has
+    # more than 640 digits, and one it passes is the formula's (K_256's
+    # 256^254 trees, 612 digits, are written)
+    import forest_spectra.cli as cli
+    from forest_spectra.forests import _forests_by_size
+
+    monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
+    for k in range(max(1, n - 340), n - 150):
+        count = cli._forest_count(n, k)
+        if count is None:
+            assert _forests_by_size(n, k) >= 10**640, (n, k)
+        else:
+            assert count == _forests_by_size(n, k)
+
+
+def test_count_only_answers_k2000_at_k1900_at_once(capsys):
+    # t = 100 Horner steps give the 473-digit count; its SHA-256 was
+    # recorded from the recurrence table that counted K_n before the formula
+    start = time.perf_counter()
+    code, report = capture(capsys, ["enumerate", "--complete", "2000", "--k", "1900", "--count-only"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    digits = str(report["result"]["count"]).encode()
+    assert hashlib.sha256(digits).hexdigest() == (
+        "de6c6f943237b767acb0c27a1cb9c4b0b3243da53a9e721d484df860bcff23ba"
+    )
 
 
 def test_listing_mask_limit_sits_between_k300_and_k500():
@@ -900,8 +994,8 @@ def test_spectrum_refuses_a_graph_without_a_closed_form_before_any_count(
 @pytest.mark.parametrize("n", [150, 300])
 def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkeypatch, n):
     # at k = n no edge is taken, so no frontier walk runs to refuse the
-    # C(n,2) x C(n,2) Hessian; the size rule refuses it before the zero
-    # Hessian is read off the sizes, as it does at every k
+    # C(n,2) x C(n,2) Hessian; --matrix would write its entries, so the
+    # size rule refuses it before the zero Hessian is read off the sizes
     from forest_spectra import spectra
 
     def never(*args):
@@ -909,7 +1003,7 @@ def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkey
 
     patch_everywhere(monkeypatch, spectra, "tilde_hessian", never)
     start = time.perf_counter()
-    assert run(["spectrum", "--complete", str(n), "--k", str(n)]) == 2
+    assert run(["spectrum", "--complete", str(n), "--k", str(n), "--matrix"]) == 2
     assert time.perf_counter() - start < 1.0
     captured = capsys.readouterr()
     m = n * (n - 1) // 2
@@ -965,7 +1059,10 @@ def test_spectrum_at_k_past_v_minus_2_reads_the_zero_hessian_off_the_sizes(
     assert json.loads(shortcut)["result"]["matrix"] == [list(map(str, row)) for row in h.rows]
 
 
-def test_spectrum_on_k80_at_k80_builds_no_hessian(capsys, monkeypatch):
+@pytest.mark.parametrize("n", [80, 81, 300])
+def test_spectrum_on_kn_at_k_n_builds_no_hessian(capsys, monkeypatch, n):
+    # the Hessian-size rule guards a Hessian built or written: without
+    # --matrix the zero Hessian is neither, so K_81 and K_300 answer too
     from forest_spectra import spectra
 
     def never(*args):
@@ -974,11 +1071,12 @@ def test_spectrum_on_k80_at_k80_builds_no_hessian(capsys, monkeypatch):
     for name in ("tilde_hessian", "_degree_one_certificate"):
         patch_everywhere(monkeypatch, spectra, name, never)
     start = time.perf_counter()
-    code, report = capture(capsys, ["spectrum", "--complete", "80", "--k", "80"])
+    code, report = capture(capsys, ["spectrum", "--complete", str(n), "--k", str(n)])
     assert time.perf_counter() - start < 1.0
     assert code == 0 and report["verdict"] == "computed"
-    assert report["result"]["dimension"] == 3160
-    assert report["result"]["eigenvalues"] == [{"multiplicity": 3160, "value": "0"}]
+    m = n * (n - 1) // 2
+    assert report["result"]["dimension"] == m
+    assert report["result"]["eigenvalues"] == [{"multiplicity": m, "value": "0"}]
     assert report["result"]["determinant"] == "0" and report["result"]["spectrum_certified"]
 
 

@@ -23,7 +23,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices, TooLarge
-from forest_spectra.forests import _forest_rows, _forests_by_size
+from forest_spectra.forests import _forests_by_size
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -32,6 +32,7 @@ from conftest import (
     bfs_component_count,
     bfs_partition,
     is_acyclic,
+    recurrence_forest_count,
 )
 
 E12 = edge(vertex(1), vertex(2))
@@ -292,7 +293,7 @@ def test_pq_identity_against_counts(n, k):
 
 @pytest.mark.parametrize("n", range(11))
 def test_forests_by_size_recursion_matches_counting(n):
-    # the closed form's table against the frontier count on K_1..K_10 at
+    # the closed form against the frontier count on K_1..K_10 at
     # every k, and against the subset oracle on K_1..K_6
     expected = [1 if n == 0 else 0]
     if n:
@@ -303,31 +304,41 @@ def test_forests_by_size_recursion_matches_counting(n):
     assert [_forests_by_size(n, j) for j in range(n + 2)] == expected + [0]
 
 
-@pytest.mark.parametrize("n", range(1, 25))
-def test_no_table_entry_exceeds_the_count(n):
-    # the listing cap stops at the first row past it, which is sound only if
-    # the last row is the count and no earlier entry exceeds it
-    for k in range(1, n + 1):
-        rows = list(_forest_rows(n, k))
-        count = _forests_by_size(n, k)
-        assert rows[-1] == [count]
-        assert all(entry <= count for row in rows for entry in row)
-        assert len(rows) == (1 if k in (1, n) else k)
+@pytest.mark.parametrize("n", range(61))
+def test_forests_by_size_matches_the_recurrence_oracle(n):
+    # Renyi's formula against the tree-through-vertex-1 recurrence at every k
+    assert [_forests_by_size(n, k) for k in range(-1, n + 2)] == [
+        recurrence_forest_count(n, k) for k in range(-1, n + 2)
+    ]
+
+
+@pytest.mark.parametrize("n", [10**3, 10**5, 10**6])
+def test_forests_by_size_at_few_edges_and_one_tree(n):
+    # up to three edges every subset is a forest but the triangles, so
+    # F(n, n-j) counts edge subsets; one tree is Cayley's n^(n-2)
+    pairs = comb(n, 2)
+    assert _forests_by_size(n, n) == 1
+    assert _forests_by_size(n, n - 1) == pairs
+    assert _forests_by_size(n, n - 2) == comb(pairs, 2)
+    assert _forests_by_size(n, n - 3) == comb(pairs, 3) - comb(n, 3)
+    if n <= 10**5:
+        assert _forests_by_size(n, 1) == n ** (n - 2)
 
 
 def test_forests_by_size_needs_no_recursion():
-    # the table is built bottom-up, so k levels take no call stack: a
-    # recursion over k = 4999 would pass Python's limit; one edge is a
-    # (n-1)-forest, so there are C(n, 2)
+    # the formula is one loop over min(k, n - k) + 1 terms, so k levels take
+    # no call stack: a recursion over k = 4999 would pass Python's limit;
+    # one edge is a (n-1)-forest, so there are C(n, 2)
     assert _forests_by_size(5000, 4999) == comb(5000, 2)
 
 
 def test_a_table_past_the_work_limit_refuses_itself():
-    # pq_decomposition reads a table per subset size; the first one, for the
-    # 49,999-component forests of K_99,996, is refused before its first row
+    # pq_decomposition reads a forest count per subset size; the first one,
+    # for the 49,999-component forests of K_99,996, is refused before its
+    # first Horner step
     start = time.perf_counter()
-    table = "the closed form's table for the 49999-component forests of K_99996 "
-    with pytest.raises(TooLarge, match=table):
+    formula = "the closed form for the 49999-component forests of K_99996 is estimated at "
+    with pytest.raises(TooLarge, match=formula):
         pq_decomposition(100000, 50000)
     assert time.perf_counter() - start < 1.0
 
