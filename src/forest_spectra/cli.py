@@ -41,7 +41,6 @@ from .forests import (
     _forest_masks,
     _forests_by_size,
     _require_k,
-    _split_family_size,
     edge_pair_counts,
     pq_decomposition,
     theorem_range,
@@ -231,12 +230,11 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
 def _complete_family_members(n: int, k: int) -> Iterator[int]:
     """The members of ``build_families`` on K_n (n >= 4), in parts: for
     each size w the C(n-4, w-4) per-subset families, which do not depend
-    on k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and twice
-    ``_split_family_size(w)`` split forests), then p + q in the theorem
-    range; outside it the two anchored families hold at most one forest
-    each and are left out."""
+    on k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and twice 4 w^(w-5)
+    split forests), then p + q in the theorem range; outside it the two
+    anchored families hold at most one forest each and are left out."""
     for w in range(4, n + 1):
-        yield comb(n - 4, w - 4) * (7 * w ** (w - 4) + 2 * _split_family_size(w))
+        yield comb(n - 4, w - 4) * ((7 * w + 8) * w ** (w - 4) // w)
     if 0 < k < n - 2:
         d = pq_decomposition(n, k)
         yield 7 * d.t + 2 * d.f

@@ -10,11 +10,12 @@ connectivity states of the vertices still in play, with no forest ever
 built and an input refused up front when its estimated work is too large.
 Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
-pair packed into each state's integers.  The k-forests of K_n itself are
-counted with no walk, by Renyi's closed formula
-(:func:`_forests_by_size`), refused up front the same way.  Enumeration
-is the search: recursive edge inclusion with union-find cycle rejection,
-pruned by remaining-edge feasibility.  The search lists forests as ``int`` edge
+pair packed into each state's integers.  The k-forests of K_n itself,
+and those through a fixed tree, are counted with no walk by Renyi's
+closed formula (:func:`_forests_through`), refused up front the same way,
+and K_n's pair counts follow by double counting.  Enumeration is the
+search: recursive edge inclusion with union-find cycle rejection, pruned
+by remaining-edge feasibility.  The search lists forests as ``int`` edge
 masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
 :class:`Forest` objects are built only at the boundary, by the public
 enumerators and by :class:`MaskedForests` when one of its items is read,
@@ -702,80 +703,66 @@ def moon_tree_counts(w: int) -> tuple[int, int]:
     return 3 * scale, 4 * scale
 
 
-def _cayley(s: int) -> int:
-    """Cayley's s^(s-2) labelled trees on s vertices (one for s <= 2)."""
-    return s ** (s - 2) if s > 2 else 1
+def _forests_through(n: int, k: int, a: int) -> int:
+    """Spanning forests of K_n with k trees that contain a fixed tree on
+    a >= 1 vertices, by Renyi's formula (Renyi 1959) with that tree
+    contracted to one vertex of weight a, whose trees with j more vertices
+    number a (a + j)^(j-1) (Moon, *Counting Labelled Trees*, 1970).  With
+    N = n - a, K = k - 1, t = min(K, N - K) and (d)_j the falling factorial,
 
-
-@lru_cache(maxsize=None)
-def _forests_by_size(n: int, k: int) -> int:
-    """Number of spanning forests of K_n with k components, by Renyi's
-    formula (Renyi 1959; Moon, *Counting Labelled Trees*, 1970): with
-    t = min(k, n - k) and (d)_j the falling factorial,
-
-        F(n, k) = C(n, k) sum_{j<=t} (-1)^j C(k, j) (k + j) (n - k)_j n^(n-k-j-1) / 2^j,
+        G = C(N, K) sum_{j<=t} (-1)^j C(K, j) (K + a + j) (N - K)_j n^(N-K-1-j) / 2^j,
 
     summed by Horner in 2n over the common denominator n 2^t, so every
-    step is exact.  Defined as 1 for the empty vertex set with k = 0 (the
-    boundary the subset sums need) and 0 for k outside 1..n.
+    step is exact; 0 for k outside 1..N+1.
 
     The t Horner steps act on a sum of about t (2 log2 n + 1) bits, and
-    the product has about (n - k) log2 n bits more; past MAX_FRONTIER_WORK,
+    the product has about (N - K) log2 n bits more; past MAX_FRONTIER_WORK,
     at 20 plus one per 2^9 bits a step and (bits / 2^10)^2 for the
     product, TooLarge refuses the formula before it computes.
     """
-    if not 0 < k <= n:
-        return int(n == k == 0)
-    t = min(k, n - k)
+    N, K = n - a, k - 1
+    if not 0 <= K <= N:
+        return 0
+    t = min(K, N - K)
     b = n.bit_length()
     horner = t * (2 * b + 1)
-    work = t * (20 + (horner >> 9)) + ((horner + (n - k) * b) >> 10) ** 2
+    work = t * (20 + (horner >> 9)) + ((horner + (N - K) * b) >> 10) ** 2
     if work > MAX_FRONTIER_WORK:
+        through = f" through a fixed {a}-vertex tree" if a > 1 else ""
         raise TooLarge(
-            f"the closed form for the {k}-component forests of K_{n} is estimated at "
-            f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+            f"the closed form for the {k}-component forests of K_{n}{through} is estimated "
+            f"at {work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
         )
     acc = 0
-    term = 1  # (-1)^j C(k, j) (n - k)_j
+    term = 1  # (-1)^j C(K, j) (N - K)_j
     for j in range(t + 1):
-        acc = acc * 2 * n + term * (k + j)
-        term = -term * (k - j) * (n - k - j) // (j + 1)
-    return comb(n, k) * acc * n ** (n - k - t) // (n << t)
+        acc = acc * 2 * n + term * (K + a + j)
+        term = -term * (K - j) * (N - K - j) // (j + 1)
+    return comb(N, K) * acc * n ** (N - K - t) // (n << t)
 
 
-def _split_family_size(w: int) -> int:
-    """Number of two-component forests on K_w whose marked tree carries both
-    anchored adjacent edges while vertex 4 sits in the other component.
-
-    The tree through 1, 2, 3 takes s - 3 of the w - 4 other vertices; by
-    Moon it is one of 3 s^(s-4) trees (one for s = 3), and the tree through
-    4 is one of Cayley's (w-s)^(w-s-2) (one for a single vertex).
-    """
-    return sum(
-        comb(w - 4, s - 3) * (3 * s ** (s - 4) if s > 3 else 1)
-        * _cayley(w - s)
-        for s in range(3, w)
-    )
+def _forests_by_size(n: int, k: int) -> int:
+    """F(n, k), the spanning forests of K_n with k components: those through
+    one vertex.  1 for the empty vertex set with k = 0, 0 for k outside 1..n."""
+    return _forests_through(n, k, 1) if n else int(k == 0)
 
 
 def pq_decomposition(n: int, k: int) -> Decomposition:
-    """The exact (t, f) split with p = 3t + f and q = 4t + f.
-
-    t sums w^(w-4) tree counts over vertex subsets W of {1..n} containing
-    the four anchor vertices, weighted by forest counts on the complement;
-    f does the same with the two-component split families.
+    """The exact (t, f) split with p = 3t + f and q = 4t + f: 3t and 4t
+    count the k-forests through the wedge 1-2-3 and the matching 1-2, 3-4
+    with all four anchors in one tree, f those through the wedge with 4 in
+    another tree (as many as through the matching in two trees).  p is
+    ``_forests_through(n, k, 3)``, and q follows by double counting: each
+    of the F(n, k) forests holds C(n-k, 2) edge pairs, and K_n has
+    n C(n-1, 2) adjacent pairs and 3 C(n, 4) disjoint ones.
     """
     if n < 4:
         raise ValueError(f"need n >= 4, got {n}")
     if not 0 < k < n - 2:
         raise ValueError(f"k={k} outside the range 0 < k < n-2 = {n - 2}")
-    t = 0
-    f = 0
-    for w in range(4, n + 1):
-        ways = comb(n - 4, w - 4)
-        t += ways * (w ** (w - 4)) * _forests_by_size(n - w, k - 1)
-        f += ways * _split_family_size(w) * _forests_by_size(n - w, k - 2)
-    return Decomposition(t, f)
+    p = _forests_through(n, k, 3)
+    q = (comb(n - k, 2) * _forests_by_size(n, k) - n * comb(n - 1, 2) * p) // (3 * comb(n, 4))
+    return Decomposition(q - p, 4 * p - 3 * q)
 
 
 def split_tree_at_edge(t: Forest, e: Edge) -> tuple[Forest, Forest]:

@@ -6,7 +6,8 @@ BFS over an adjacency dict (no union-find), determinants from cofactor
 expansion, determinants and inertias of symmetric matrices from an LDL^T
 on ``Fraction``s, spectrum certificates from the product of the shifted
 matrices, the basis-exchange axiom from its pairwise definition, the
-forest counts of K_n from the recurrence over the tree through vertex 1.  Tests
+forest counts of K_n from the recurrence over the tree through vertex 1,
+the (t, f) split of K_n's pair counts from the paper's subset sums.  Tests
 freeze values computed by these oracles and compare the package against
 them.
 """
@@ -118,6 +119,32 @@ def recurrence_forest_count(n: int, k: int) -> int:
         comb(n - 1, s - 1) * s ** max(s - 2, 0) * recurrence_forest_count(n - s, k - 1)
         for s in range(1, n + 1)
     )
+
+
+@lru_cache(maxsize=None)
+def split_family_size(w: int) -> int:
+    """Two-component forests of K_w whose tree through 1, 2, 3 holds the
+    wedge 1-2-3 while vertex 4 sits in the other tree, by the size s of the
+    first: C(w-4, s-3) vertex sets, Moon's 3 s^(s-4) wedge trees (one for
+    s = 3) and Cayley's (w-s)^(w-s-2) trees on the rest."""
+    return sum(
+        comb(w - 4, s - 3) * (3 * s ** (s - 4) if s > 3 else 1) * (w - s) ** max(w - s - 2, 0)
+        for s in range(3, w)
+    )
+
+
+def subset_sum_decomposition(n: int, k: int, forests=recurrence_forest_count) -> tuple[int, int]:
+    """The paper's (t, f) split of K_n's pair counts, summed over the vertex
+    set W of the tree through the four anchors: C(n-4, w-4) sets of each
+    size w, Moon's w^(w-4) trees on W for t and the split_family_size(w)
+    two-tree forests for f, times the (k-1)- or (k-2)-forests of the other
+    n - w vertices, counted by ``forests``."""
+    t = f = 0
+    for w in range(4, n + 1):
+        ways = comb(n - 4, w - 4)
+        t += ways * w ** (w - 4) * forests(n - w, k - 1)
+        f += ways * split_family_size(w) * forests(n - w, k - 2)
+    return t, f
 
 
 def cofactor_determinant(rows) -> Fraction:

@@ -106,6 +106,15 @@ def test_complete_families_k4():
     assert len(sf.split_wedge) == 1 and len(sf.split_matching) == 1
 
 
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_split_families_hold_4_w_to_the_w_minus_5(n):
+    # both split families of a w-vertex subset are two-tree forests of K_w,
+    # 4 w^(w-5) of them (one at w = 4); they do not depend on k
+    for sf in build_families(complete_graph(n), 1).per_subset:
+        w = len(sf.labels)
+        assert len(sf.split_wedge) == len(sf.split_matching) == 4 * w ** (w - 4) // w, sf.labels
+
+
 def test_complete_families_requires_four_vertices():
     with pytest.raises(ValueError):
         build_families(complete_graph(3), 1)

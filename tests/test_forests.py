@@ -23,7 +23,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices, TooLarge
-from forest_spectra.forests import _forests_by_size
+from forest_spectra.forests import _forests_by_size, _forests_through
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -33,6 +33,7 @@ from conftest import (
     bfs_partition,
     is_acyclic,
     recurrence_forest_count,
+    subset_sum_decomposition,
 )
 
 E12 = edge(vertex(1), vertex(2))
@@ -283,12 +284,44 @@ def test_pq_decomposition_frozen(n, k, expected):
     assert (d.t, d.f) == expected
 
 
-@pytest.mark.parametrize("n,k", [(5, 2), (6, 2), (6, 3)])
+@pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 11) for k in range(1, n - 2)])
 def test_pq_identity_against_counts(n, k):
+    # the closed forms against the frontier walk on K_4..K_10 at every k
     d = pq_decomposition(n, k)
     counts = edge_pair_counts(complete_graph(n), k)
     assert counts.p == 3 * d.t + d.f
     assert counts.q == 4 * d.t + d.f
+
+
+@pytest.mark.parametrize("n", range(4, 61))
+def test_pq_decomposition_matches_the_subset_sum_oracle(n):
+    # the closed forms against the paper's sums over the anchors' tree
+    for k in range(1, n - 2):
+        d = pq_decomposition(n, k)
+        assert (d.t, d.f) == subset_sum_decomposition(n, k), (n, k)
+
+
+def test_pq_decomposition_matches_the_subset_sums_at_k400():
+    # the recurrence oracle is too slow here; its sums run on the a = 1
+    # closed form, which the recurrence checks below
+    d = pq_decomposition(400, 200)
+    assert (d.t, d.f) == subset_sum_decomposition(400, 200, _forests_by_size)
+
+
+def test_pq_decomposition_answers_k2000_at_k1000_at_once():
+    start = time.perf_counter()
+    d = pq_decomposition(2000, 1000)
+    assert time.perf_counter() - start < 1.0
+    assert d.t > 0 and d.f > 0
+
+
+@pytest.mark.parametrize("n", [*range(61), 10**3, 10**5])
+def test_forests_through_an_edge_double_count_the_edges(n):
+    # each k-forest holds n - k of the C(n, 2) edges, each edge lying in
+    # as many k-forests as any other
+    ks = range(-1, n + 2) if n <= 60 else (1, 2, n - 3, n - 1, n)
+    for k in ks:
+        assert _forests_through(n, k, 2) * comb(n, 2) == _forests_by_size(n, k) * (n - k), (n, k)
 
 
 @pytest.mark.parametrize("n", range(11))
@@ -333,11 +366,14 @@ def test_forests_by_size_needs_no_recursion():
 
 
 def test_a_table_past_the_work_limit_refuses_itself():
-    # pq_decomposition reads a forest count per subset size; the first one,
-    # for the 49,999-component forests of K_99,996, is refused before its
-    # first Horner step
+    # pq_decomposition reads p from the closed form for the forests of
+    # K_100000 through the wedge 1-2-3, which is refused before its first
+    # Horner step
     start = time.perf_counter()
-    formula = "the closed form for the 49999-component forests of K_99996 is estimated at "
+    formula = (
+        "the closed form for the 50000-component forests of K_100000 "
+        "through a fixed 3-vertex tree is estimated at "
+    )
     with pytest.raises(TooLarge, match=formula):
         pq_decomposition(100000, 50000)
     assert time.perf_counter() - start < 1.0

@@ -18,6 +18,7 @@ from forest_spectra import (
     exact_determinant,
     forest_generating_polynomial,
     hessian_matrix,
+    pq_decomposition,
     predicted_signs,
     sign_profile,
     spectrum_determinant,
@@ -287,6 +288,20 @@ def test_predicted_signs_complete_k5():
     values = {q.label: q.value for q in preds.quantities}
     assert values["-2p+q"] == -6
     assert values["(n-4)p-(n-3)q"] == -9
+
+
+def test_predicted_signs_hold_on_k5_to_k150():
+    # the K_n theorem at every k of its range, decided exactly from the
+    # closed-form p and q where no Hessian is built: the top eigenvalue is
+    # positive and the two others negative, so one positive eigenvalue and
+    # a nonzero determinant
+    checked = 0
+    for n in range(5, 151):
+        for k in range(1, n - 2):
+            d = pq_decomposition(n, k)
+            assert predicted_signs(PairCounts(3 * d.t + d.f, 4 * d.t + d.f), n).all_satisfied
+            checked += 1
+    assert checked == 10877
 
 
 def test_predicted_signs_bipartite():
