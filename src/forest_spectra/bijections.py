@@ -76,7 +76,6 @@ from .graphs import (
     COMPLETE,
     Edge,
     Graph,
-    _edge_ends,
     complete_bipartite_graph,
     complete_graph_on,
     edge,
@@ -234,7 +233,7 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         _forest_masks(g, k, required=pair) for pair in _anchor_pairs(g)
     )
     ad, cb, cd = (1 << g.edge_index[e] for e in (_AD, _CB, _CD))
-    ends, n = _edge_ends(g), g.vertex_count
+    ends, n = g.edge_ends, g.vertex_count
 
     def masked(masks: Iterable[int]) -> MaskedForests:
         return MaskedForests(g, masks)
@@ -314,7 +313,7 @@ def _verify_on(
     found undefined, so a verified bijection runs each map once per element."""
     domain = MaskedForests.of(g, domain)
     codomain = MaskedForests.of(g, codomain)
-    ends, n = _edge_ends(g), g.vertex_count
+    ends, n = g.edge_ends, g.vertex_count
     forest = domain.forest
     domain_set, codomain_set = set(domain.masks), set(codomain.masks)
     failures: list[BijectionFailure] = []
@@ -399,7 +398,7 @@ def bijection_forestbij(
     (e12, e23), (_, e34) = _anchor_pairs(g)
     p1, p3, p4 = (g.vertices.index(v) for v in (e12[0], e34[0], e34[1]))
     bit23, bit34 = 1 << g.edge_index[e23], 1 << g.edge_index[e34]
-    ends, n = _edge_ends(g), g.vertex_count
+    ends, n = g.edge_ends, g.vertex_count
 
     def trees(x: int, u: int, v: int) -> tuple[int, int]:
         """The edge masks of the trees of ``x`` through positions u and v."""

@@ -42,7 +42,6 @@ from .forests import (
     _forests_by_size,
     _require_k,
     edge_pair_counts,
-    pq_decomposition,
     theorem_range,
 )
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
@@ -195,8 +194,8 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         "theorem_range": in_range,
     }
     if args.matrix:
-        # the zero matrix's rows are one shared row of zeros
-        result["matrix"] = ((Fraction(0),) * dim,) * dim if zero else h.rows
+        # rows of exact strings, which _dumps joins with the C escaper
+        result["matrix"] = (("0",) * dim,) * dim if zero else [[*map(str, row)] for row in h.rows]
     checks = [certified, det == spectrum_determinant(spectrum)]
     if in_range:
         counts = edge_pair_counts(g, k)
@@ -231,13 +230,13 @@ def _complete_family_members(n: int, k: int) -> Iterator[int]:
     """The members of ``build_families`` on K_n (n >= 4), in parts: for
     each size w the C(n-4, w-4) per-subset families, which do not depend
     on k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and twice 4 w^(w-5)
-    split forests), then p + q in the theorem range; outside it the two
-    anchored families hold at most one forest each and are left out."""
+    split forests), then ``edge_pair_counts``'s p + q in the theorem range;
+    outside it the anchored families hold a forest at most and are left out."""
     for w in range(4, n + 1):
         yield comb(n - 4, w - 4) * ((7 * w + 8) * w ** (w - 4) // w)
     if 0 < k < n - 2:
-        d = pq_decomposition(n, k)
-        yield 7 * d.t + 2 * d.f
+        counts = edge_pair_counts(complete_graph(n), k)
+        yield counts.p + counts.q
 
 
 def _require_family_room(g: Graph, members: Iterable[int]) -> None:

@@ -13,7 +13,7 @@ the Hessians ride the same walk, with a lane of bits per edge and per edge
 pair packed into each state's integers.  The k-forests of K_n itself,
 and those through a fixed tree, are counted with no walk by Renyi's
 closed formula (:func:`_forests_through`), refused up front the same way,
-and K_n's pair counts follow by double counting.  Enumeration is the
+and so are K_n's pair counts, q by double counting.  Enumeration is the
 search: recursive edge inclusion with union-find cycle rejection, pruned
 by remaining-edge feasibility.  The search lists forests as ``int`` edge
 masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
@@ -40,7 +40,7 @@ from .graphs import (
     Edge,
     Graph,
     Vertex,
-    _edge_ends,
+    complete_graph,
     edge,
     edge_name,
     vertex,
@@ -107,7 +107,7 @@ class Forest:
         positions, or None on a cycle; needs edges of the graph."""
         index = self.graph.edge_index
         mask = sum(1 << index[e] for e in self.edges)
-        return _mask_union_find(_edge_ends(self.graph), self.graph.vertex_count, mask)
+        return _mask_union_find(self.graph.edge_ends, self.graph.vertex_count, mask)
 
     def _component_map(self) -> tuple[dict[Vertex, int], list[Vertex]]:
         """Component id of each vertex and each component's smallest vertex;
@@ -561,7 +561,7 @@ def _setup(g: Graph, k: int, required: Iterable[Edge], forbidden: Iterable[Edge]
         g.require_edge(e)
     for e in forb:
         g.require_edge(e)
-    ends = _edge_ends(g)
+    ends = g.edge_ends
     index = g.edge_index
     req_mask = sum(1 << index[e] for e in req)
     parent = _mask_union_find(ends, g.vertex_count, req_mask)
@@ -677,7 +677,12 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
 
     By edge-transitivity of the automorphism group, these counts do not
     depend on the chosen pair within each class; the uniformity is asserted
-    separately by the matrix route.
+    separately by the matrix route.  On K_n (or a K_W holding 1..4) no
+    vertex or edge is built: p, through the wedge 1-2-3, is
+    ``_forests_through(n, k, 3)``, and q follows by double counting, as
+    each of the F(n, k) forests holds C(n-k, 2) edge pairs and K_n has
+    n C(n-1, 2) adjacent pairs and 3 C(n, 4) disjoint ones.  On K_{m,n}
+    each count is a constrained frontier walk.
     """
     if g.kind == COMPLETE:
         n = g.left_size
@@ -685,12 +690,17 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
             raise InsufficientVertices(f"need n >= 4 for anchor edges, got n={n}")
         if not 0 < k < n - 2:
             raise ValueError(f"k={k} outside the range 0 < k < n-2 = {n - 2}")
-    else:
-        m, n = g.left_size, g.right_size
-        if m < 2 or n < 2:
-            raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
-        if not 0 < k < m + n - 2:
-            raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
+        for e in dict.fromkeys(chain.from_iterable(_anchor_pairs(g))):
+            if not all(index in g.labels for _part, index in e):
+                raise ValueError(f"{edge_name(e)} is not an edge of {g.name}")
+        p = _forests_through(n, k, 3)
+        q = (comb(n - k, 2) * _forests_by_size(n, k) - n * comb(n - 1, 2) * p) // (3 * comb(n, 4))
+        return PairCounts(p, q)
+    m, n = g.left_size, g.right_size
+    if m < 2 or n < 2:
+        raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
+    if not 0 < k < m + n - 2:
+        raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
     return PairCounts(*(count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)))
 
 
@@ -748,21 +758,13 @@ def _forests_by_size(n: int, k: int) -> int:
 
 
 def pq_decomposition(n: int, k: int) -> Decomposition:
-    """The exact (t, f) split with p = 3t + f and q = 4t + f: 3t and 4t
-    count the k-forests through the wedge 1-2-3 and the matching 1-2, 3-4
-    with all four anchors in one tree, f those through the wedge with 4 in
-    another tree (as many as through the matching in two trees).  p is
-    ``_forests_through(n, k, 3)``, and q follows by double counting: each
-    of the F(n, k) forests holds C(n-k, 2) edge pairs, and K_n has
-    n C(n-1, 2) adjacent pairs and 3 C(n, 4) disjoint ones.
-    """
-    if n < 4:
-        raise ValueError(f"need n >= 4, got {n}")
-    if not 0 < k < n - 2:
-        raise ValueError(f"k={k} outside the range 0 < k < n-2 = {n - 2}")
-    p = _forests_through(n, k, 3)
-    q = (comb(n - k, 2) * _forests_by_size(n, k) - n * comb(n - 1, 2) * p) // (3 * comb(n, 4))
-    return Decomposition(q - p, 4 * p - 3 * q)
+    """The exact (t, f) split of :func:`edge_pair_counts` on K_n, p = 3t + f
+    and q = 4t + f: 3t and 4t count the k-forests through the wedge 1-2-3
+    and the matching 1-2, 3-4 with all four anchors in one tree, f those
+    through the wedge with 4 in another tree (as many as through the
+    matching in two trees)."""
+    counts = edge_pair_counts(complete_graph(n), k)
+    return Decomposition(counts.q - counts.p, 4 * counts.p - 3 * counts.q)
 
 
 def split_tree_at_edge(t: Forest, e: Edge) -> tuple[Forest, Forest]:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -65,9 +65,9 @@ class Graph:
     part sizes are ``left_size`` and ``right_size`` (0 marks a complete
     graph).  ``labels`` are the left part's labels, ascending: a ``range``
     from 1 unless the graph is a K_W on a vertex subset W.  Vertex and edge
-    counts come from the sizes; ``vertices``, ``edges`` and ``edge_index``
-    are built on first read, so a guard that reads only sizes costs O(1).
-    All operations on graphs are pure.
+    counts come from the sizes; ``vertices``, ``edges``, ``edge_index`` and
+    ``edge_ends`` are built on first read and held by the graph, so a guard
+    that reads only sizes costs O(1).  All operations on graphs are pure.
     """
 
     kind: str
@@ -101,6 +101,12 @@ class Graph:
     @cached_property
     def edge_index(self) -> dict[Edge, int]:
         return {e: i for i, e in enumerate(self.edges)}
+
+    @cached_property
+    def edge_ends(self) -> tuple[tuple[int, int], ...]:
+        """Each edge's endpoints as positions in ``vertices``."""
+        pos = {v: i for i, v in enumerate(self.vertices)}
+        return tuple((pos[a], pos[b]) for a, b in self.edges)
 
     def has_edge(self, e: Edge) -> bool:
         return e in self.edge_index
@@ -146,13 +152,6 @@ def complete_bipartite_graph(m: int, n: int) -> Graph:
     return Graph(BIPARTITE, m, n, range(1, m + 1))
 
 
-@lru_cache(maxsize=None)
-def _edge_ends(g: Graph) -> tuple[tuple[int, int], ...]:
-    """Each edge's endpoints as positions in ``g.vertices``."""
-    pos = {v: i for i, v in enumerate(g.vertices)}
-    return tuple((pos[a], pos[b]) for a, b in g.edges)
-
-
 def _pair_class(g: Graph, ends: tuple[int, int], ends2: tuple[int, int]) -> PairClass:
     """The class of two edges of ``g`` given by their endpoint positions."""
     if ends == ends2:
@@ -175,5 +174,5 @@ def classify_edge_pair(g: Graph, e: Edge, e2: Edge) -> PairClass:
     """
     g.require_edge(e)
     g.require_edge(e2)
-    ends, index = _edge_ends(g), g.edge_index
+    ends, index = g.edge_ends, g.edge_index
     return _pair_class(g, ends[index[e]], ends[index[e2]])

@@ -2,10 +2,10 @@
 
 ``_dumps`` writes a report value as ``json.dumps(value, indent=2,
 sort_keys=True, default=str)`` would, byte for byte, without going through
-``json``'s pure-Python indent encoder; it is the one place a rational
-becomes its exact string ("-142/3").  A listing of forests (``_Listing``)
-is handed to it as the search's edge masks over the edge names, and comes
-out in blocks of rows, each rendered as it is written.
+``json``'s pure-Python indent encoder; a rational becomes its exact string
+("-142/3"), the form a matrix's rows come in.  A listing of forests
+(``_Listing``) is handed to it as the search's edge masks over the edge
+names, and comes out in blocks of rows, each rendered as it is written.
 """
 
 from __future__ import annotations

@@ -24,7 +24,7 @@ from typing import NamedTuple, Sequence, Union
 
 from .errors import StructureViolation, VerificationFailure
 from .forests import PairCounts, _pair_counts_by_frontier, _require_k, count_forests_constrained
-from .graphs import COMPLETE, Graph, PairClass, _edge_ends, _pair_class, edge_name
+from .graphs import COMPLETE, Graph, PairClass, _pair_class, edge_name
 from .linalg import ExactMatrix, exact_determinant
 
 
@@ -128,7 +128,7 @@ def tilde_hessian(g: Graph, k: int) -> ExactMatrix:
     _require_k(g.vertex_count, k)
     # a k-forest has n - k edges; the walk fills the lower triangle with its
     # pair counts, and adding the transpose mirrors it
-    lower = _pair_counts_by_frontier(_edge_ends(g), g.vertex_count - k)
+    lower = _pair_counts_by_frontier(g.edge_ends, g.vertex_count - k)
     return ExactMatrix._from_ints(map(add, row, col) for row, col in zip(lower, zip(*lower)))
 
 
@@ -158,7 +158,7 @@ def structured_params(mat: ExactMatrix, g: Graph) -> StructuredParams:
         raise ValueError(
             f"matrix is {mat.nrows}x{mat.ncols} but {g.name} has {g.edge_count} edges"
         )
-    den, ends = mat._den, _edge_ends(g)
+    den, ends = mat._den, g.edge_ends
     seen: dict[PairClass, int] = {}
     for i, (e, row) in enumerate(zip(ends, mat._num)):
         for j, e2 in enumerate(ends[i:], i):

@@ -46,6 +46,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.cli import run
+from forest_spectra.forests import _anchor_pairs
 
 
 def _spectrum_bundle(g, k):
@@ -198,13 +199,14 @@ def test_criterion_05_moon_oracle_equivalence():
 def test_criterion_06_decomposition_identities():
     start = time.perf_counter()
     checked = 0
-    for n in range(4, 8):
+    for n in range(4, 11):
         g = complete_graph(n)
         for k in range(1, n - 2):
+            # the closed forms against the constrained frontier walk
             d = pq_decomposition(n, k)
-            counts = edge_pair_counts(g, k)
-            assert counts.p == 3 * d.t + d.f, (n, k)
-            assert counts.q == 4 * d.t + d.f, (n, k)
+            p, q = (count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g))
+            assert p == 3 * d.t + d.f, (n, k)
+            assert q == 4 * d.t + d.f, (n, k)
             # the f-term sums over two-component split families, which need
             # a second marked component; it vanishes exactly for k = 1
             assert d.t > 0

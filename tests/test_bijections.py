@@ -503,11 +503,10 @@ def test_split_families_match_the_filtered_search(n):
     # when its own union-find puts u and v in different trees
     from forest_spectra.bijections import _build_split_families
     from forest_spectra.forests import _anchor_pairs, _find, _forest_masks, _mask_union_find
-    from forest_spectra.graphs import _edge_ends
 
     sf = _build_split_families(range(1, n + 1))
     g = sf.graph
-    ends = _edge_ends(g)
+    ends = g.edge_ends
     wedge, matching = _anchor_pairs(g)
     (v1, _), (v3, v4) = matching
 

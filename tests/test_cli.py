@@ -1391,6 +1391,21 @@ def test_complete_family_members_are_counted_exactly(n):
             assert estimate == per_subset and anchored <= 2
 
 
+def test_complete_pair_counts_build_no_graph(monkeypatch):
+    # on K_n, and on a K_W whose labels hold the anchors, p and q are read
+    # off the sizes; so are the (t, f) split and bijections' member count
+    from forest_spectra import PairCounts, complete_graph, complete_graph_on, pq_decomposition
+    from forest_spectra.forests import edge_pair_counts
+
+    _never_build_a_graph(monkeypatch)
+    assert edge_pair_counts(complete_graph(6), 2) == PairCounts(57, 68)
+    assert edge_pair_counts(complete_graph_on([1, 2, 3, 4, 8, 9]), 2) == PairCounts(57, 68)
+    counts = edge_pair_counts(complete_graph(2000), 1000)
+    d = pq_decomposition(2000, 1000)
+    assert (counts.p, counts.q) == (3 * d.t + d.f, 4 * d.t + d.f)
+    assert _family_members(complete_graph(9), 1) == 1_074_168
+
+
 def test_the_largest_families_bijections_builds_pass_the_limit():
     from forest_spectra import complete_bipartite_graph, complete_graph
     from forest_spectra.forests import MAX_FRONTIER_WORK

@@ -8,9 +8,11 @@ from hypothesis import assume, given, strategies as st
 
 from forest_spectra import (
     Forest,
+    PairCounts,
     count_forests_constrained,
     complete_bipartite_graph,
     complete_graph,
+    complete_graph_on,
     edge,
     edge_name,
     edge_pair_counts,
@@ -23,7 +25,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices, TooLarge
-from forest_spectra.forests import _forests_by_size, _forests_through
+from forest_spectra.forests import _anchor_pairs, _forests_by_size, _forests_through
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -286,11 +288,41 @@ def test_pq_decomposition_frozen(n, k, expected):
 
 @pytest.mark.parametrize("n,k", [(n, k) for n in range(4, 11) for k in range(1, n - 2)])
 def test_pq_identity_against_counts(n, k):
-    # the closed forms against the frontier walk on K_4..K_10 at every k
+    # the closed forms against the constrained frontier walk through each
+    # anchored pair on K_4..K_10 at every k
+    g = complete_graph(n)
+    walk = [count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)]
     d = pq_decomposition(n, k)
-    counts = edge_pair_counts(complete_graph(n), k)
-    assert counts.p == 3 * d.t + d.f
-    assert counts.q == 4 * d.t + d.f
+    assert walk == [3 * d.t + d.f, 4 * d.t + d.f]
+    assert edge_pair_counts(g, k) == PairCounts(*walk)
+
+
+def test_pair_counts_answer_where_the_walk_refuses():
+    # the constrained walk refuses K_20 at k = 10; the closed form answers
+    # at once, and matches the paper's subset sums
+    g = complete_graph(20)
+    with pytest.raises(TooLarge, match="frontier walk over 153 arcs"):
+        count_forests_constrained(g, 10, required=_anchor_pairs(g)[0])
+    start = time.perf_counter()
+    counts = edge_pair_counts(g, 10)
+    assert time.perf_counter() - start < 1.0
+    d = pq_decomposition(20, 10)
+    assert (counts.p, counts.q) == (3 * d.t + d.f, 4 * d.t + d.f)
+    assert (d.t, d.f) == subset_sum_decomposition(20, 10)
+
+
+@pytest.mark.parametrize(
+    "labels,missing",
+    [([2, 5, 6, 7, 8], "1-2"), ([1, 3, 4, 5, 6], "1-2"), ([1, 2, 4, 5, 6], "2-3"), ([1, 2, 3, 5, 6], "3-4")],
+)
+def test_pair_counts_name_the_first_missing_anchor_edge(labels, missing):
+    # the anchors 1-2, 2-3, 3-4 are checked in order, after the size and k
+    g = complete_graph_on(labels)
+    with pytest.raises(ValueError) as err:
+        edge_pair_counts(g, 1)
+    assert str(err.value) == f"{missing} is not an edge of K_5"
+    with pytest.raises(ValueError, match="outside the range"):
+        edge_pair_counts(g, 3)
 
 
 @pytest.mark.parametrize("n", range(4, 61))
@@ -647,10 +679,10 @@ def test_frontier_walks_match_the_subset_oracle_in_any_edge_order(data):
 
 
 def test_frontier_walks_refuse_oversized_inputs_before_any_state():
-    from forest_spectra.forests import _edge_ends, _frontier_schedule
+    from forest_spectra.forests import _frontier_schedule
 
-    k13 = _edge_ends(complete_graph(13))
-    k10 = _edge_ends(complete_graph(10))
+    k13 = complete_graph(13).edge_ends
+    k10 = complete_graph(10).edge_ends
     # K_10's pair walk (27 integers of up to 24750 bits) stays under the limit,
     # K_13's (36 of up to 120120 bits) and the counts of K_13 and K_30 are refused
     assert len(_frontier_schedule(k10, 27, 24750)) == 45
@@ -658,4 +690,4 @@ def test_frontier_walks_refuse_oversized_inputs_before_any_state():
         with pytest.raises(ValueError, match="is estimated at more than .* integer operations"):
             _frontier_schedule(k13, ints, bits)
     with pytest.raises(ValueError, match=r"frontier walk over 435 arcs"):
-        _frontier_schedule(_edge_ends(complete_graph(30)), 29, 0)
+        _frontier_schedule(complete_graph(30).edge_ends, 29, 0)

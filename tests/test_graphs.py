@@ -146,3 +146,26 @@ def test_complete_graph_on_one_to_n_is_complete_graph(n):
 def test_complete_graph_on_refuses_a_label_below_one():
     with pytest.raises(ValueError, match="vertex labels are positive integers, got 0"):
         complete_graph_on([0, 3])
+
+
+@pytest.mark.parametrize("sizes", [(5,), (2, 3)], ids=["K5", "K23"])
+def test_a_graph_is_freed_once_its_caller_drops_it(sizes):
+    # what the kernels build from a graph (its edge list, index and endpoint
+    # positions) is held by the graph, not by a cache that outlives it
+    import gc
+    import weakref
+
+    from forest_spectra import build_families, count_forests_constrained, structured_params, tilde_hessian
+
+    g = complete_graph(*sizes) if len(sizes) == 1 else complete_bipartite_graph(*sizes)
+    ref = weakref.ref(g)
+    e, e2 = g.edges[0], g.edges[-1]
+    out = [
+        count_forests_constrained(g, 2, required=[e]),
+        structured_params(tilde_hessian(g, 2), g),
+        build_families(g, 2),
+        classify_edge_pair(g, e, e2),
+    ]
+    del g, out
+    gc.collect()
+    assert ref() is None
