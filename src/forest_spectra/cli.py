@@ -47,7 +47,7 @@ from .forests import (
 from .graphs import COMPLETE, Graph, complete_bipartite_graph, complete_graph, edge_name
 from .lefschetz import _degree_one, _require_degree_one_rank, _slp_on_masks
 from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncation_rank, _truncated
-from .reports import _dumps, _Listing
+from .reports import _dumps, _Listing, _Matrix
 from .spectra import (
     BipartiteParams,
     _degree_one_certificate,
@@ -194,8 +194,7 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         "theorem_range": in_range,
     }
     if args.matrix:
-        # rows of exact strings, which _dumps joins with the C escaper
-        result["matrix"] = (("0",) * dim,) * dim if zero else [[*map(str, row)] for row in h.rows]
+        result["matrix"] = _Matrix((("0",) * dim,) * dim if zero else h.rows)
     checks = [certified, det == spectrum_determinant(spectrum)]
     if in_range:
         counts = edge_pair_counts(g, k)
@@ -242,14 +241,20 @@ def _complete_family_members(n: int, k: int) -> Iterator[int]:
 def _require_family_room(g: Graph, members: Iterable[int]) -> None:
     """Refuse, before ``build_families``, families whose members, summed
     from ``members`` until the sum passes the limit, times the edge count
-    (each member is an edge mask the checks walk) exceed MAX_FRONTIER_WORK."""
+    (each member is an edge mask the checks walk) exceed MAX_FRONTIER_WORK.
+    The sum and the product are named while a float holds the product,
+    and with it a sum far below the digits Python writes."""
     total = 0
     for part in members:
         total += part
-        if total * g.edge_count > MAX_FRONTIER_WORK:
+        work = total * g.edge_count
+        if work > MAX_FRONTIER_WORK:
+            if work <= sys.float_info.max:
+                has = f"at least {total} family members on {g.edge_count} edges each, {work:.2e}"
+            else:
+                has = f"family members on {g.edge_count} edges each, more than {sys.float_info.max:.2e}"
             raise ValueError(
-                f"bijections on {g.name} would build at least {total} family members "
-                f"on {g.edge_count} edges each, {total * g.edge_count:.2e} member-edges, "
+                f"bijections on {g.name} would build {has} member-edges, "
                 f"over the limit of {MAX_FRONTIER_WORK:.0e}"
             )
 

@@ -12,8 +12,10 @@ Forest counts contract the required edges first; the edge-pair counts of
 the Hessians ride the same walk, with a lane of bits per edge and per edge
 pair packed into each state's integers.  The k-forests of K_n itself,
 and those through a fixed tree, are counted with no walk by Renyi's
-closed formula (:func:`_forests_through`), refused up front the same way,
-and so are K_n's pair counts, q by double counting.  Enumeration is the
+closed formula (:func:`_forests_through`), those of K_{m,n} by its
+bipartite analogue (:func:`_bipartite_through`), each refused up front the
+same way, and so are the anchored pair counts of both, the disjoint pairs
+by double counting.  Enumeration is the
 search: recursive edge inclusion with union-find cycle rejection, pruned
 by remaining-edge feasibility.  The search lists forests as ``int`` edge
 masks (bit i for edge i of ``g.edges``), and the layers above keep them so;
@@ -29,9 +31,9 @@ from __future__ import annotations
 from collections import abc
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from math import comb
-from operator import add
+from operator import add, mul
 from typing import Iterable, Sequence
 
 from .errors import InsufficientVertices, TooLarge
@@ -682,7 +684,10 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
     ``_forests_through(n, k, 3)``, and q follows by double counting, as
     each of the F(n, k) forests holds C(n-k, 2) edge pairs and K_n has
     n C(n-1, 2) adjacent pairs and 3 C(n, 4) disjoint ones.  On K_{m,n}
-    each count is a constrained frontier walk.
+    likewise: p and q are ``_bipartite_through`` at the wedges' one left
+    and two right, and two left and one right, vertices, and r follows
+    from the C(m+n-k, 2) edge pairs of each forest, over m C(n, 2) left
+    wedges, n C(m, 2) right ones and 2 C(m, 2) C(n, 2) disjoint pairs.
     """
     if g.kind == COMPLETE:
         n = g.left_size
@@ -701,7 +706,76 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
         raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
     if not 0 < k < m + n - 2:
         raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
-    return PairCounts(*(count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)))
+    p, q = _bipartite_through(m, n, k, 1, 2), _bipartite_through(m, n, k, 2, 1)
+    pairs = comb(m + n - k, 2) * _bipartite_through(m, n, k, 1, 0)
+    r = (pairs - m * comb(n, 2) * p - n * comb(m, 2) * q) // (2 * comb(m, 2) * comb(n, 2))
+    return PairCounts(p, q, r)
+
+
+def _bipartite_through(m: int, n: int, k: int, s: int, t: int) -> int:
+    """Spanning forests of K_{m,n} with k trees that contain a fixed tree
+    on s left and t right vertices, s + t >= 1: Renyi's formula for K_{m,n}.
+    Trees rooted at a left or a right vertex have the exponential
+    generating functions A = u e^B and B = v e^A, unrooted trees A + B - AB,
+    and the tree holding the fixed one hangs a set of trees off each of its
+    vertices, (A/u)^s (B/v)^t.  Good's Lagrange inversion in two variables
+    (Good 1960), whose Jacobian factor is 1 - xy here, makes the count
+    a! b! / K! [x^a y^b] (x + y - xy)^K e^(nx + my) (1 - xy) for a = m - s,
+    b = n - t and K = k - 1; with j = K - i + l that is
+
+        G = sum_{0 <= l <= i <= a, j <= b} (-1)^l l! C(a, i) C(i, l) C(b, j) C(j, l)
+                                           n^(a-i-1) m^(b-j-1) (mn - (a - i)(b - j)),
+
+    summed in exact integers over the denominator mn, with the powers of
+    n and m that every term shares taken out and the binomials of each
+    term updated from the last; 0 for k outside 1..a+b+1.
+
+    i runs over lo..i0 = max(0, K - b)..min(a, K) and l up to L = i0 +
+    min(b, K) - K; a term's binomials C(a, i) and C(b, j) have at most a
+    and b bits, its powers at most i0 - lo and L factors, and l! C(i, l)
+    C(j, l) at most 2 L log2 K bits, and the powers taken out add their
+    own bits to the last product.  Past MAX_FRONTIER_WORK, at 20 plus one
+    per 2^7 bits a term, (bits / 2^10)^2 for each i's product and for the
+    last one, and (bits / 2^6)^2 for the binomials ``math.comb`` gives,
+    TooLarge refuses the formula before it computes.
+    """
+    a, b, K = m - s, n - t, k - 1
+    if K < 0 or K > a + b:
+        return 0
+    lo, i0, j0 = max(0, K - b), min(a, K), min(b, K)
+    top = i0 + j0 - K
+    bits = max(m, n).bit_length()
+    term = min(a, i0 * bits) + min(b, j0 * bits) + (i0 - lo + 3 * top) * bits
+    work = (
+        (i0 - lo + 1) * (top + lo + j0 - K + 2) // 2 * (20 + (term >> 7))
+        + (i0 - lo + 1) * (term >> 10) ** 2
+        + (min(a + b, K * bits) >> 6) ** 2
+        + ((term + (a - i0) * n.bit_length() + (b - j0) * m.bit_length()) >> 10) ** 2
+    )
+    if work > MAX_FRONTIER_WORK:
+        raise TooLarge(
+            f"the closed form for the {k}-component forests of K_{{{m},{n}}} through a fixed "
+            f"tree on {s} left and {t} right vertices is estimated at {work:.2e} integer "
+            f"operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
+        )
+    mn = m * n
+    pn = list(accumulate(repeat(n, i0 - lo), mul, initial=1))
+    pm = list(accumulate(repeat(m, top), mul, initial=1))
+    ca, cb = comb(a, lo), comb(b, K - lo)  # C(a, i) and C(b, K - i)
+    acc = 0
+    for i in range(lo, i0 + 1):
+        x = a - i
+        row = 0
+        u = cb  # l! C(i, l) C(b, j) C(j, l)
+        for l in range(i + j0 - K + 1):
+            j = K - i + l
+            c = u * pm[j0 - j] * (mn - x * (b - j))
+            row += -c if l & 1 else c
+            u = u * (i - l) * (b - j) // (l + 1)
+        acc += ca * pn[i0 - i] * row
+        ca = ca * (a - i) // (i + 1)
+        cb = cb * (K - i) // (b - K + i + 1)
+    return acc * n ** (a - i0) * m ** (b - j0) // mn
 
 
 def moon_tree_counts(w: int) -> tuple[int, int]:

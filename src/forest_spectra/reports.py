@@ -3,9 +3,9 @@
 ``_dumps`` writes a report value as ``json.dumps(value, indent=2,
 sort_keys=True, default=str)`` would, byte for byte, without going through
 ``json``'s pure-Python indent encoder; a rational becomes its exact string
-("-142/3"), the form a matrix's rows come in.  A listing of forests
-(``_Listing``) is handed to it as the search's edge masks over the edge
-names, and comes out in blocks of rows, each rendered as it is written.
+("-142/3").  A listing of forests (``_Listing``) is handed to it as the
+search's edge masks over the edge names, and a matrix (``_Matrix``) as its
+rows; both come out in blocks of rows, each rendered as it is written.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _escape
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 
 def _dumps(value, indent: str = "\n") -> str | Iterator[str]:
@@ -22,13 +22,16 @@ def _dumps(value, indent: str = "\n") -> str | Iterator[str]:
     strings, go through the C escaper that call uses, lists, tuples and
     str-keyed dicts are joined here, and any other scalar is
     ``json.dumps(value)``, which raises TypeError on what ``json`` cannot
-    encode.  A ``_Listing`` is written as its rows of edge names, and it
-    and a dict that holds one come out as an iterator of text blocks, so
-    that a listing is written as it is rendered."""
+    encode.  A ``_Listing`` is written as its rows of edge names and a
+    ``_Matrix`` as its rows of entries; each, and a dict that holds one,
+    comes out as an iterator of text blocks, so that it is written as it
+    is rendered."""
     if isinstance(value, (str, Fraction)):
         return _escape(str(value))
     if isinstance(value, _Listing):
         return _listing_blocks(value, indent)
+    if isinstance(value, _Matrix):
+        return _matrix_blocks(value.rows, indent)
     if not isinstance(value, (dict, list, tuple)):
         return json.dumps(value)
     inner = indent + "  "
@@ -67,7 +70,8 @@ def _dict_blocks(items: list, inner: str, indent: str) -> Iterator[str]:
     yield head + indent + "}"
 
 
-# a listing is rendered, and written, this many rows at a time
+# a listing is rendered, and written, this many rows at a time, and a
+# matrix in whole rows of about this many entries
 LISTING_BLOCK = 4096
 
 
@@ -100,5 +104,29 @@ def _listing_blocks(listing: _Listing, indent: str) -> Iterator[str]:
                 x ^= low
             rows.append(f"[{''.join(row)[1:]}{inner}]")
         yield lead + sep.join(rows)
+        lead = sep
+    yield indent + "]"
+
+
+class _Matrix(NamedTuple):
+    """A square matrix as a report value: its rows, at least one, of
+    entries written as their strings (exact rationals, or their text)."""
+
+    rows: Sequence[Sequence]
+
+
+def _matrix_blocks(rows: Sequence[Sequence], indent: str) -> Iterator[str]:
+    """The text of a matrix's rows at ``indent``, as ``_dumps`` writes a
+    list of lists of strings, in blocks of whole rows of about
+    LISTING_BLOCK entries, each row escaped as it is rendered."""
+    inner = indent + "  "
+    sep = "," + inner
+    entry = sep + "  "
+    step = -(-LISTING_BLOCK // len(rows))
+    lead = "[" + inner
+    for start in range(0, len(rows), step):
+        block = [f"[{inner}  {entry.join(map(_escape, map(str, row)))}{inner}]"
+                 for row in rows[start : start + step]]
+        yield lead + sep.join(block)
         lead = sep
     yield indent + "]"

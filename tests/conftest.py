@@ -121,6 +121,68 @@ def recurrence_forest_count(n: int, k: int) -> int:
     )
 
 
+def bipartite_tree_counts(x: int, y: int) -> tuple[int, int, int, int]:
+    """Spanning trees of K_{x,y}, x, y >= 1, through a fixed edge, a left
+    wedge, a right wedge and a disjoint edge pair (0 where K_{x,y} has no
+    such pair), from Scoins' x^(y-1) y^(x-1) trees: a left vertex's degree
+    less one is Binomial(y-1, 1/x), and each tree holds C(x+y-1, 2) edge
+    pairs, x C(y, 2) left wedges, y C(x, 2) right ones and 2 C(x, 2) C(y, 2)
+    disjoint pairs."""
+    trees = x ** (y - 1) * y ** (x - 1)
+    edge = trees * (x + y - 1) // (x * y)
+    left = trees * (x * (y - 1) + comb(y - 1, 2)) // (x * x * comb(y, 2)) if y > 1 else 0
+    right = trees * (y * (x - 1) + comb(x - 1, 2)) // (y * y * comb(x, 2)) if x > 1 else 0
+    pairs = comb(x + y - 1, 2) * trees - x * comb(y, 2) * left - y * comb(x, 2) * right
+    disjoint = pairs // (2 * comb(x, 2) * comb(y, 2)) if x > 1 and y > 1 else 0
+    return edge, left, right, disjoint
+
+
+@lru_cache(maxsize=None)
+def recurrence_bipartite_forests(a: int, b: int, j: int) -> int:
+    """j-component spanning forests of K_{a,b} by the x left and y right
+    vertices of the tree through left vertex 1: C(a-1, x-1) C(b, y) vertex
+    sets, Scoins' trees on them (one for vertex 1 alone), and the
+    (j-1)-forests of the rest; the right vertices of K_{0,b} are b trees."""
+    if a == 0:
+        return int(j == b)
+    if j == 0:
+        return 0
+    alone = recurrence_bipartite_forests(a - 1, b, j - 1)
+    return alone + sum(
+        comb(a - 1, x - 1) * comb(b, y) * x ** (y - 1) * y ** (x - 1)
+        * recurrence_bipartite_forests(a - x, b - y, j - 1)
+        for x in range(1, a + 1)
+        for y in range(1, b + 1)
+    )
+
+
+def recurrence_bipartite_pair_counts(m: int, n: int, k: int) -> tuple[int, int, int]:
+    """(p, q, r) of K_{m,n} by the same recurrence, with the tree through
+    left vertex 1 holding the anchored pair (1-1' with 1-2', with 2-1',
+    with 2-2'), counted by ``bipartite_tree_counts``; r adds the forests
+    whose tree through 1 holds 1-1' but neither 2 nor 2', with the rest
+    through 2-2'."""
+    forests = recurrence_bipartite_forests
+
+    def tree_sum(a, b, j, lefts, rights, count, rest=forests, spare=0):
+        # on K_{a,b}, the tree through left vertex 1 holds ``lefts`` and
+        # ``rights`` anchors and keeps ``spare`` more anchors of each part out
+        return sum(
+            comb(a - lefts - spare, x - lefts) * comb(b - rights - spare, y - rights)
+            * bipartite_tree_counts(x, y)[count] * rest(a - x, b - y, j - 1)
+            for x in range(lefts, a - spare + 1)
+            for y in range(rights, b - spare + 1)
+        )
+
+    def through_edge(a, b, j):
+        return tree_sum(a, b, j, 1, 1, 0) if a and b else 0
+
+    p = tree_sum(m, n, k, 1, 2, 1)
+    q = tree_sum(m, n, k, 2, 1, 2)
+    r = tree_sum(m, n, k, 2, 2, 3) + tree_sum(m, n, k, 1, 1, 0, through_edge, 1)
+    return p, q, r
+
+
 @lru_cache(maxsize=None)
 def split_family_size(w: int) -> int:
     """Two-component forests of K_w whose tree through 1, 2, 3 holds the

@@ -297,9 +297,9 @@ def test_matroid_cap_refuses_no_ladder_graph():
     "argv",
     [
         ["spectrum", "--complete", "13", "--k", "1"],
-        ["bijections", "--bipartite", "30", "30", "--k", "1"],
+        ["spectrum", "--bipartite", "9", "9", "--k", "1"],
     ],
-    ids=["spectrum K_13", "bijections K_30,30"],
+    ids=["spectrum K_13", "spectrum K_9,9"],
 )
 def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
     # the walk's own guard runs, but a walk that passed it would fail here
@@ -322,15 +322,15 @@ def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
 
 
 def test_a_refused_walk_names_the_command_and_the_graph(capsys):
-    # the walk counts the 869 arcs left when the anchored pair is contracted
-    # (K_{30,30} has 900 edges); the command and the graph come from the CLI
-    assert run(["bijections", "--bipartite", "30", "30", "--k", "1"]) == 2
+    # the Hessian's pair walk over K_{9,9}'s 81 edges refuses itself; the
+    # command and the graph come from the CLI
+    assert run(["spectrum", "--bipartite", "9", "9", "--k", "1"]) == 2
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err == (
-        "error: bijections on K_{30,30}: a frontier walk over 869 arcs (frontier width 21 "
-        "by arc 20, 57 integers per state) is estimated at more than 1.20e+08 integer "
-        "operations, over the limit of 1e+08\n"
+        "error: spectrum on K_{9,9}: a frontier walk over 81 arcs (frontier width 10 by "
+        "arc 21, 51 integers of up to 171720 bits per state) is estimated at more than "
+        "1.09e+08 integer operations, over the limit of 1e+08\n"
     )
 
 
@@ -566,6 +566,22 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
             "edges each, 4.50e+10 member-edges, over the limit of 1e+08",
         ),
         (
+            "bijections --bipartite 30 30 --k 1",
+            "bijections on K_{30,30} would build at least 50939169614663092288781788044"
+            "0000000000000000000000000000000000000000000000000000000 family members on 900 "
+            "edges each, 4.58e+86 member-edges, over the limit of 1e+08",
+        ),
+        (
+            "bijections --bipartite 100 100 --k 1",
+            "bijections on K_{100,100} would build family members on 10000 edges each, "
+            "more than 1.80e+308 member-edges, over the limit of 1e+08",
+        ),
+        (
+            "bijections --bipartite 1000 1000 --k 1",
+            "bijections on K_{1000,1000} would build family members on 1000000 edges each, "
+            "more than 1.80e+308 member-edges, over the limit of 1e+08",
+        ),
+        (
             "slp --complete 100000 --r 2",
             "slp on K_100000: its 4999950000x4999950000 Hessian is estimated at "
             "249995000025000000000 integer operations, over the limit of 100000000",
@@ -576,11 +592,16 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
             "10000000000000 integer operations, over the limit of 100000000",
         ),
     ],
-    ids=["spectrum K_100000", "spectrum K_1000,1000", "bijections K_100000", "slp K_100000", "slp K_1000,1000"],
+    ids=[
+        "spectrum K_100000", "spectrum K_1000,1000", "bijections K_100000", "bijections K_30,30",
+        "bijections K_100,100", "bijections K_1000,1000", "slp K_100000", "slp K_1000,1000",
+    ],
 )
 def test_size_guards_refuse_before_any_edge(capsys, monkeypatch, argv, message):
     # K_100000 has 4,999,950,000 edges, which would exhaust memory as tuples;
-    # every guard here reads the graph's sizes only
+    # every guard here reads the graph's sizes only.  K_{m,n}'s family
+    # members are its anchored pair counts from the closed form, past what
+    # a float holds from K_{100,100} on, where the count goes unnamed
     _never_build_a_graph(monkeypatch)
     start = time.perf_counter()
     code = run(argv.split())
@@ -703,6 +724,54 @@ def test_enumerate_writes_the_listing_block_by_block(monkeypatch):
     assert 16807 > 4 * reports.LISTING_BLOCK
     assert out == _listing_the_old_way(7, 1, out)
     assert max(stdout.sizes) < len(out) / 4
+
+
+@pytest.mark.parametrize(
+    "argv,parts", [("spectrum --complete 20 --k 20 --matrix", 4), ("spectrum --bipartite 9 9 --k 16 --matrix", 1.5)]
+)
+def test_spectrum_writes_the_matrix_block_by_block(monkeypatch, argv, parts):
+    # K_20's zero Hessian (190 x 190) spans nine blocks of 22 rows, and
+    # K_{9,9}'s at k = 16 (81 x 81) two of 51 and 30; whole rows are written
+    # as they are rendered, so no write holds the whole matrix, and the
+    # report is json's
+    import io
+
+    from forest_spectra import reports
+
+    class Writes(io.StringIO):
+        def __init__(self):
+            super().__init__()
+            self.sizes = []
+
+        def write(self, text):
+            self.sizes.append(len(text))
+            return super().write(text)
+
+    stdout = Writes()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(argv.split()) == 0
+    out = stdout.getvalue()
+    report = json.loads(out)
+    dim = report["result"]["dimension"]
+    assert dim * dim > reports.LISTING_BLOCK
+    assert out == json.dumps(report, indent=2, sort_keys=True) + "\n"
+    assert max(stdout.sizes) < len(out) / parts
+
+
+def test_dumps_writes_a_matrix_as_json_writes_its_rows():
+    from forest_spectra.reports import LISTING_BLOCK, _Matrix
+
+    for dim in (1, 2, 3, 63, 64, 65, 66, 100):
+        # rows of rationals and of strings that need escaping, on both
+        # sides of a block's edge
+        rows = [[Fraction(i - j, 1 + i % 3) for j in range(dim)] for i in range(dim)]
+        text = [[f"{x}\u00e9\"" for x in row] for row in rows]
+        for matrix, strings in ((rows, [[*map(str, row)] for row in rows]), (text, text)):
+            value = {"a": 1, "matrix": _Matrix(matrix), "z": [2]}
+            expected = json.dumps({**value, "matrix": strings}, indent=2, sort_keys=True)
+            blocks = list(_dumps(value))
+            assert "".join(blocks) == expected, dim
+            assert len(blocks) >= dim * dim // LISTING_BLOCK
 
 
 def test_dumps_writes_a_listing_in_a_dict_as_json_writes_its_rows():
@@ -1404,6 +1473,24 @@ def test_complete_pair_counts_build_no_graph(monkeypatch):
     d = pq_decomposition(2000, 1000)
     assert (counts.p, counts.q) == (3 * d.t + d.f, 4 * d.t + d.f)
     assert _family_members(complete_graph(9), 1) == 1_074_168
+
+
+def test_bipartite_pair_counts_build_no_graph_and_walk_nothing(monkeypatch):
+    # on K_{m,n}, p, q and r are read off the sizes too, where the walks
+    # listed every edge and refused K_{10,10}
+    from forest_spectra import PairCounts, complete_bipartite_graph, forests
+    from forest_spectra.forests import edge_pair_counts
+
+    def never(*args, **kwargs):
+        raise AssertionError("the pair counts reached a frontier walk")
+
+    monkeypatch.setattr(forests, "_frontier_walk", never)
+    _never_build_a_graph(monkeypatch)
+    assert edge_pair_counts(complete_bipartite_graph(2, 2), 1) == PairCounts(2, 2, 2)
+    for m, n, k in ((3, 4, 2), (10, 10, 1), (20, 20, 10), (1000, 1000, 1), (3, 1000, 500)):
+        counts = edge_pair_counts(complete_bipartite_graph(m, n), k)
+        assert counts.p > 0 and counts.q > 0 and counts.r > 0
+    assert _family_members(complete_bipartite_graph(5, 6), 1) == 1_161_000
 
 
 def test_the_largest_families_bijections_builds_pass_the_limit():

@@ -25,7 +25,7 @@ from forest_spectra import (
     vertex,
 )
 from forest_spectra.errors import InsufficientVertices, TooLarge
-from forest_spectra.forests import _anchor_pairs, _forests_by_size, _forests_through
+from forest_spectra.forests import _anchor_pairs, _bipartite_through, _forests_by_size, _forests_through
 
 from conftest import (
     brute_acyclic_subset_count,
@@ -33,7 +33,10 @@ from conftest import (
     brute_forests,
     bfs_component_count,
     bfs_partition,
+    bipartite_tree_counts,
     is_acyclic,
+    recurrence_bipartite_forests,
+    recurrence_bipartite_pair_counts,
     recurrence_forest_count,
     subset_sum_decomposition,
 )
@@ -409,6 +412,127 @@ def test_a_table_past_the_work_limit_refuses_itself():
     with pytest.raises(TooLarge, match=formula):
         pq_decomposition(100000, 50000)
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 7) for n in range(2, 7)])
+def test_bipartite_pair_counts_match_the_walks_and_the_recurrence(m, n):
+    # the closed form against the constrained frontier walk through each
+    # anchored pair, and against the recurrence on the tree through vertex
+    # 1, on K_{2,2}..K_{6,6} at every k in range
+    g = complete_bipartite_graph(m, n)
+    for k in range(1, m + n - 2):
+        walk = PairCounts(*(count_forests_constrained(g, k, required=pair) for pair in _anchor_pairs(g)))
+        assert edge_pair_counts(g, k) == walk == PairCounts(*recurrence_bipartite_pair_counts(m, n, k)), k
+
+
+@pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 6) for b in range(2, 6)])
+def test_bipartite_tree_counts_match_the_walk(a, b):
+    # the recurrence's spanning-tree counts through an edge and through
+    # each anchored pair, against the constrained walk on K_{a,b}
+    g = complete_bipartite_graph(a, b)
+    edge_ = _anchor_pairs(g)[0][0]
+    walk = [count_forests_constrained(g, 1, required=(edge_,))]
+    walk += [count_forests_constrained(g, 1, required=pair) for pair in _anchor_pairs(g)]
+    assert list(bipartite_tree_counts(a, b)) == walk
+
+
+# fixed trees by their left and right vertices: a vertex, an edge, both
+# wedges, paths and a caterpillar
+_FIXED_TREES = {
+    (1, 0): [],
+    (1, 1): [(1, 1)],
+    (1, 2): [(1, 1), (1, 2)],
+    (2, 1): [(1, 1), (2, 1)],
+    (2, 2): [(1, 1), (2, 1), (2, 2)],
+    (3, 2): [(1, 1), (2, 1), (2, 2), (3, 2)],
+    (2, 3): [(1, 1), (1, 2), (1, 3), (2, 3)],
+}
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 6) for n in range(1, 6)])
+def test_bipartite_forests_through_a_fixed_tree_match_the_walk(m, n):
+    # the count depends only on the fixed tree's part sizes; 0 outside
+    # 1..V, as for no forest at all
+    g = complete_bipartite_graph(m, n)
+    for (s, t), pairs in _FIXED_TREES.items():
+        if s > m or t > n:
+            continue
+        tree = [edge(vertex(i), vertex(j, right=True)) for i, j in pairs]
+        for k in range(-1, m + n + 2):
+            expected = count_forests_constrained(g, k, required=tree) if 1 <= k <= m + n else 0
+            assert _bipartite_through(m, n, k, s, t) == expected, (s, t, k)
+
+
+@pytest.mark.parametrize("m", range(1, 13))
+def test_bipartite_forest_counts_match_the_recurrence(m):
+    for n in range(1, 13):
+        assert [_bipartite_through(m, n, k, 1, 0) for k in range(m + n + 2)] == [
+            recurrence_bipartite_forests(m, n, k) for k in range(m + n + 2)
+        ], n
+
+
+def test_bipartite_pair_counts_mirror_the_parts():
+    # swapping the parts swaps the two wedges and keeps the disjoint pairs
+    for m, n, k in [*((m, n, k) for m in range(2, 9) for n in range(2, 9) for k in range(1, m + n - 2)),
+                    (20, 7, 12), (30, 50, 20), (1000, 3, 1), (200, 150, 100)]:
+        pq = edge_pair_counts(complete_bipartite_graph(m, n), k)
+        qp = edge_pair_counts(complete_bipartite_graph(n, m), k)
+        assert (pq.p, pq.q, pq.r) == (qp.q, qp.p, qp.r), (m, n, k)
+
+
+def test_bipartite_pair_counts_answer_where_the_walks_refuse():
+    # the constrained walks refuse K_{10,10} and K_{20,20}; the closed form
+    # answers K_{8,8} and K_{9,9} at k = 1 in milliseconds, and K_{20,20} at
+    # k = 10 equals the recurrence and satisfies the paper's signs
+    from forest_spectra import predicted_signs
+
+    for size in (10, 20):
+        g = complete_bipartite_graph(size, size)
+        with pytest.raises(TooLarge, match="frontier walk over"):
+            count_forests_constrained(g, 1, required=_anchor_pairs(g)[0])
+    for size in (8, 9):
+        start = time.perf_counter()
+        counts = edge_pair_counts(complete_bipartite_graph(size, size), 1)
+        assert time.perf_counter() - start < 0.01
+        assert list(bipartite_tree_counts(size, size))[1:] == [counts.p, counts.q, counts.r]
+    start = time.perf_counter()
+    counts = edge_pair_counts(complete_bipartite_graph(20, 20), 10)
+    assert time.perf_counter() - start < 1.0
+    assert (counts.p, counts.q, counts.r) == recurrence_bipartite_pair_counts(20, 20, 10)
+    assert predicted_signs(counts, (20, 20)).all_satisfied
+
+
+def test_bipartite_closed_form_refuses_before_it_computes(monkeypatch):
+    # the estimate comes first: the formula's tables and binomials would
+    # fail here if it ran
+    from forest_spectra import forests
+
+    def never(*args):
+        raise AssertionError("the oversized formula passed its guard")
+
+    monkeypatch.setattr(forests, "accumulate", never)
+    monkeypatch.setattr(forests, "comb", never)
+    formula = (
+        "the closed form for the 1500-component forests of K_{3000,3000} through a fixed "
+        "tree on 1 left and 2 right vertices is estimated at 7.16e+08 integer operations, "
+        "over the limit of 1e+08"
+    )
+    start = time.perf_counter()
+    with pytest.raises(TooLarge) as err:
+        edge_pair_counts(complete_bipartite_graph(3000, 3000), 1500)
+    assert time.perf_counter() - start < 1.0
+    assert str(err.value) == formula
+
+
+def test_bipartite_closed_form_answers_within_its_estimate(monkeypatch):
+    # K_{100000,100000}'s spanning trees through a left wedge are estimated
+    # at a tenth of the limit, and answered
+    from forest_spectra import forests
+
+    assert _bipartite_through(100000, 100000, 1, 1, 2) == bipartite_tree_counts(100000, 100000)[1]
+    monkeypatch.setattr(forests, "MAX_FRONTIER_WORK", 10**7)
+    with pytest.raises(TooLarge, match=r"estimated at 1\.10e\+07 integer operations"):
+        _bipartite_through(100000, 100000, 1, 1, 2)
 
 
 def test_bipartite_spanning_tree_counts_match_scoins_formula():
