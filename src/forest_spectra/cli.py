@@ -50,6 +50,7 @@ from .matroids import _exchange_holds, _require_a_valid_rank, _require_truncatio
 from .reports import _dumps, _Listing, _Matrix
 from .spectra import (
     BipartiteParams,
+    _certificate_failure,
     _degree_one_certificate,
     _require_closed_form,
     _zero_certificate,
@@ -180,7 +181,7 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     else:
         h = tilde_hessian(g, k)
         params, spectrum, certified, det = _degree_one_certificate(h, g)
-    profile = sign_profile(spectrum)
+    profile, product = sign_profile(spectrum), spectrum_determinant(spectrum)
     in_range = theorem_range(g, k)
     delta = ("delta",) if isinstance(params, BipartiteParams) else ()
     result: dict = {
@@ -189,13 +190,15 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         "eigenvalues": [{"value": v, "multiplicity": m} for v, m in spectrum.pairs],
         "sign_profile": _pick(profile, *profile._fields),
         "determinant": det,
-        "eigenvalue_product": spectrum_determinant(spectrum),
+        "eigenvalue_product": product,
         "spectrum_certified": certified,
         "theorem_range": in_range,
     }
     if args.matrix:
         result["matrix"] = _Matrix((("0",) * dim,) * dim if zero else h.rows)
-    checks = [certified, det == spectrum_determinant(spectrum)]
+    if not certified:
+        result["certificate_error"] = _certificate_failure(h, spectrum, list(map(edge_name, g.edges)))
+    checks = [certified, det == product]
     if in_range:
         counts = edge_pair_counts(g, k)
         result["pair_counts"] = _pick(counts, "p", "q", "r")
@@ -217,12 +220,8 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
         checks.append(det != 0)
     else:
         result["note"] = "outside the nonvanishing theorem range; computed, not asserted"
-    if all(checks):
-        verdict = "verified" if in_range else "computed"
-    else:
-        verdict = "failed"
-    input_ = {"graph": g.name, "k": k}
-    return verdict, input_, result
+    verdict = ("verified" if in_range else "computed") if all(checks) else "failed"
+    return verdict, {"graph": g.name, "k": k}, result
 
 
 def _complete_family_members(n: int, k: int) -> Iterator[int]:

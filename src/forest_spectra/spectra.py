@@ -2,11 +2,12 @@
 
 The Hessian of a k-forest generating function, evaluated at all-ones, is a
 structured matrix: its entries depend only on how the two indexing edges
-intersect.  That structure pins down the full spectrum in closed form, and
-the spectrum is certified exactly on the integer form of the matrix: with
-d distinct claimed eigenvalues, the powers A^2..A^d are formed once, the
-claimed minimal polynomial evaluated at A from them must vanish, and the
-traces of the same powers must match the claimed power sums.  The two
+intersect, which one value set per edge-pair class checks.  That structure
+pins down the full spectrum in closed form, and the spectrum is certified
+exactly on the integer form of the matrix: with d distinct claimed
+eigenvalues, each row of A..A^d is packed into one int of exact lanes, the
+claimed minimal polynomial evaluated at A from those rows must vanish, and
+the traces of the same powers must match the claimed power sums.  The two
 conditions together are a proof, not a heuristic; no numerical
 eigensolver is involved anywhere.  The Hessians are built, checked and
 certified on Python ints with no ``Fraction`` in between, the last two by
@@ -17,9 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, repeat
-from math import lcm
-from operator import add, mul
+from itertools import chain, combinations, combinations_with_replacement, repeat
+from math import lcm, prod
+from operator import add, lshift, mul
 from typing import NamedTuple, Sequence, Union
 
 from .errors import StructureViolation, VerificationFailure
@@ -77,10 +78,7 @@ class Spectrum:
 
     def as_list(self) -> tuple[Fraction, ...]:
         """Eigenvalues repeated by multiplicity."""
-        out: list[Fraction] = []
-        for v, m in self.pairs:
-            out.extend([v] * m)
-        return tuple(out)
+        return tuple(chain.from_iterable(repeat(v, m) for v, m in self.pairs))
 
 
 class SignProfile(NamedTuple):
@@ -99,11 +97,8 @@ class SignedQuantity:
 
     @property
     def satisfied(self) -> bool:
-        if self.requirement == ">0":
-            return self.value > 0
-        if self.requirement == "<0":
-            return self.value < 0
-        return self.value <= 0
+        v, req = self.value, self.requirement
+        return v > 0 if req == ">0" else v < 0 if req == "<0" else v <= 0
 
 
 @dataclass(frozen=True)
@@ -142,53 +137,53 @@ def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
     _require_k(g.vertex_count, k)
     m = g.edge_count
     rows = [[0] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(i + 1, m):
-            c = count_forests_constrained(g, k, required=(g.edges[i], g.edges[j]))
-            rows[i][j] = c
-            rows[j][i] = c
+    for i, j in combinations(range(m), 2):
+        rows[i][j] = rows[j][i] = count_forests_constrained(g, k, required=(g.edges[i], g.edges[j]))
     return ExactMatrix._from_ints(rows)
 
 
 def structured_params(mat: ExactMatrix, g: Graph) -> StructuredParams:
     """Extract the entry pattern of ``mat`` and verify it is uniform within
     each edge-pair class; a non-uniform entry raises StructureViolation.
-    Reads the upper triangle's integer numerators."""
+    Reads the upper triangle's integer numerators: one value set per class,
+    row i's entries past the diagonal at edges through an end of edge i
+    read off the incidence lists of its ends, the rest disjoint."""
     if mat.nrows != g.edge_count or mat.ncols != g.edge_count:
-        raise ValueError(
-            f"matrix is {mat.nrows}x{mat.ncols} but {g.name} has {g.edge_count} edges"
-        )
+        raise ValueError(f"matrix is {mat.nrows}x{mat.ncols} but {g.name} has {g.edge_count} edges")
     den, ends = mat._den, g.edge_ends
-    seen: dict[PairClass, int] = {}
+    incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
+    for j, e in enumerate(ends):
+        for v in e:
+            incident[v].append(j)
+    shares = (PairClass.SHARE_VERTEX,) * 2
+    if g.kind != COMPLETE:  # an edge of K_{m,n} lists its left end first
+        shares = (PairClass.SHARE_LEFT, PairClass.SHARE_RIGHT)
+    seen: dict[PairClass, set[int]] = {cls: set() for cls in PairClass}
     for i, (e, row) in enumerate(zip(ends, mat._num)):
-        for j, e2 in enumerate(ends[i:], i):
-            cls, value = _pair_class(g, e, e2), row[j]
-            first = seen.setdefault(cls, value)
-            if first != value:
+        rest = list(row)
+        for cls, v in zip(shares, e):
+            later = incident[v]
+            seen[cls].update(map(row.__getitem__, later[later.index(i) + 1 :]))
+            for j in later:
+                rest[j] = None
+        seen[PairClass.EQUAL].add(row[i])
+        seen[PairClass.DISJOINT].update(rest[i + 1 :])
+    seen[PairClass.DISJOINT].discard(None)
+    if any(len(values) > 1 for values in seen.values()):
+        # name the first entry that disagrees, in row order, entry by entry
+        first: dict[PairClass, int] = {}
+        for i, j in combinations_with_replacement(range(len(ends)), 2):
+            cls, value = _pair_class(g, ends[i], ends[j]), mat._num[i][j]
+            if first.setdefault(cls, value) != value:
                 raise StructureViolation(
-                    f"entries for {cls.value} disagree: {Fraction(first, den)} vs "
+                    f"entries for {cls.value} disagree: {Fraction(first[cls], den)} vs "
                     f"{Fraction(value, den)} at ({edge_name(g.edges[i])}, {edge_name(g.edges[j])})"
                 )
-
-    def entry(cls: PairClass) -> Fraction:
-        return Fraction(seen.get(cls, 0), den)
-
-    alpha = entry(PairClass.EQUAL)
+    # one value per class, in PairClass order; an empty class reads 0
+    alpha, share, left, right, disjoint = (Fraction(next(iter(v), 0), den) for v in seen.values())
     if g.kind == COMPLETE:
-        return CompleteParams(
-            alpha=alpha,
-            beta=entry(PairClass.SHARE_VERTEX),
-            gamma=entry(PairClass.DISJOINT),
-            n=g.left_size,
-        )
-    return BipartiteParams(
-        alpha=alpha,
-        beta=entry(PairClass.SHARE_LEFT),
-        gamma=entry(PairClass.SHARE_RIGHT),
-        delta=entry(PairClass.DISJOINT),
-        m=g.left_size,
-        n=g.right_size,
-    )
+        return CompleteParams(alpha, share, disjoint, g.left_size)
+    return BipartiteParams(alpha, left, right, disjoint, g.left_size, g.right_size)
 
 
 def _closed_form_need(sizes: tuple[int, ...]) -> str | None:
@@ -249,16 +244,6 @@ def closed_form_spectrum(params: StructuredParams) -> Spectrum:
     return Spectrum(tuple(mult.items()))
 
 
-def _times(power: Sequence[Sequence[int]], a: Sequence[Sequence[int]]) -> list[list[int]]:
-    """power @ a for symmetric commuting factors, such as two powers of one
-    symmetric matrix: the product is symmetric, so only its upper triangle
-    is multiplied out and the lower one is mirrored."""
-    out: list[list[int]] = []
-    for i, row in enumerate(power):
-        out.append([out[j][i] for j in range(i)] + [sum(map(mul, row, col)) for col in a[i:]])
-    return out
-
-
 def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     """Exact certification of a claimed spectrum of a symmetric matrix.
 
@@ -270,26 +255,33 @@ def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     claimed set and (b), with the dimension, pins the multiplicities via an
     invertible Vandermonde system.
 
-    The powers mat^2..mat^d are formed once and serve both checks, p(mat)
-    being the sum of the powers weighted by p's coefficients.  Symmetry is
-    needed only to multiply out half of each power, so a square matrix
-    that is not symmetric raises ValueError naming its first asymmetric
-    entry.  Everything runs on integers: with L the lcm of the matrix
-    denominator and the eigenvalue denominators, L*mat has eigenvalues
-    L*lambda, p's coefficients scale by powers of L, and the j-th trace
-    power sum is L^j times the original one.
+    All on integers: for L the lcm of every denominator, A = L*mat has
+    eigenvalues L*lambda.  Each row of A^j is one int of signed w-bit lanes,
+    row i of A^(j+1) being sum_l A_il row_l(A^j).  For M the largest |entry|
+    and R the largest absolute row sum of A, |(A^j)_il| <= M R^(j-1) and
+    |p(A)_il| <= |c_0| + sum |c_j| M R^(j-1) for p's coefficients c_j, and
+    2^(w-1) exceeds both: the traces decode from the diagonal lanes, and
+    row i of p(A), sum_j c_j row_i(A^j), is 0 only if each entry of it is.
+    A square matrix that is not symmetric raises ValueError naming its
+    first asymmetric entry; ``_certificate_failure`` names a failed check.
     """
+    return _certificate_failure(mat, spectrum) is None
+
+
+def _certificate_failure(
+    mat: ExactMatrix, spectrum: Spectrum, names: Sequence[str] = ()
+) -> str | None:
+    """The first check of ``verify_spectrum`` that fails, or None: a power
+    sum ("j=2: trace T, claimed S"), else the first nonzero entry of p(mat)
+    in row order, named by ``names`` (by index without them)."""
     if not mat.is_square:
         raise ValueError("spectrum verification needs a square matrix")
-    num, den = mat._num, mat._den
-    upper = combinations(range(mat.nrows), 2)
-    bad = next(((i, j) for i, j in upper if num[i][j] != num[j][i]), None)
-    if bad is not None:
+    num, den, size = mat._num, mat._den, mat.nrows
+    if not mat.symmetric:
+        bad = next((i, j) for i, j in combinations(range(size), 2) if num[i][j] != num[j][i])
         raise ValueError(f"spectrum verification needs a symmetric matrix; entry {bad} is not")
-    if spectrum.dimension != mat.nrows:
-        raise ValueError(
-            f"multiplicities sum to {spectrum.dimension}, matrix has dimension {mat.nrows}"
-        )
+    if spectrum.dimension != size:
+        raise ValueError(f"multiplicities sum to {spectrum.dimension}, matrix has dimension {size}")
     scale = lcm(den, *(v.denominator for v in spectrum.eigenvalues()))
     a = num if scale == den else [[scale // den * x for x in row] for row in num]
     pairs = [(v.numerator * (scale // v.denominator), m) for v, m in spectrum.pairs]
@@ -297,21 +289,31 @@ def verify_spectrum(mat: ExactMatrix, spectrum: Spectrum) -> bool:
     coeffs = [1]
     for value, _m in pairs:
         coeffs = [lo - value * hi for lo, hi in zip([0, *coeffs], [*coeffs, 0])]
-    powers = [a]
-    while len(powers) < len(pairs):
-        powers.append(_times(powers[-1], a))
-    for j, power in enumerate(powers, 1):
-        if sum(row[i] for i, row in enumerate(power)) != sum(m * value**j for value, m in pairs):
-            return False
+    top = max(map(abs, chain.from_iterable(a)), default=0)
+    reach = max((sum(map(abs, row)) for row in a), default=0)
+    bound = abs(coeffs[0]) + sum(abs(c) * top * reach**j for j, c in enumerate(coeffs[1:]))
+    width = bound.bit_length() + 1
+    shifts = range(0, width * size, width)
+    # powers[j][i] is row i of A^j, its entry l in the lane at bit width * l
+    powers = [[1 << s for s in shifts], [sum(map(lshift, row, shifts)) for row in a]]
+    for _pair in pairs[1:]:
+        powers.append([sum(map(mul, row, powers[-1])) for row in a])
+    half, bias = 1 << width - 1, sum(powers[0]) << width - 1
+
+    def lane(row: int, col: int) -> int:
+        return ((row + bias) >> shifts[col] & (1 << width) - 1) - half
+
+    for j, power in enumerate(powers[1:], 1):
+        trace, claimed = sum(map(lane, power, range(size))), sum(m * v**j for v, m in pairs)
+        if trace != claimed:
+            return f"j={j}: trace {Fraction(trace, scale**j)}, claimed {Fraction(claimed, scale**j)}"
     for i, rows in enumerate(zip(*powers)):
-        # row i of p(mat) from the diagonal on (the lower part is its
-        # mirror); p is monic, so its top power enters unscaled
-        tail = rows[-1][i:]
-        for c, row in zip(coeffs[1:-1], rows):
-            tail = list(map(add, tail, map(mul, repeat(c), row[i:])))
-        if tail[0] + coeffs[0] or any(tail[1:]):
-            return False
-    return True
+        row = sum(map(mul, coeffs, rows))
+        if row:
+            col = next(col for col in range(size) if lane(row, col))
+            at = f"{names[i]}, {names[col]}" if names else f"{i}, {col}"
+            return f"annihilator entry ({at}) is {Fraction(lane(row, col), scale ** len(pairs))}, not 0"
+    return None
 
 
 def _degree_one_certificate(
@@ -347,10 +349,7 @@ def sign_profile(spectrum: Spectrum) -> SignProfile:
 
 def spectrum_determinant(spectrum: Spectrum) -> Fraction:
     """Product of the eigenvalues with multiplicity."""
-    out = Fraction(1)
-    for value, m in spectrum.pairs:
-        out *= value**m
-    return out
+    return prod((value**m for value, m in spectrum.pairs), start=Fraction(1))
 
 
 def predicted_signs(counts: PairCounts, sizes: int | tuple[int, int]) -> SignPredictions:

@@ -13,6 +13,7 @@ from hypothesis import example, given, strategies as st
 
 from forest_spectra.cli import _parse_rational, run
 from forest_spectra.reports import _dumps
+from forest_spectra.spectra import Spectrum
 
 from conftest import load_perfbench, patch_everywhere
 
@@ -851,6 +852,30 @@ def test_structure_violation_is_a_failed_report(argv, capsys, monkeypatch):
         "result": {"error": "entries for share-vertex disagree: 7 vs 8 at (1-2, 2-4)"},
         "verdict": "failed",
     }
+
+
+@pytest.mark.parametrize(
+    "claim,error",
+    [
+        # the top eigenvalue shifted by one: the first power sum fails
+        (lambda true: Spectrum(((true.pairs[0][0] + 1, 1), *true.pairs[1:])), "j=1: trace 0, claimed 1"),
+        # every trace of the zero claim holds; p(H) = H does not vanish
+        (lambda true: Spectrum(((Fraction(0), 6),)), "annihilator entry (1-2, 1-3) is 3, not 0"),
+    ],
+    ids=["shifted", "zero"],
+)
+def test_an_uncertified_spectrum_names_its_failed_check(claim, error, capsys, monkeypatch):
+    from forest_spectra import spectra
+
+    argv = ["spectrum", "--complete", "4", "--k", "1"]
+    _code, honest = capture(capsys, argv)
+    assert honest["result"]["spectrum_certified"] and "certificate_error" not in honest["result"]
+    true_form = spectra.closed_form_spectrum
+    monkeypatch.setattr(spectra, "closed_form_spectrum", lambda params: claim(true_form(params)))
+    code, report = capture(capsys, argv)
+    assert code == 1 and report["verdict"] == "failed"
+    assert report["result"]["spectrum_certified"] is False
+    assert report["result"]["certificate_error"] == error
 
 
 def test_console_entry_point():

@@ -1,8 +1,10 @@
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from forest_spectra import (
     BipartiteParams,
@@ -14,6 +16,7 @@ from forest_spectra import (
     closed_form_spectrum,
     complete_bipartite_graph,
     complete_graph,
+    edge_name,
     edge_pair_counts,
     exact_determinant,
     forest_generating_polynomial,
@@ -31,6 +34,7 @@ from forest_spectra import (
 from forest_spectra.errors import StructureViolation, VerificationFailure
 from forest_spectra.forests import _forests_by_size
 from forest_spectra.linalg import _symmetric_bareiss
+from forest_spectra.spectra import _certificate_failure
 
 from conftest import brute_forests, cofactor_determinant, load_perfbench, product_form_certificate
 
@@ -173,6 +177,45 @@ def test_structured_params_rejects_nonuniform():
         structured_params(ExactMatrix.from_rows(rows), g)
 
 
+def _perturbed(g, k, i, j, delta):
+    """The Hessian of ``g`` at ``k`` with its entry (i, j) alone moved by delta."""
+    rows = [list(row) for row in tilde_hessian(g, k)._num]
+    rows[i][j] += delta
+    return ExactMatrix.from_rows(rows)
+
+
+@pytest.mark.parametrize(
+    "g,k,i,j,delta,message",
+    [
+        # the first disjoint entry, at (1-2, 3-4), sets the class value, so
+        # the next one is named
+        (complete_graph(5), 2, 0, 7, 1, "entries for disjoint disagree: 9 vs 8 at (1-2, 3-5)"),
+        (complete_graph(5), 2, 4, 9, 1, "entries for disjoint disagree: 8 vs 9 at (2-3, 4-5)"),
+        (
+            complete_bipartite_graph(3, 4), 2, 1, 5, -2,
+            "entries for share-right disagree: 90 vs 88 at (1-2', 2-2')",
+        ),
+        (
+            complete_bipartite_graph(3, 4), 2, 6, 10, 1,
+            "entries for share-right disagree: 90 vs 91 at (2-3', 3-3')",
+        ),
+    ],
+)
+def test_structured_params_names_the_first_disagreeing_entry(g, k, i, j, delta, message):
+    # one upper-triangle entry moved: the message names the first entry, in
+    # upper-triangle row order, that differs from its class's first value
+    with pytest.raises(StructureViolation) as err:
+        structured_params(_perturbed(g, k, i, j, delta), g)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("g", [complete_graph(5), complete_bipartite_graph(3, 4)], ids=lambda g: g.name)
+def test_structured_params_reads_only_the_upper_triangle(g):
+    # a lower-triangle entry that breaks its class is never read
+    true = structured_params(tilde_hessian(g, 2), g)
+    assert structured_params(_perturbed(g, 2, 9, 2, 5), g) == true
+
+
 def test_structured_params_dimension_mismatch():
     g = complete_graph(4)
     with pytest.raises(ValueError):
@@ -242,8 +285,127 @@ def test_verify_spectrum_refuses_an_asymmetric_matrix():
         verify_spectrum(ExactMatrix.from_rows([[1, 2]]), spectrum_of([(1, 1)]))
 
 
-DESK_GRAPHS = [complete_graph(n) for n in range(4, 8)] + [
-    complete_bipartite_graph(m, n) for m in range(2, 5) for n in range(m, 5)
+def test_certificate_failure_names_the_failed_check():
+    g = complete_graph(4)
+    h, names = tilde_hessian(g, 1), [edge_name(e) for e in g.edges]
+    assert _certificate_failure(h, spectrum_of([(16, 1), (-2, 2), (-4, 3)]), names) is None
+    assert _certificate_failure(h, spectrum_of([(17, 1), (-2, 2), (-4, 3)])) == "j=1: trace 0, claimed 1"
+    assert _certificate_failure(h, spectrum_of([(16, 1), (-2, 3), (-4, 2)])) == "j=1: trace 0, claimed 2"
+    # the first power sum holds, the second does not
+    assert _certificate_failure(h, spectrum_of([(10, 1), (-2, 5)])) == "j=2: trace 312, claimed 120"
+    # every trace of the zero claim holds, and p(h) = h is nonzero at (1-2, 1-3)
+    zero = spectrum_of([(0, 6)])
+    assert _certificate_failure(h, zero, names) == "annihilator entry (1-2, 1-3) is 3, not 0"
+    assert _certificate_failure(h, zero) == "annihilator entry (0, 1) is 3, not 0"
+    # the values are read in the matrix's own scale
+    third = h.scale(Fraction(1, 3))
+    assert _certificate_failure(third, zero) == "annihilator entry (0, 1) is 1, not 0"
+    shifted = Spectrum(((Fraction(17, 3), 1), (Fraction(-2, 3), 2), (Fraction(-4, 3), 3)))
+    assert _certificate_failure(third, shifted) == "j=1: trace 0, claimed 1/3"
+
+
+@pytest.mark.parametrize("c", [1, -3, 2**100 + 1, -(2**100)])
+@pytest.mark.parametrize("n", [1, 2, 5, 8])
+def test_lanes_hold_powers_at_their_bound(c, n):
+    # every entry of c J_n is c, so M = |c| and R = n|c|, and every entry of
+    # A^2 is c^2 n = M R: the top power's lanes are as full as the bound lets
+    # them be, and the decoded traces must still be exact
+    mat = ExactMatrix.from_rows([[c] * n] * n)
+    true = spectrum_of([(c * n, 1)] + ([(0, n - 1)] if n > 1 else []))
+    claims = [(true, True), (spectrum_of([(c * n + 1, 1)] + ([(0, n - 1)] if n > 1 else [])), False)]
+    if n > 2:
+        # the first power sum holds, the second is decoded from A^2's lanes
+        wrong = spectrum_of([(c * n + 1, 1), (-1, 1), (0, n - 2)])
+        expected = f"j=2: trace {c * c * n * n}, claimed {(c * n + 1) ** 2 + 1}"
+        assert _certificate_failure(mat, wrong) == expected
+        claims.append((wrong, False))
+    for claim, holds in claims:
+        assert verify_spectrum(mat, claim) is holds
+        assert product_form_certificate(mat, claim) is holds
+
+
+@pytest.mark.parametrize("c", [3, -(2**100) - 1])
+def test_lanes_hold_a_power_past_the_claimed_coefficients(c):
+    # c times a swap has trace 0 and A^2 = c^2 I, while the claim {1, -1}
+    # has coefficients of size 1: only the M R^(j-1) term of the bound makes
+    # the lanes wide enough to decode tr(A^2) = 2c^2
+    mat = ExactMatrix.from_rows([[0, c], [c, 0]])
+    assert _certificate_failure(mat, spectrum_of([(1, 1), (-1, 1)])) == f"j=2: trace {2 * c * c}, claimed 2"
+    assert verify_spectrum(mat, spectrum_of([(c, 1), (-c, 1)]))
+
+
+def _householder(v):
+    """I - 2 v v^T / (v . v): rational, symmetric and its own inverse."""
+    vv = sum(x * x for x in v)
+    return ExactMatrix.from_rows(
+        [[int(i == j) - Fraction(2 * x * y, vv) for j, y in enumerate(v)] for i, x in enumerate(v)]
+    )
+
+
+_values = st.one_of(
+    st.integers(-9, 9),
+    st.integers(-(2**110), 2**110),
+    st.fractions(-20, 20, max_denominator=12),
+)
+
+
+@st.composite
+def _symmetric_claims(draw):
+    """A symmetric rational or integer matrix of size 0..8 and a claimed
+    spectrum: H D H' for H, H' Householder reflections, whose spectrum is
+    D's diagonal, or an arbitrary symmetric matrix, whose claim is a guess."""
+    n = draw(st.integers(0, 8))
+    diag = draw(st.lists(_values, min_size=n, max_size=n))
+    if n and draw(st.booleans()):
+        diag = [diag[0]] * n  # a scalar matrix, one distinct eigenvalue
+    true = draw(st.booleans())
+    if true:
+        mat = ExactMatrix.from_rows([[x if i == j else 0 for j in range(n)] for i, x in enumerate(diag)])
+        for _ in range(2):
+            v = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+            if any(v):
+                h = _householder(v)
+                mat = h @ mat @ h
+    else:
+        rows = [[0] * n for _ in range(n)]
+        for i, j in combinations(range(n + 1), 2):
+            rows[i][j - 1] = rows[j - 1][i] = draw(_values)
+        mat = ExactMatrix.from_rows(rows)
+    if draw(st.booleans()):
+        # the integer form, its spectrum scaled with it
+        scale = mat._den
+        mat, diag = mat.scale(scale), [x * scale for x in diag]
+    return mat, Counter(map(Fraction, diag)), true
+
+
+def _spectrum(counts):
+    return Spectrum(tuple((v, m) for v, m in counts.items() if m))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_symmetric_claims(), st.sampled_from([1, -1, Fraction(1, 2), 2**100]))
+def test_packed_certificate_agrees_with_the_product_form(case, shift):
+    mat, counts, true = case
+    claims = [_spectrum(counts)]
+    if counts:
+        (v0, m0), *rest = counts.items()
+        shifted = counts.copy()
+        shifted[v0] -= m0
+        shifted[v0 + shift] += m0
+        claims.append(_spectrum(shifted))
+        if rest:
+            moved = counts.copy()
+            moved[v0] += 1
+            moved[rest[0][0]] -= 1
+            claims.append(_spectrum(moved))
+    for claim in claims:
+        holds = product_form_certificate(mat, claim)
+        assert verify_spectrum(mat, claim) is holds
+    assert not true or verify_spectrum(mat, claims[0])
+
+
+DESK_GRAPHS = [complete_graph(n) for n in range(4, 9)] + [
+    complete_bipartite_graph(m, n) for m in range(2, 6) for n in range(2, 6)
 ]
 
 
