@@ -53,7 +53,6 @@ masks; and a failure report names its element as a ``Forest``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Sequence
 
@@ -81,6 +80,7 @@ from .graphs import (
     edge,
     edge_name,
 )
+from .records import Record
 
 (_AB, _AD), (_, _CB), (_, _CD) = _anchor_pairs(complete_bipartite_graph(2, 2))
 (_A, _B), (_C, _D) = _AB, _CD
@@ -93,15 +93,13 @@ _RIGHT_CASES = ((_AB, _CB), ((1, (_D, _A)), (2, (_D, _B)), (4, (_D, _C))))
 _DISJOINT_CASES = ((_AB, _CD), ((1, (_C, _A)), (2, (_C, _B)), (4, (_D, _A)), (5, (_D, _B))))
 
 
-@dataclass(frozen=True)
-class BijectionFailure:
+class BijectionFailure(Record):
     kind: str
     element: Forest
     detail: str
 
 
-@dataclass(frozen=True)
-class BijectionReport:
+class BijectionReport(Record):
     """Outcome of one exhaustive bijection check."""
 
     name: str
@@ -118,8 +116,7 @@ class BijectionReport:
 # complete-graph families
 
 
-@dataclass(frozen=True)
-class SplitFamilies:
+class SplitFamilies(Record):
     """Per vertex-subset ingredients of the pair-count decomposition.
 
     On the complete graph over ``labels`` (which contains 1,2,3,4):
@@ -136,8 +133,7 @@ class SplitFamilies:
     split_matching: Sequence[Forest]
 
 
-@dataclass(frozen=True)
-class CompleteForestFamilies:
+class CompleteForestFamilies(Record):
     graph: Graph
     k: int
     with_wedge: Sequence[Forest]  # k-forests through 1-2 and 2-3
@@ -148,8 +144,7 @@ class CompleteForestFamilies:
         return PairCounts(len(self.with_wedge), len(self.with_matching))
 
 
-@dataclass(frozen=True)
-class BipartiteForestFamilies:
+class BipartiteForestFamilies(Record):
     graph: Graph
     k: int
     share_left: Sequence[Forest]
@@ -525,8 +520,7 @@ def bijection_q2r5(
 # count inequalities
 
 
-@dataclass(frozen=True)
-class CountInequalityReport:
+class CountInequalityReport(Record):
     """Exact differences behind p <= r, q <= r and r < p + q.
 
     ``r - p`` equals the size of the fifth disjoint piece and ``r - q`` the

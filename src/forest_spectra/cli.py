@@ -151,12 +151,12 @@ def _record_dict(record) -> dict:
 def _require_hessian_room(g: Graph, who: str) -> None:
     """Refuse, from the edge count alone, the m x m degree-one Hessian that
     ``who`` (``spectrum`` or ``slp``) certifies when its m^2 entries pass
-    MAX_FRONTIER_WORK at 10 integer operations each: building, checking and
-    certifying it took about 1 us per entry even where every entry is zero
-    and no walk runs (K_60 at k = 59, 3.1e6 entries, 2.8 s; K_70 at k = 70,
-    5.8e6 entries, 5.9 s; 2-vCPU host, CPython 3.11).  The zero Hessians
-    of k >= V - 1 are read off the sizes, so ``spectrum`` applies the rule
-    to them only when ``--matrix`` writes their m^2 entries."""
+    MAX_FRONTIER_WORK at 10 integer operations each.  The zero Hessians of
+    k >= V - 1 are read off the sizes, so ``spectrum`` applies the rule to
+    them only when ``--matrix`` writes their m^2 entries, about 0.1 us each:
+    K_60 at k = 60 (3.1e6 entries) takes 0.30-0.34 s and K_70 at k = 70
+    (5.8e6) 0.56-0.64 s, best of 3 in-process runs to ``os.devnull``, +0.2 MB
+    peak RSS (+78 and +145 MB into a StringIO); 2-vCPU Xeon, CPython 3.11."""
     work = 10 * g.edge_count**2
     if work > MAX_FRONTIER_WORK:
         raise ValueError(

@@ -29,7 +29,6 @@ fixed-width types quickly.
 from __future__ import annotations
 
 from collections import abc
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
 from math import comb
@@ -48,13 +47,13 @@ from .graphs import (
     vertex,
 )
 from .polynomials import Polynomial
+from .records import Record
 
 
 _CYCLE_MESSAGE = "edge set contains a cycle"
 
 
-@dataclass(frozen=True)
-class Forest:
+class Forest(Record):
     """An acyclic edge subset spanning a fixed vertex subset of a graph.
 
     ``vertices`` is usually the full vertex set of ``graph``; restricted
@@ -175,8 +174,7 @@ class Forest:
         return f"Forest({inner})"
 
 
-@dataclass(frozen=True)
-class PairCounts:
+class PairCounts(Record):
     """Numbers of k-forests through the anchored edge pairs.
 
     Complete graphs have two counts (shared vertex, disjoint); bipartite
@@ -192,8 +190,7 @@ class PairCounts:
             raise ValueError("pair counts are nonnegative")
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """The two-term split of the shared-vertex/disjoint pair counts.
 
     For complete graphs: p = 3t + f and q = 4t + f.

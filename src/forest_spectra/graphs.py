@@ -11,11 +11,12 @@ costs O(1) however large the graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import combinations
 from typing import Iterable, Sequence
+
+from .records import Record
 
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
@@ -57,8 +58,7 @@ class PairClass(Enum):
     DISJOINT = "disjoint"
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(Record):
     """Immutable complete or complete bipartite graph, held as its sizes.
 
     ``left_size`` is n for a complete graph; for bipartite graphs the two

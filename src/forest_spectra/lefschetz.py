@@ -34,7 +34,6 @@ for any form, and is the oracle the mask route is tested against.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import lcm, perm, prod
@@ -57,11 +56,11 @@ from .forests import (
 from .linalg import ExactMatrix, Rational, _independent_rows, _symmetric_bareiss, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
+from .records import Record
 from .spectra import Spectrum, _degree_one_certificate, _require_closed_form, tilde_hessian
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(Record):
     """Dimensions of the graded pieces; symmetric for these algebras."""
 
     dims: tuple[int, ...]
@@ -75,8 +74,7 @@ class HilbertProfile:
         return self.dims == tuple(reversed(self.dims))
 
 
-@dataclass(frozen=True)
-class GradedBasis:
+class GradedBasis(Record):
     """Monomial basis of one graded piece, as exponent vectors."""
 
     degree: int
@@ -88,8 +86,7 @@ class GradedBasis:
         return len(self.monomials)
 
 
-@dataclass(frozen=True)
-class GradedHessianCheck:
+class GradedHessianCheck(Record):
     degree: int
     dimension: int
     determinant: Fraction
@@ -99,8 +96,7 @@ class GradedHessianCheck:
         return self.determinant != 0
 
 
-@dataclass(frozen=True)
-class SlpReport:
+class SlpReport(Record):
     """Per-degree Hessian determinants at a point and the overall verdict."""
 
     socle_degree: int
@@ -112,8 +108,7 @@ class SlpReport:
         return all(c.bijective for c in self.checks)
 
 
-@dataclass(frozen=True)
-class DegreeOneLefschetzReport:
+class DegreeOneLefschetzReport(Record):
     """Bijectivity of multiplication by L^(r-2) from degree 1 to r-1,
     decided through the certified spectrum of the degree-one Hessian."""
 
@@ -142,8 +137,7 @@ def _socle_degree(phi: Polynomial) -> int:
 DerivativeMap = dict[ExponentVector, dict[ExponentVector, int]]
 
 
-@dataclass(frozen=True)
-class _Graded:
+class _Graded(Record):
     """Everything the public functions read about one form phi of degree s.
 
     ``derivatives[k]`` maps each u with |u| = k and d^u phi != 0, in the

@@ -13,17 +13,16 @@ masks, and ``Matroid`` objects appear only at the public boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from typing import Collection, Hashable, Iterable
 
 from .graphs import Graph
 from .forests import _forest_masks, _mask_bits, _square_free
 from .polynomials import Polynomial
+from .records import Record
 
 
-@dataclass(frozen=True)
-class Matroid:
+class Matroid(Record):
     """Ground set plus basis collection.
 
     Construction checks only that the collection is nonempty and lives on

@@ -11,18 +11,17 @@ most a few dozen edges).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import perm, prod
 from typing import Hashable, Mapping, Sequence
 
 from .linalg import ExactMatrix, Rational, _frac
+from .records import Record
 
 ExponentVector = tuple[int, ...]
 
 
-@dataclass(frozen=True, eq=False)
-class Polynomial:
+class Polynomial(Record):
     """Immutable polynomial over an ordered variable tuple.
 
     ``terms`` maps exponent vectors (one entry per variable, in order) to

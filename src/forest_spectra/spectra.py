@@ -16,7 +16,6 @@ one routine, :func:`_degree_one_certificate`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement, repeat
 from math import lcm, prod
@@ -27,10 +26,10 @@ from .errors import StructureViolation, VerificationFailure
 from .forests import PairCounts, _pair_counts_by_frontier, _require_k, count_forests_constrained
 from .graphs import COMPLETE, Graph, PairClass, _pair_class, edge_name
 from .linalg import ExactMatrix, exact_determinant
+from .records import Record
 
 
-@dataclass(frozen=True)
-class CompleteParams:
+class CompleteParams(Record):
     """Entry pattern of an edge-pair matrix on a complete graph: alpha on
     the diagonal, beta for edges sharing a vertex, gamma for disjoint."""
 
@@ -40,8 +39,7 @@ class CompleteParams:
     n: int
 
 
-@dataclass(frozen=True)
-class BipartiteParams:
+class BipartiteParams(Record):
     """Entry pattern on a complete bipartite graph: alpha diagonal, beta for
     a shared left vertex, gamma shared right, delta disjoint."""
 
@@ -56,8 +54,7 @@ class BipartiteParams:
 StructuredParams = Union[CompleteParams, BipartiteParams]
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(Record):
     """Eigenvalues with multiplicities, exact and in a fixed order."""
 
     pairs: tuple[tuple[Fraction, int], ...]
@@ -87,8 +84,7 @@ class SignProfile(NamedTuple):
     negative: int
 
 
-@dataclass(frozen=True)
-class SignedQuantity:
+class SignedQuantity(Record):
     """One exact quantity together with the sign it is required to have."""
 
     label: str
@@ -101,8 +97,7 @@ class SignedQuantity:
         return v > 0 if req == ">0" else v < 0 if req == "<0" else v <= 0
 
 
-@dataclass(frozen=True)
-class SignPredictions:
+class SignPredictions(Record):
     quantities: tuple[SignedQuantity, ...]
 
     @property

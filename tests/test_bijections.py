@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 
 import pytest
@@ -324,8 +323,7 @@ def test_forestbij_failure_reports_are_exact():
     labels = (1, 2, 3, 4, 5, 6)
     g = complete_graph_on(labels)
     real = _build_split_families(labels)
-    fam = dataclasses.replace(
-        real,
+    fam = real._replace(
         split_wedge=(
             real.split_wedge[0],
             _forest(g, "1-2", "2-3", "2-4", "5-6"),  # 1 and 4 in one tree; 3-4 closes a cycle
@@ -397,9 +395,7 @@ def test_bipartite_failure_reports_are_exact():
         _forest(g, "1-1'", "1-2'", "1-3'", "2-3'", "3-2'"),  # no 2-1'
         _forest(g, "1-1'", "2-1'", "2-3'", "3-3'", "3-2'"),  # 2 reaches 2': 2-2' closes a cycle
     )
-    fam = dataclasses.replace(
-        real, share_left_parts=left, disjoint_parts=disjoint, share_right_parts=right
-    )
+    fam = real._replace(share_left_parts=left, disjoint_parts=disjoint, share_right_parts=right)
     records = [bijections_pr123(g, 1, 1, families=fam)]
     records.append(bijection_pr4(g, 1, families=fam))
     records.append(bijection_q2r5(g, 1, families=fam))
@@ -528,7 +524,7 @@ def test_hand_built_families_must_hold_spanning_forests():
     g = complete_bipartite_graph(2, 2)
     fam = build_families(g, 1)
     other = build_families(complete_bipartite_graph(2, 3), 1)
-    foreign = dataclasses.replace(fam, share_left_parts=other.share_left_parts)
+    foreign = fam._replace(share_left_parts=other.share_left_parts)
     with pytest.raises(ValueError) as err:
         bijections_pr123(g, 1, 2, families=foreign)
     assert str(err.value) == "Forest(1-1',1-2',1-3',2-1') is not a spanning forest of K_{2,2}"
