@@ -232,8 +232,9 @@ def _complete_family_members(n: int, k: int) -> Iterator[int]:
     outside it the anchored families hold a forest at most and are left out."""
     for w in range(4, n + 1):
         yield comb(n - 4, w - 4) * ((7 * w + 8) * w ** (w - 4) // w)
-    if 0 < k < n - 2:
-        counts = edge_pair_counts(complete_graph(n), k)
+    g = complete_graph(n)
+    if theorem_range(g, k):
+        counts = edge_pair_counts(g, k)
         yield counts.p + counts.q
 
 

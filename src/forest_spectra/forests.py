@@ -690,7 +690,7 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
         n = g.left_size
         if n < 4:
             raise InsufficientVertices(f"need n >= 4 for anchor edges, got n={n}")
-        if not 0 < k < n - 2:
+        if not theorem_range(g, k):
             raise ValueError(f"k={k} outside the range 0 < k < n-2 = {n - 2}")
         for e in dict.fromkeys(chain.from_iterable(_anchor_pairs(g))):
             if not all(index in g.labels for _part, index in e):
@@ -701,7 +701,7 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
     m, n = g.left_size, g.right_size
     if m < 2 or n < 2:
         raise InsufficientVertices(f"need m, n >= 2 for anchor edges, got ({m}, {n})")
-    if not 0 < k < m + n - 2:
+    if not theorem_range(g, k):
         raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
     p, q = _bipartite_through(m, n, k, 1, 2), _bipartite_through(m, n, k, 2, 1)
     pairs = comb(m + n - k, 2) * _bipartite_through(m, n, k, 1, 0)

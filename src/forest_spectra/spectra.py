@@ -2,22 +2,22 @@
 
 The Hessian of a k-forest generating function, evaluated at all-ones, is a
 structured matrix: its entries depend only on how the two indexing edges
-intersect, which one value set per edge-pair class checks.  That structure
-pins down the full spectrum in closed form, and the spectrum is certified
-exactly on the integer form of the matrix: with d distinct claimed
-eigenvalues, each row of A..A^d is packed into one int of exact lanes, the
-claimed minimal polynomial evaluated at A from those rows must vanish, and
-the traces of the same powers must match the claimed power sums.  The two
-conditions together are a proof, not a heuristic; no numerical
-eigensolver is involved anywhere.  The Hessians are built, checked and
-certified on Python ints with no ``Fraction`` in between, the last two by
-one routine, :func:`_degree_one_certificate`.
+intersect, which one pass over the rows checks against the pattern read
+off row 0.  That structure pins down the full spectrum in closed form,
+and the spectrum is certified exactly on the integer form of the matrix:
+with d distinct claimed eigenvalues, each row of A..A^d is packed into one
+int of exact lanes, the claimed minimal polynomial evaluated at A from
+those rows must vanish, and the traces of the same powers must match the
+claimed power sums.  The two conditions together are a proof, not a
+heuristic; no numerical eigensolver is involved anywhere.  The Hessians
+are built, checked and certified on Python ints with no ``Fraction`` in
+between, the last two by one routine, :func:`_degree_one_certificate`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement, repeat
+from itertools import chain, combinations, repeat
 from math import lcm, prod
 from operator import add, lshift, mul
 from typing import NamedTuple, Sequence, Union
@@ -140,42 +140,38 @@ def tilde_hessian_by_counting(g: Graph, k: int) -> ExactMatrix:
 def structured_params(mat: ExactMatrix, g: Graph) -> StructuredParams:
     """Extract the entry pattern of ``mat`` and verify it is uniform within
     each edge-pair class; a non-uniform entry raises StructureViolation.
-    Reads the upper triangle's integer numerators: one value set per class,
-    row i's entries past the diagonal at edges through an end of edge i
-    read off the incidence lists of its ends, the rest disjoint."""
+    Reads the upper triangle's integer numerators in one pass: every
+    nonempty class meets it first in row 0, which gives each class its
+    value (an empty class reads 0), and row i must equal the row that
+    pattern gives edge i, whose ends' incidence lists mark the entries that
+    share a vertex; the first entry of the first row that differs is named."""
     if mat.nrows != g.edge_count or mat.ncols != g.edge_count:
         raise ValueError(f"matrix is {mat.nrows}x{mat.ncols} but {g.name} has {g.edge_count} edges")
-    den, ends = mat._den, g.edge_ends
+    den, ends, num = mat._den, g.edge_ends, mat._num
     incident: list[list[int]] = [[] for _ in range(g.vertex_count)]
     for j, e in enumerate(ends):
         for v in e:
             incident[v].append(j)
-    shares = (PairClass.SHARE_VERTEX,) * 2
-    if g.kind != COMPLETE:  # an edge of K_{m,n} lists its left end first
-        shares = (PairClass.SHARE_LEFT, PairClass.SHARE_RIGHT)
-    seen: dict[PairClass, set[int]] = {cls: set() for cls in PairClass}
-    for i, (e, row) in enumerate(zip(ends, mat._num)):
-        rest = list(row)
-        for cls, v in zip(shares, e):
-            later = incident[v]
-            seen[cls].update(map(row.__getitem__, later[later.index(i) + 1 :]))
-            for j in later:
-                rest[j] = None
-        seen[PairClass.EQUAL].add(row[i])
-        seen[PairClass.DISJOINT].update(rest[i + 1 :])
-    seen[PairClass.DISJOINT].discard(None)
-    if any(len(values) > 1 for values in seen.values()):
-        # name the first entry that disagrees, in row order, entry by entry
-        first: dict[PairClass, int] = {}
-        for i, j in combinations_with_replacement(range(len(ends)), 2):
-            cls, value = _pair_class(g, ends[i], ends[j]), mat._num[i][j]
-            if first.setdefault(cls, value) != value:
-                raise StructureViolation(
-                    f"entries for {cls.value} disagree: {Fraction(first[cls], den)} vs "
-                    f"{Fraction(value, den)} at ({edge_name(g.edges[i])}, {edge_name(g.edges[j])})"
-                )
-    # one value per class, in PairClass order; an empty class reads 0
-    alpha, share, left, right, disjoint = (Fraction(next(iter(v), 0), den) for v in seen.values())
+    first: dict[PairClass, int] = {}
+    for e, value in zip(ends, num[0] if num else ()):
+        first.setdefault(_pair_class(g, ends[0], e), value)
+    values = [first.get(cls, 0) for cls in PairClass]
+    alpha, share, left, right, disjoint = values
+    shares = (share, share) if g.kind == COMPLETE else (left, right)  # K_{m,n}: left end first
+    for i, (e, row) in enumerate(zip(ends, num)):
+        pattern = [disjoint] * len(ends)
+        for value, v in zip(shares, e):
+            for j in incident[v]:
+                pattern[j] = value
+        pattern[i] = alpha
+        if row[i:] != tuple(pattern[i:]):
+            j = next(j for j in range(i, len(row)) if row[j] != pattern[j])
+            raise StructureViolation(
+                f"entries for {_pair_class(g, e, ends[j]).value} disagree: {Fraction(pattern[j], den)} "
+                f"vs {Fraction(row[j], den)} at ({edge_name(g.edges[i])}, {edge_name(g.edges[j])})"
+            )
+    # one value per class, in PairClass order
+    alpha, share, left, right, disjoint = (Fraction(x, den) for x in values)
     if g.kind == COMPLETE:
         return CompleteParams(alpha, share, disjoint, g.left_size)
     return BipartiteParams(alpha, left, right, disjoint, g.left_size, g.right_size)

@@ -7,9 +7,10 @@ expansion, determinants and inertias of symmetric matrices from an LDL^T
 on ``Fraction``s, spectrum certificates from the product of the shifted
 matrices, the basis-exchange axiom from its pairwise definition, the
 forest counts of K_n from the recurrence over the tree through vertex 1,
-the (t, f) split of K_n's pair counts from the paper's subset sums.  Tests
-freeze values computed by these oracles and compare the package against
-them.
+the (t, f) split of K_n's pair counts from the paper's subset sums, the
+first entry of an edge-pair matrix that breaks its class from a scan of
+the upper triangle.  Tests freeze values computed by these oracles and
+compare the package against them.
 """
 
 from __future__ import annotations
@@ -207,6 +208,35 @@ def subset_sum_decomposition(n: int, k: int, forests=recurrence_forest_count) ->
         t += ways * w ** (w - 4) * forests(n - w, k - 1)
         f += ways * split_family_size(w) * forests(n - w, k - 2)
     return t, f
+
+
+def first_disagreement(rows, graph) -> str | None:
+    """The text of the first entry of a would-be structured edge-pair
+    matrix that breaks its class, or None when every class holds one value.
+
+    Pairs of ``graph.edges`` are classed by their shared endpoints (a
+    bipartite graph names the part of the shared vertex), and the upper
+    triangle of ``rows`` is scanned in row order, entry by entry, each
+    against the first entry of its class."""
+    def name(e):
+        return "-".join(f"{i}'" if part else str(i) for part, i in e)
+
+    edges, first = graph.edges, {}
+    for i, j in itertools.combinations_with_replacement(range(len(edges)), 2):
+        e, f = edges[i], edges[j]
+        shared = set(e) & set(f)
+        if e == f:
+            cls = "equal"
+        elif not shared:
+            cls = "disjoint"
+        elif graph.kind == "complete":
+            cls = "share-vertex"
+        else:
+            cls = "share-right" if shared.pop()[0] else "share-left"
+        value = rows[i][j]
+        if first.setdefault(cls, value) != value:
+            return f"entries for {cls} disagree: {first[cls]} vs {value} at ({name(e)}, {name(f)})"
+    return None
 
 
 def cofactor_determinant(rows) -> Fraction:

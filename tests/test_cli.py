@@ -111,6 +111,14 @@ def test_bijections_bipartite_rejects_w(capsys):
     assert captured.err.strip() == "error: --w applies only to --complete"
 
 
+@pytest.mark.parametrize("w", [3, 7])
+def test_bijections_names_a_w_outside_4_to_n(capsys, w):
+    assert run(["bijections", "--complete", "6", "--k", "2", "--w", str(w)]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == f"error: --w must be between 4 and 6, got {w}\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -162,6 +170,23 @@ def test_degree_one_is_the_first_hessian_check_at_all_ones(capsys, graph, r):
     first = report["result"]["hessians"][1]
     assert first["degree"] == 1 and first["dimension"] == edges
     assert first["determinant"] == report["result"]["degree_one"]["determinant"]
+
+
+@pytest.mark.parametrize(
+    "n,r,code,verdict", [(5, 4, 1, "failed"), (4, 2, 0, "computed")], ids=["K_5 r=4", "K_4 r=2"]
+)
+def test_slp_verdict_when_the_degree_one_certificate_fails(capsys, monkeypatch, n, r, code, verdict):
+    # an uncertified spectrum fails slp in the theorem range (K_5 at k = 1)
+    # and leaves it computed outside it (K_4 at k = 2)
+    from forest_spectra import cli
+
+    degree_one = cli._degree_one
+    monkeypatch.setattr(
+        cli, "_degree_one", lambda *args: degree_one(*args)._replace(spectrum_certified=False)
+    )
+    got, report = capture(capsys, ["slp", "--complete", str(n), "--r", str(r)])
+    assert (got, report["verdict"]) == (code, verdict)
+    assert report["result"]["degree_one"]["spectrum_certified"] is False
 
 
 def test_slp_custom_point(capsys):

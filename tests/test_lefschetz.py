@@ -21,6 +21,7 @@ from forest_spectra import (
     check_degree_one_lefschetz,
     complete_bipartite_graph,
     complete_graph,
+    complete_graph_on,
     evaluate,
     exact_determinant,
     exact_rank,
@@ -295,6 +296,34 @@ def test_check_degree_one_rejects_non_truncation():
     fake = Matroid(g.edges, bases)
     with pytest.raises(ValueError):
         check_degree_one_lefschetz(fake)
+
+
+def _k4_rank_two():
+    return truncate(graphic_matroid(complete_graph(4)), 2)
+
+
+def test_check_degree_one_names_a_ground_set_out_of_edge_order():
+    m = _k4_rank_two()
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(Matroid(m.ground[::-1], m.bases))
+    assert str(err.value) == "ground set is not in canonical edge order"
+
+
+def test_check_degree_one_names_a_missing_basis():
+    # rank 2 is in range, so the bases themselves are compared
+    m = _k4_rank_two()
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(Matroid(m.ground, m.bases[1:]))
+    assert str(err.value) == "bases are not the 2-edge forests of K_4; not a truncation"
+
+
+def test_check_degree_one_names_a_complete_graph_off_1_to_n():
+    # K on {2, 3, 5} is a complete graph, but not on the labels 1..n
+    g = complete_graph_on([2, 3, 5])
+    fake = Matroid(g.edges, tuple(frozenset(pair) for pair in combinations(g.edges, 2)))
+    with pytest.raises(ValueError) as err:
+        check_degree_one_lefschetz(fake)
+    assert str(err.value) == "ground set is not the edge set of K_n or K_{m,n}"
 
 
 def test_check_degree_one_rejects_foreign_ground():

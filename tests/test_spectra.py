@@ -1,6 +1,6 @@
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from math import comb
 
 import pytest
@@ -36,7 +36,13 @@ from forest_spectra.forests import _forests_by_size
 from forest_spectra.linalg import _symmetric_bareiss
 from forest_spectra.spectra import _certificate_failure
 
-from conftest import brute_forests, cofactor_determinant, load_perfbench, product_form_certificate
+from conftest import (
+    brute_forests,
+    cofactor_determinant,
+    first_disagreement,
+    load_perfbench,
+    product_form_certificate,
+)
 
 
 def spectrum_of(pairs):
@@ -214,6 +220,32 @@ def test_structured_params_reads_only_the_upper_triangle(g):
     # a lower-triangle entry that breaks its class is never read
     true = structured_params(tilde_hessian(g, 2), g)
     assert structured_params(_perturbed(g, 2, 9, 2, 5), g) == true
+
+
+@pytest.mark.parametrize(
+    "g",
+    [complete_graph(n) for n in range(4, 8)]
+    + [complete_bipartite_graph(m, n) for m in range(2, 5) for n in range(2, 5)],
+    ids=lambda g: g.name,
+)
+def test_structured_params_names_what_a_scan_of_the_upper_triangle_names(g):
+    # every entry moved by +-1 alone, in either triangle: the error text is
+    # the naive scan's, and a lower-triangle move is never read
+    h = tilde_hessian(g, 2)
+    true = structured_params(h, g)
+    assert first_disagreement(h.rows, g) is None
+    for i, j in product(range(g.edge_count), repeat=2):
+        for delta in (1, -1):
+            rows = [list(row) for row in h._num]
+            rows[i][j] += delta
+            message = first_disagreement(rows, g)
+            assert (message is None) == (j < i), (i, j, delta)
+            if message is None:
+                assert structured_params(ExactMatrix._from_ints(rows), g) == true
+            else:
+                with pytest.raises(StructureViolation) as err:
+                    structured_params(ExactMatrix._from_ints(rows), g)
+                assert str(err.value) == message, (i, j, delta)
 
 
 def test_structured_params_dimension_mismatch():
