@@ -373,7 +373,9 @@ def _frontier_schedule(
     return steps
 
 
-def _frontier_walk(ends: Sequence[tuple[int, int]], start: list[int], take, bits: int = 0) -> None:
+def _frontier_walk(
+    ends: Sequence[tuple[int, int]], start: list[int], take, ints: int, bits: int = 0
+) -> None:
     """Walk the arcs ``ends`` in order, keeping one state per canonical block
     labelling of the frontier, the vertices already met that still have
     arcs to come.  The labelling is canonical by first appearance: each
@@ -388,10 +390,11 @@ def _frontier_walk(ends: Sequence[tuple[int, int]], start: list[int], take, bits
     i, whose ends sit at frontier positions pu and pv.  A vertex leaves the
     frontier after its last arc, so the state count is bounded by Bell
     numbers of the frontier width, not by the number of forests.
-    ``bits`` bounds the integers for the estimate of :func:`_frontier_schedule`.
+    The work estimate of :func:`_frontier_schedule` charges each state
+    ``ints`` integers of up to ``bits`` bits, as the caller counts them.
     """
     states: dict[bytes, list[int]] = {b"": start}
-    for i, (entering, width, pu, pv, keep) in enumerate(_frontier_schedule(ends, len(start), bits)):
+    for i, (entering, width, pu, pv, keep) in enumerate(_frontier_schedule(ends, ints, bits)):
         if entering:
             tail = bytes(range(width - entering, width))
             states = {key + tail: vals for key, vals in states.items()}
@@ -441,7 +444,7 @@ def _count_by_frontier(arcs: dict[tuple[int, int], int], need: int) -> int:
                 old = nxt.get(out)
                 nxt[out] = vec if old is None else list(map(add, old, vec))
 
-    _frontier_walk(list(arcs), [1] + [0] * (need - 1), take)
+    _frontier_walk(list(arcs), [1] + [0] * (need - 1), take, need)
     return done
 
 
@@ -450,52 +453,58 @@ def _pair_counts_by_frontier(ends: Sequence[tuple[int, int]], need: int) -> list
     subsets of the simple graph with edges ``ends`` that hold edges x and
     y; the diagonal and upper triangle are zero.
 
-    The walk of :func:`_frontier_walk`, one arc per edge, with three
-    integers per state and count c < ``need`` of edges taken: N, the number
-    of paths; A, how many hold each edge y, in w-bit lane y; P, how many
-    hold each pair y' < y, in lane y(y-1)/2 + y'.  The edges taken come
-    before x, so taking edge x adds N to lane x of A and A, shifted to
-    lanes x(x-1)/2 + y, to P.  A path that reaches ``need`` edges adds its
-    P to the total and leaves the walk.
+    The walk of :func:`_frontier_walk`, one arc per edge, with two integers
+    per state and count c < ``need`` of edges taken: N_c, the number of
+    paths, and V_c = A_c + P_c 2^o.  A_c holds how many paths hold each
+    edge y, in w-bit lane y; P_c how many hold each pair y' < y, in lane
+    y(y-1)/2 + y'.  The edges taken come before x, so taking edge x adds
+    N_c to lane x of A and A_c, shifted to lanes x(x-1)/2 + y, to P.  A
+    path that reaches ``need`` edges adds its P to the total and leaves
+    the walk.
 
-    The unpacked lanes are exact.  Every step adds or shifts nonnegative
-    integers, so no lane borrows and the total is the sum of T_xy
-    2^(w(x(x-1)/2 + y)) however far partial lanes carried on the way (on a
-    star C(m-1, c-1) partial paths run through each edge, far past 2^w).
+    Every step adds or shifts nonnegative integers, so no lane borrows,
+    and the total is the sum of T_xy 2^(w(x(x-1)/2 + y)) however far
+    partial lanes carried on the way (on a star C(m-1, c-1) partial paths
+    run through each edge, far past 2^w).  Only A must stay below 2^o, so
+    as not to reach P: each path is a distinct edge subset, fewer than
+    2^m of them, and adds less than 2^(wm) to A, so A_c, and its sum over
+    all states at an arc, stay below 2^(wm + m) < 2^o with o = wm + m + 1.
     Only the total is unpacked, and each T_xy counts need-edge subsets
-    through a fixed pair: at most C(m-2, need-2) < 2^w.
+    through a fixed pair: at most C(m-2, need-2) < 2^w.  The work estimate
+    still charges 3 ``need`` integers of up to w m(m-1)/2 bits, the N, A
+    and P of each count.
     """
     m = len(ends)
     if not 2 <= need <= m:
         return [[0] * m for _ in range(m)]
     w = comb(m - 2, need - 2).bit_length()
+    o = w * m + m + 1
+    low = (1 << o) - 1
     tri = [w * (x * (x - 1) // 2) for x in range(m)]
     total = 0
 
     def take(x, pu, pv, states, nxt):
         nonlocal total
         lane = w * x
-        shift = tri[x]
-        top = 0  # lanes of A at need - 1 edges, shifted once below
+        shift = o + tri[x]
+        top = 0  # V at need - 1 edges, unpacked once below
         for key, vals in states.items():
             a, b = key[pu], key[pv]
             if a == b:
                 continue
-            total += vals[-1]
-            top += vals[2 * need - 1]
+            top += vals[-1]
             ns = vals[: need - 1]
             if any(ns):
                 if a > b:
                     a, b = b, a
                 out = key.replace(bytes((b,)), bytes((a,)))
-                As = vals[need : 2 * need - 1]
-                vec = [0, *ns, 0, *map(add, As, [n << lane for n in ns]),
-                       0, *map(add, vals[2 * need : -1], [s << shift for s in As])]
+                vec = [0, *ns, 0, *[v + (n << lane) + ((v & low) << shift)
+                                    for n, v in zip(ns, vals[need:-1])]]
                 old = nxt.get(out)
                 nxt[out] = vec if old is None else list(map(add, old, vec))
-        total += top << shift
+        total += (top >> o) + ((top & low) << tri[x])
 
-    _frontier_walk(ends, [1] + [0] * (3 * need - 1), take, w * m * (m - 1) // 2)
+    _frontier_walk(ends, [1] + [0] * (2 * need - 1), take, 3 * need, w * m * (m - 1) // 2)
     rows = [[0] * m for _ in range(m)]
     mask = (1 << w) - 1
     for x in range(1, m):

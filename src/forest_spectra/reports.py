@@ -19,15 +19,22 @@ from typing import Iterator, NamedTuple, Sequence
 def _dumps(value, indent: str = "\n") -> str | Iterator[str]:
     """``json.dumps(value, indent=2, sort_keys=True, default=str)``, byte
     for byte, for a report value: strings, and ``Fraction``s as their exact
-    strings, go through the C escaper that call uses, lists, tuples and
-    str-keyed dicts are joined here, and any other scalar is
-    ``json.dumps(value)``, which raises TypeError on what ``json`` cannot
-    encode.  A ``_Listing`` is written as its rows of edge names and a
+    strings, go through the C escaper that call uses, ``True``, ``False``,
+    ``None`` and exact ``int``s are written here as ``json`` writes them,
+    lists, tuples and str-keyed dicts are joined here, and any other scalar
+    is ``json.dumps(value)``, which raises TypeError on what ``json``
+    cannot encode.  A ``_Listing`` is written as its rows of edge names and a
     ``_Matrix`` as its rows of entries; each, and a dict that holds one,
     comes out as an iterator of text blocks, so that it is written as it
     is rendered."""
     if isinstance(value, (str, Fraction)):
         return _escape(str(value))
+    if type(value) is int:
+        return int.__repr__(value)
+    if type(value) is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
     if isinstance(value, _Listing):
         return _listing_blocks(value, indent)
     if isinstance(value, _Matrix):

@@ -332,8 +332,8 @@ def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
     # instead of running for hours
     from forest_spectra import forests
 
-    def guard_only(ends, start, take, bits=0):
-        forests._frontier_schedule(ends, len(start), bits)
+    def guard_only(ends, start, take, ints, bits=0):
+        forests._frontier_schedule(ends, ints, bits)
         raise AssertionError("the oversized walk passed its guard")
 
     monkeypatch.setattr(forests, "_frontier_walk", guard_only)
@@ -1383,9 +1383,17 @@ _rational_report_values = st.recursive(
 @example([Fraction(0), Fraction(5), Fraction(-1, 2)])
 @example(((Fraction(1), Fraction(2, 3)), (Fraction(2, 3), Fraction(-7))))
 @example({"point": (Fraction(1, 5),), "dims": (1, 6, 6, 1), "x": [[Fraction(1)], ["a"]]})
+@example(True)
+@example(1)
+@example(None)
+@example(0)
+@example([-1, -(2**64), -(10**3999)])
+@example(10**3999)  # 4,000 digits, under the interpreter's int-to-str limit
+@example({"a": True, "b": 1, "c": None, "d": {}, "e": [[], {}, [{}]]})
 def test_dumps_writes_rationals_as_json_default_str(value):
     # the one place a Fraction becomes text: its exact string, as json's
-    # default=str would write it
+    # default=str would write it; bools, None and exact ints _dumps writes
+    # itself, and a bool is not an int there
     assert _dumps(value) == json.dumps(value, indent=2, sort_keys=True, default=str)
 
 

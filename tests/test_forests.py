@@ -802,6 +802,33 @@ def test_frontier_walks_match_the_subset_oracle_in_any_edge_order(data):
     assert _pair_counts_by_frontier(ends, need) == expected
 
 
+def _subset_pair_counts(g, need):
+    ends = g.edge_ends
+    expected = [[0] * len(ends) for _ in ends]
+    for s in combinations(range(len(ends)), need):
+        if is_acyclic(range(g.vertex_count), [ends[i] for i in s]):
+            for y, x in combinations(s, 2):
+                expected[x][y] += 1
+    return expected
+
+
+@pytest.mark.parametrize(
+    "g, needs",
+    [(complete_bipartite_graph(1, n), range(n + 2)) for n in range(1, 9)]
+    + [(complete_bipartite_graph(2, 2), range(6))]
+    + [(complete_bipartite_graph(2, n), [n + 1]) for n in range(1, 6)],
+    ids=[f"K_1,{n}" for n in range(1, 9)] + ["K_2,2"] + [f"K_2,{n}" for n in range(1, 6)],
+)
+def test_the_pair_walk_keeps_its_lanes_apart_where_they_carry_most(g, needs):
+    # on a star every edge subset is a forest, so the partial per-edge lanes
+    # count far past 2^w; past need > m/2 and at spanning trees (need = V - 1)
+    # most subsets that reach a count go on to complete
+    from forest_spectra.forests import _pair_counts_by_frontier
+
+    for need in needs:
+        assert _pair_counts_by_frontier(g.edge_ends, need) == _subset_pair_counts(g, need), need
+
+
 def test_frontier_walks_refuse_oversized_inputs_before_any_state():
     from forest_spectra.forests import _frontier_schedule
 
