@@ -2,17 +2,21 @@
 
 Exit codes: 0 for verified/computed runs, 1 when a theorem check fails,
 2 for invalid input (including unknown flags, which argparse reports on
-stderr with usage text).  One parser is built per process and every
-``run`` parses with it.  Reports are deterministic: orderings are
-canonical everywhere, and the only wall-clock content is the timing
-field.  Every command starts from one ``Graph`` of its sizes
-(``_graph_from``), and every refusal that reads only sizes comes before
-any vertex or edge is built.  The fields of a result object are read off
-it by ``_pick``, and the report's text comes from ``reports._dumps``: one
-string, or for a listing, which ``enumerate`` hands over as the search's
-edge masks, blocks of rows written as they are rendered.  A reader that
-closes stdout early, as ``| head`` does, gets the report's prefix, and
-the exit code is the verdict's.
+stderr with usage text) and for an input too large to answer.  One parser
+is built per process and every ``run`` parses with it.  Reports are
+deterministic: orderings are canonical everywhere, and the only
+wall-clock content is the timing field.  Every command starts from one
+``Graph`` of its sizes (``_graph_from``), and every refusal that reads
+only sizes comes before any vertex or edge is built.  Each such refusal
+costs its work against the one limit, ``forests.MAX_FRONTIER_WORK``,
+through ``forests._refuse_past``, and ``run`` writes every one as
+``error: <command> on <graph>: <what> is estimated at ...``.  The fields
+of a result object are read off it by ``_pick``, and the report's text
+comes from ``reports._dumps``: one string, or for a listing, which
+``enumerate`` hands over as the search's edge masks, blocks of rows
+written as they are rendered.  A reader that closes stdout early, as
+``| head`` does, gets the report's prefix, and the exit code is the
+verdict's.
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ from .errors import StructureViolation, TooLarge, VerificationFailure
 from .forests import (
     MAX_FRONTIER_WORK,
     _forest_masks,
-    _forests_by_size,
+    _forests_of,
+    _refuse_past,
     _require_k,
     edge_pair_counts,
     theorem_range,
@@ -148,34 +153,30 @@ def _record_dict(record) -> dict:
     }
 
 
-def _require_hessian_room(g: Graph, who: str) -> None:
+def _require_hessian_room(g: Graph) -> None:
     """Refuse, from the edge count alone, the m x m degree-one Hessian that
-    ``who`` (``spectrum`` or ``slp``) certifies when its m^2 entries pass
-    MAX_FRONTIER_WORK at 10 integer operations each.  The zero Hessians of
-    k >= V - 1 are read off the sizes, so ``spectrum`` applies the rule to
-    them only when ``--matrix`` writes their m^2 entries, about 0.1 us each:
-    K_60 at k = 60 (3.1e6 entries) takes 0.30-0.34 s and K_70 at k = 70
-    (5.8e6) 0.56-0.64 s, best of 3 in-process runs to ``os.devnull``, +0.2 MB
-    peak RSS (+78 and +145 MB into a StringIO); 2-vCPU Xeon, CPython 3.11."""
-    work = 10 * g.edge_count**2
-    if work > MAX_FRONTIER_WORK:
-        raise ValueError(
-            f"{who} on {g.name}: its {g.edge_count}x{g.edge_count} Hessian is estimated "
-            f"at {work} integer operations, over the limit of {MAX_FRONTIER_WORK}"
-        )
+    ``spectrum`` certifies, at 10 integer operations for each of its m^2
+    entries.  The zero Hessians of k >= V - 1 are read off the sizes, so
+    ``spectrum`` applies the rule to them only when ``--matrix`` writes
+    their m^2 entries, about 0.1 us each: K_60 at k = 60 (3.1e6 entries)
+    takes 0.30-0.34 s and K_70 at k = 70 (5.8e6) 0.56-0.64 s, best of 3
+    in-process runs to ``os.devnull``, +0.2 MB peak RSS (+78 and +145 MB
+    into a StringIO); 2-vCPU Xeon, CPython 3.11."""
+    m = g.edge_count
+    _refuse_past(10 * m * m, f"its {m}x{m} Hessian")
 
 
 def _cmd_spectrum(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     k = args.k
     _require_k(g.vertex_count, k)
-    _require_closed_form(g, "spectrum")
+    _require_closed_form(g)
     dim = g.edge_count
     # past k = V - 2 no forest holds two edges, so the Hessian is zero: read
     # off the sizes, and written only for --matrix
     zero = k >= g.vertex_count - 1
     if args.matrix or not zero:
-        _require_hessian_room(g, "spectrum")
+        _require_hessian_room(g)
     if zero:
         params, spectrum, certified, det = _zero_certificate(g)
     else:
@@ -240,23 +241,14 @@ def _complete_family_members(n: int, k: int) -> Iterator[int]:
 
 def _require_family_room(g: Graph, members: Iterable[int]) -> None:
     """Refuse, before ``build_families``, families whose members, summed
-    from ``members`` until the sum passes the limit, times the edge count
-    (each member is an edge mask the checks walk) exceed MAX_FRONTIER_WORK.
-    The sum and the product are named while a float holds the product,
-    and with it a sum far below the digits Python writes."""
+    from ``members`` until the sum passes the limit, cost one operation per
+    member and edge (each member is an edge mask the checks walk)."""
     total = 0
     for part in members:
         total += part
-        work = total * g.edge_count
-        if work > MAX_FRONTIER_WORK:
-            if work <= sys.float_info.max:
-                has = f"at least {total} family members on {g.edge_count} edges each, {work:.2e}"
-            else:
-                has = f"family members on {g.edge_count} edges each, more than {sys.float_info.max:.2e}"
-            raise ValueError(
-                f"bijections on {g.name} would build {has} member-edges, "
-                f"over the limit of {MAX_FRONTIER_WORK:.0e}"
-            )
+        if total * g.edge_count > MAX_FRONTIER_WORK:
+            break
+    _refuse_past(total * g.edge_count, f"building family members of {g.edge_count} edges each")
 
 
 def _cmd_bijections(args) -> tuple[str, dict, dict]:
@@ -375,7 +367,12 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     g = _graph_from(args)
     r = args.r
     _require_degree_one_rank(g, r, "slp")
-    _require_hessian_room(g, "slp")
+    # the degree-one stage reduces m x m matrices, the catalecticant and the
+    # Hessian at the point, by elimination: m^3 operations.  K_30 at r = 2
+    # (435 edges) takes 10.8 s and K_{232,2} (464) 9.8 s, one in-process
+    # run each; 2-vCPU Xeon, CPython 3.11
+    m = g.edge_count
+    _refuse_past(m**3, f"reducing its {m}x{m} degree-one matrices")
     all_ones = args.point is None
     # L's coefficients, one per edge: the form's variables are g.edges
     values = [Fraction(1)] * g.edge_count if all_ones else _parse_point(args.point, g.edge_count)
@@ -408,44 +405,33 @@ def _cmd_slp(args) -> tuple[str, dict, dict]:
     return verdict, input_, result
 
 
-# a listing holds every forest and prints every edge name, so the largest
-# lists would exhaust memory long before they finish
-MAX_LISTED_FORESTS = 1_000_000
-
-
-def _forest_count(n: int, k: int) -> int | None:
-    """F(n, k), the k-component forests of K_n, or None when Python would
-    not write it in decimal.  Among them are the (n-k+1)^(n-k-1) spanning
-    trees of K_{n-k+1} with every other vertex alone; when those alone
-    reach 2^(4 L) > 10^L, for L = sys.get_int_max_str_digits() > 0, None
-    comes from n and k before the closed form runs (seconds of work there)."""
+def _forest_count(g: Graph, k: int) -> int | None:
+    """F(n, k), the k-component forests of ``g`` = K_n, or None when Python
+    would not write it in decimal.  Among them are the (n-k+1)^(n-k-1)
+    spanning trees of K_{n-k+1} with every other vertex alone; when those
+    alone reach 2^(4 L) > 10^L, for L = sys.get_int_max_str_digits() > 0,
+    None comes from n and k before the closed form runs (seconds of work
+    there)."""
     limit = sys.get_int_max_str_digits()
-    s = n - k + 1
+    s = g.left_size - k + 1
     if limit and (s - 2) * (s.bit_length() - 1) >= 4 * limit:
         return None
-    count = _forests_by_size(n, k)
+    count = _forests_of(g, k)
     return count if _printable(count) else None
 
 
-def _require_listable(g: Graph, k: int, what: str) -> None:
+def _require_listable(g: Graph, k: int) -> None:
     """Refuse, before an edge of K_n is read, to list its k-component
-    forests when there are more than MAX_LISTED_FORESTS of them, or when
-    their edge masks, of C(n,2) bits and so ceil(C(n,2)/30) CPython digits
-    each, pass MAX_FRONTIER_WORK digits in all.  The message names the
-    count when Python writes it, and the cap by name otherwise (Python
-    writes at least 640 digits, far past the cap)."""
-    count = _forest_count(g.left_size, k)
-    if count is None or count > MAX_LISTED_FORESTS:
-        has = (f"{count} {k}-component forests, more than the" if count else
-               f"more {k}-component forests than the MAX_LISTED_FORESTS =")
-        raise ValueError(f"{g.name} has {has} {MAX_LISTED_FORESTS} {what}")
-    work = count * -(-g.edge_count // 30)
-    if work > MAX_FRONTIER_WORK:
-        raise ValueError(
-            f"the {count} {k}-component forests of {g.name}, as masks of "
-            f"{g.edge_count} bits, are estimated at {work} digit operations, "
-            f"more than the {MAX_FRONTIER_WORK} {what}"
-        )
+    forests when they cost more than MAX_FRONTIER_WORK: 100 operations a
+    forest, which lets through the 10^6 forests of short masks a listing
+    held at most before, and its edge mask of C(n,2) bits, ceil(C(n,2)/30)
+    CPython digits.  A count Python does not write, at least 10^L for
+    L = sys.get_int_max_str_digits(), is estimated from that bound."""
+    count = _forest_count(g, k)
+    many = "" if count is None else f"{count} "
+    least = 10 ** sys.get_int_max_str_digits() if count is None else count
+    _refuse_past(least * (100 + -(-g.edge_count // 30)),
+                 f"listing its {many}{k}-component forests as {g.edge_count}-bit masks")
 
 
 def _cmd_matroid(args) -> tuple[str, dict, dict]:
@@ -453,7 +439,7 @@ def _cmd_matroid(args) -> tuple[str, dict, dict]:
     r = args.r
     _require_a_valid_rank(g, "matroid", 1)
     _require_truncation_rank(r, g.vertex_count - 1)
-    _require_listable(g, 1, "matroid may list: it truncates every spanning tree")
+    _require_listable(g, 1)  # the truncation reads every spanning tree
     # the spanning trees' r-subsets against an independent r-edge forest search
     bases = _truncated(_forest_masks(g, 1), r)
     bases_match = bases == set(_forest_masks(g, g.vertex_count - r))
@@ -480,17 +466,16 @@ def _cmd_enumerate(args) -> tuple[str, dict, dict]:
     input_ = {"graph": g.name, "k": k, "count_only": bool(args.count_only)}
     _require_k(n, k)
     if args.count_only:
-        count = _forest_count(n, k)
+        count = _forest_count(g, k)
         if count is None:
-            raise ValueError(
-                f"enumerate on {g.name}: the count of its {k}-component forests has "
-                f"more digits than the {sys.get_int_max_str_digits()} Python writes "
-                f"(sys.get_int_max_str_digits())"
+            raise TooLarge(
+                f"the count of its {k}-component forests has more digits than the "
+                f"{sys.get_int_max_str_digits()} Python writes (sys.get_int_max_str_digits())"
             )
         return "computed", input_, {"count": count}
     if k == n:  # the one forest with no edge, with no edge read
         return "computed", input_, {"count": 1, "forests": [[]]}
-    _require_listable(g, k, "enumerate may list; use --count-only to count them")
+    _require_listable(g, k)
     masks = _forest_masks(g, k)
     # g.edges is sorted, so ascending edge indices list a forest's edge
     # names in the order Forest.edge_names gives
@@ -519,7 +504,7 @@ def run(argv: Sequence[str]) -> int:
     # a StructureViolation is a ValueError, but a failed check, not bad input
     except (StructureViolation, VerificationFailure) as err:
         verdict, input_, result = "failed", {}, {"error": str(err)}
-    # a walk or the formula knows its own size, not the command or graph it is for
+    # a refusal names what it estimated, not the command or graph it is for
     except TooLarge as err:
         print(f"error: {args.command} on {_graph_from(args).name}: {err}", file=sys.stderr)
         return 2

@@ -6,9 +6,11 @@ class InsufficientVertices(ValueError):
 
 
 class TooLarge(ValueError):
-    """A frontier walk's or the forest-count formula's estimated work
-    passes MAX_FRONTIER_WORK; raised before its first step.  The message
-    names the walk or the formula, not the command or graph it is for."""
+    """An input too large to answer, refused before the work starts: an
+    up-front estimate passed MAX_FRONTIER_WORK (``forests._refuse_past``
+    raises these) or a count has more digits than Python writes.  The
+    message names what was estimated, not the command or graph it is for;
+    ``cli.run`` writes those in front of it."""
 
 
 class StructureViolation(ValueError):

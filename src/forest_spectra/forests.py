@@ -28,6 +28,7 @@ fixed-width types quickly.
 
 from __future__ import annotations
 
+import sys
 from collections import abc
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
@@ -311,17 +312,25 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-# the frontier walks refuse, before their first step, a walk whose estimated
-# work (see _frontier_schedule) exceeds this many integer operations of at
-# most 2^16 bits each; at about 0.1 us apiece (2-vCPU host, CPython 3.11)
-# that is some ten seconds
+# every up-front estimate, of a frontier walk, a closed form or a command's
+# own kernels, is refused by _refuse_past when it passes this many integer
+# operations of at most 2^16 bits each; at about 0.1 us apiece (2-vCPU host,
+# CPython 3.11) that is some ten seconds
 MAX_FRONTIER_WORK = 10**8
 
-# slp's derivative maps hold one entry per r-edge forest and submask of it,
-# (#r-forests) * 2^r in all, which the frontier count gives before the
-# search; past this many entries slp is refused (K_8 at r = 5 holds
-# 2,451,456, at r = 6 already 12,845,056)
-MAX_DERIVATIVE_ENTRIES = 4 * 10**6
+
+def _refuse_past(work: int, what: str) -> None:
+    """Raise TooLarge when ``work``, the estimated operations of ``what``,
+    passes MAX_FRONTIER_WORK.  The message names ``what`` and the estimate,
+    written as a float while one holds it and by the largest float past
+    that; ``cli.run`` adds the command and graph it is for."""
+    if work > MAX_FRONTIER_WORK:
+        cap = sys.float_info.max
+        amount = f"{work:.2e}" if work <= cap else f"more than {cap:.2e}"
+        raise TooLarge(
+            f"{what} is estimated at {amount} integer operations, "
+            f"over the limit of {MAX_FRONTIER_WORK:.0e}"
+        )
 
 
 @lru_cache(maxsize=None)
@@ -342,8 +351,8 @@ def _frontier_schedule(
     integers of up to ``bits`` bits (0: machine-sized): at arc i at most
     min(B_width, 2^(i+1)) states, one per block labelling or per subset of
     the arcs so far, each touching its integers 1 + bits // 2^16 times.
-    Past MAX_FRONTIER_WORK a ValueError naming the estimate refuses the
-    walk before any state is built.
+    Past MAX_FRONTIER_WORK, :func:`_refuse_past` refuses the walk at that
+    arc, before any state is built.
     """
     last = {}
     for i, (u, v) in enumerate(ends):
@@ -357,13 +366,10 @@ def _frontier_schedule(
         frontier += entering
         width = len(frontier)
         work += per_state * min(1 << i + 1, _bell(width))
-        if work > MAX_FRONTIER_WORK:
+        if work > MAX_FRONTIER_WORK:  # the estimate stops at the first arc past the limit
             size = f" of up to {bits} bits" if bits else ""
-            raise TooLarge(
-                f"a frontier walk over {len(ends)} arcs (frontier width {width} by arc "
-                f"{i + 1}, {ints} integers{size} per state) is estimated at more than "
-                f"{work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
-            )
+            _refuse_past(work, f"a frontier walk over {len(ends)} arcs (frontier width "
+                               f"{width} by arc {i + 1}, {ints} integers{size} per state)")
         keep = None
         if i in (last[u], last[v]):  # only the arc's own ends can leave after it
             keep = [p for p, w in enumerate(frontier) if last[w] != i]
@@ -705,7 +711,7 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
             if not all(index in g.labels for _part, index in e):
                 raise ValueError(f"{edge_name(e)} is not an edge of {g.name}")
         p = _forests_through(n, k, 3)
-        q = (comb(n - k, 2) * _forests_by_size(n, k) - n * comb(n - 1, 2) * p) // (3 * comb(n, 4))
+        q = (comb(n - k, 2) * _forests_of(g, k) - n * comb(n - 1, 2) * p) // (3 * comb(n, 4))
         return PairCounts(p, q)
     m, n = g.left_size, g.right_size
     if m < 2 or n < 2:
@@ -713,7 +719,7 @@ def edge_pair_counts(g: Graph, k: int) -> PairCounts:
     if not theorem_range(g, k):
         raise ValueError(f"k={k} outside the range 0 < k < m+n-2 = {m + n - 2}")
     p, q = _bipartite_through(m, n, k, 1, 2), _bipartite_through(m, n, k, 2, 1)
-    pairs = comb(m + n - k, 2) * _bipartite_through(m, n, k, 1, 0)
+    pairs = comb(m + n - k, 2) * _forests_of(g, k)
     r = (pairs - m * comb(n, 2) * p - n * comb(m, 2) * q) // (2 * comb(m, 2) * comb(n, 2))
     return PairCounts(p, q, r)
 
@@ -758,12 +764,8 @@ def _bipartite_through(m: int, n: int, k: int, s: int, t: int) -> int:
         + (min(a + b, K * bits) >> 6) ** 2
         + ((term + (a - i0) * n.bit_length() + (b - j0) * m.bit_length()) >> 10) ** 2
     )
-    if work > MAX_FRONTIER_WORK:
-        raise TooLarge(
-            f"the closed form for the {k}-component forests of K_{{{m},{n}}} through a fixed "
-            f"tree on {s} left and {t} right vertices is estimated at {work:.2e} integer "
-            f"operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
-        )
+    _refuse_past(work, f"the closed form for the {k}-component forests of K_{{{m},{n}}} "
+                       f"through a fixed tree on {s} left and {t} right vertices")
     mn = m * n
     pn = list(accumulate(repeat(n, i0 - lo), mul, initial=1))
     pm = list(accumulate(repeat(m, top), mul, initial=1))
@@ -817,12 +819,8 @@ def _forests_through(n: int, k: int, a: int) -> int:
     b = n.bit_length()
     horner = t * (2 * b + 1)
     work = t * (20 + (horner >> 9)) + ((horner + (N - K) * b) >> 10) ** 2
-    if work > MAX_FRONTIER_WORK:
-        through = f" through a fixed {a}-vertex tree" if a > 1 else ""
-        raise TooLarge(
-            f"the closed form for the {k}-component forests of K_{n}{through} is estimated "
-            f"at {work:.2e} integer operations, over the limit of {MAX_FRONTIER_WORK:.0e}"
-        )
+    through = f" through a fixed {a}-vertex tree" if a > 1 else ""
+    _refuse_past(work, f"the closed form for the {k}-component forests of K_{n}{through}")
     acc = 0
     term = 1  # (-1)^j C(K, j) (N - K)_j
     for j in range(t + 1):
@@ -835,6 +833,15 @@ def _forests_by_size(n: int, k: int) -> int:
     """F(n, k), the spanning forests of K_n with k components: those through
     one vertex.  1 for the empty vertex set with k = 0, 0 for k outside 1..n."""
     return _forests_through(n, k, 1) if n else int(k == 0)
+
+
+def _forests_of(g: Graph, k: int) -> int:
+    """The k-component spanning forests of ``g``, K_n (on any labels) or
+    K_{m,n}, by the closed forms, with no vertex or edge built: those
+    through one vertex."""
+    if g.kind == COMPLETE:
+        return _forests_by_size(g.left_size, k)
+    return _bipartite_through(g.left_size, g.right_size, k, 1, 0)
 
 
 def pq_decomposition(n: int, k: int) -> Decomposition:

@@ -46,13 +46,7 @@ from .graphs import (
     complete_bipartite_graph,
     complete_graph,
 )
-from .forests import (
-    MAX_DERIVATIVE_ENTRIES,
-    _forest_masks,
-    _mask_bits,
-    count_forests_constrained,
-    theorem_range,
-)
+from .forests import _forest_masks, _forests_of, _mask_bits, _refuse_past, theorem_range
 from .linalg import ExactMatrix, Rational, _independent_rows, _symmetric_bareiss, exact_determinant
 from .matroids import Matroid, _require_a_valid_rank
 from .polynomials import ExponentVector, Polynomial, _point_values
@@ -346,21 +340,18 @@ def _slp_on_masks(
     ``forest_generating_polynomial(g, V - r)``, and its Hessian at all-ones
     over every edge, ``tilde_hessian(g, V - r)``; r is in range.
 
-    The maps hold (#r-forests) 2^r entries, so the frontier count refuses
-    more than MAX_DERIVATIVE_ENTRIES before the search runs.  Entry (i, j)
-    of the k-th Hessian is the degree-2k derivative at b_i | b_j, which has
-    none where b_i and b_j share an edge, evaluated on integers once per
-    mask: the number of its rests at all-ones, else the sum of their
-    monomials at the point with its denominators cleared.  Only the upper
-    triangle is built, for the symmetric kernel.
+    The maps hold (#r-forests) 2^r entries, counted by the closed forms
+    (``forests._forests_of``), and at 25 operations an entry
+    :func:`forests._refuse_past` refuses them before the search runs.
+    Entry (i, j) of the k-th Hessian is the degree-2k derivative at
+    b_i | b_j, which has none where b_i and b_j share an edge, evaluated on
+    integers once per mask: the number of its rests at all-ones, else the
+    sum of their monomials at the point with its denominators cleared.
+    Only the upper triangle is built, for the symmetric kernel.
     """
-    count = count_forests_constrained(g, g.vertex_count - r)
-    if count << r > MAX_DERIVATIVE_ENTRIES:
-        raise ValueError(
-            f"slp on {g.name} at rank {r} needs {count << r} derivative entries "
-            f"({count} {r}-edge forests with 2^{r} submasks each), over the limit "
-            f"of {MAX_DERIVATIVE_ENTRIES:.0e}"
-        )
+    count = _forests_of(g, g.vertex_count - r)
+    _refuse_past(25 * (count << r), f"building {count << r} derivative entries "
+                                    f"({count} {r}-edge forests with 2^{r} submasks each)")
     forests = _forest_masks(g, g.vertex_count - r)
     maps, bases = _mask_graded(forests, r)
     profile = HilbertProfile(tuple(map(len, bases)))
@@ -416,7 +407,7 @@ def _require_degree_one_rank(g: Graph, r: int, who: str) -> None:
     _require_a_valid_rank(g, who, 2)
     if not 2 <= r < g.vertex_count:
         raise ValueError(f"rank {r} out of range 2..{g.vertex_count - 1}")
-    _require_closed_form(g, who)
+    _require_closed_form(g)
 
 
 def _degree_one(g: Graph, r: int, h: ExactMatrix) -> DegreeOneLefschetzReport:

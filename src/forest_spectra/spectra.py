@@ -185,13 +185,13 @@ def _closed_form_need(sizes: tuple[int, ...]) -> str | None:
     return "m, n >= 2" if min(sizes) < 2 else None
 
 
-def _require_closed_form(g: Graph, who: str) -> None:
+def _require_closed_form(g: Graph) -> None:
     """Refuse a graph with no closed-form degree-one spectrum: K_n with
     n < 3, or K_{m,n} with a part of one vertex."""
     sizes = (g.left_size,) if g.kind == COMPLETE else (g.left_size, g.right_size)
     need = _closed_form_need(sizes)
     if need:
-        raise ValueError(f"{who} on {g.name}: the degree-one spectrum needs {need}")
+        raise ValueError(f"{g.name} has no closed-form degree-one spectrum: it needs {need}")
 
 
 def _eigenvalues(params: StructuredParams) -> list[tuple[Fraction, int]]:

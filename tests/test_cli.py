@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from forest_spectra.cli import _parse_rational, run
+from forest_spectra.errors import TooLarge
 from forest_spectra.reports import _dumps
 from forest_spectra.spectra import Spectrum
 
@@ -280,8 +281,10 @@ def test_enumerate_refuses_an_oversized_listing(capsys, monkeypatch):
     err = capsys.readouterr().err
     assert code == 2
     assert elapsed < 1.0
-    assert "61917364224" in err and "--count-only" in err
-    assert 61917364224 > cli.MAX_LISTED_FORESTS
+    assert err == (
+        "error: enumerate on K_12: listing its 61917364224 1-component forests as 66-bit "
+        "masks is estimated at 6.38e+12 integer operations, over the limit of 1e+08\n"
+    )
 
 
 @pytest.mark.parametrize("n,trees", [(9, 4782969), (10, 100000000)])
@@ -301,22 +304,26 @@ def test_matroid_refuses_more_spanning_trees_than_the_listing_cap(capsys, monkey
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert elapsed < 1.0
+    edges = n * (n - 1) // 2
     assert captured.err.strip() == (
-        f"error: K_{n} has {trees} 1-component forests, more than the "
-        f"{cli.MAX_LISTED_FORESTS} matroid may list: it truncates every spanning tree"
+        f"error: matroid on K_{n}: listing its {trees} 1-component forests as {edges}-bit "
+        f"masks is estimated at {trees * 102:.2e} integer operations, over the limit of 1e+08"
     )
 
 
 def test_matroid_cap_refuses_no_ladder_graph():
     # every ladder matroid is on some K_n with n <= 6, and K_8, with 8^6
-    # spanning trees, is the largest K_n the cap lets through
-    import forest_spectra.cli as cli
-    from forest_spectra.forests import _forests_by_size
+    # spanning trees at 101 operations each, is the largest K_n the listing
+    # rule lets through
+    from forest_spectra.cli import _require_listable
+    from forest_spectra.graphs import complete_graph
 
     ladder = [inst.argv for inst in load_perfbench("workloads").instances("families-ladder", 0)]
     sizes = {int(argv[2]) for argv in ladder if argv[0] == "matroid"}
     assert sizes and max(sizes) <= 6
-    assert _forests_by_size(8, 1) == 262144 <= cli.MAX_LISTED_FORESTS < _forests_by_size(9, 1)
+    _require_listable(complete_graph(8), 1)
+    with pytest.raises(TooLarge, match="listing its 4782969 1-component forests"):
+        _require_listable(complete_graph(9), 1)
 
 
 @pytest.mark.parametrize(
@@ -343,7 +350,7 @@ def test_frontier_walks_refuse_an_oversized_input(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert code == 2 and not captured.out
     assert elapsed < 1.0
-    assert "is estimated at more than" in captured.err and "integer operations" in captured.err
+    assert "a frontier walk over" in captured.err and "integer operations" in captured.err
     assert f"over the limit of {forests.MAX_FRONTIER_WORK:.0e}" in captured.err
 
 
@@ -355,7 +362,7 @@ def test_a_refused_walk_names_the_command_and_the_graph(capsys):
     assert not captured.out
     assert captured.err == (
         "error: spectrum on K_{9,9}: a frontier walk over 81 arcs (frontier width 10 by "
-        "arc 21, 51 integers of up to 171720 bits per state) is estimated at more than "
+        "arc 21, 51 integers of up to 171720 bits per state) is estimated at "
         "1.09e+08 integer operations, over the limit of 1e+08\n"
     )
 
@@ -403,21 +410,21 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
     [
         (
             "enumerate --complete 1100 --k 1050",
-            "K_1100 has 38371552682050213457241502065759840621265087885210078217043192986310"
-            "187272811082925637622452006185898931023002858329833921770701473645056583470421"
-            "393949198729597166454021908024310683819833255380138418151604417080710156250000"
-            "0 1050-component forests, more than the 1000000 "
-            "enumerate may list; use --count-only to count them",
+            "enumerate on K_1100: listing its 38371552682050213457241502065759840621265087885"
+            "210078217043192986310187272811082925637622452006185898931023002858329833921770"
+            "701473645056583470421393949198729597166454021908024310683819833255380138418151"
+            "6044170807101562500000 1050-component forests as 604450-bit masks is estimated "
+            "at 7.77e+228 integer operations, over the limit of 1e+08",
         ),
         (
             "enumerate --complete 2000 --k 1",
-            "K_2000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
-            "enumerate may list; use --count-only to count them",
+            "enumerate on K_2000: listing its 1-component forests as 1999000-bit masks is "
+            "estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
         (
             "matroid --complete 2000 --r 4",
-            "K_2000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
-            "matroid may list: it truncates every spanning tree",
+            "matroid on K_2000: listing its 1-component forests as 1999000-bit masks is "
+            "estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
         (
             "enumerate --complete 2000 --k 1 --count-only",
@@ -432,9 +439,8 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
         ("enumerate --complete 4 --k 9 --count-only", "component count k=9 out of range 1..4"),
         (
             "enumerate --complete 700 --k 699",
-            "the 244650 699-component forests of K_700, as masks of 244650 bits, are "
-            "estimated at 1995120750 digit operations, more than the 100000000 "
-            "enumerate may list; use --count-only to count them",
+            "enumerate on K_700: listing its 244650 699-component forests as 244650-bit masks "
+            "is estimated at 2.02e+09 integer operations, over the limit of 1e+08",
         ),
     ],
     ids=[
@@ -446,8 +452,8 @@ def test_count_only_needs_no_frontier_walk_and_no_graph(capsys, monkeypatch):
 def test_refusals_decide_from_n_and_k_before_any_graph(capsys, monkeypatch, argv, message):
     # K_1100's 1050-forests, a 225-digit count, are named; K_2000's
     # 2000^1998 trees, and K_100000's 3-forests with K_99998's 99998^99996
-    # trees among them, have more digits than Python writes, so the cap or
-    # the digit limit is named in place of the count
+    # trees among them, have more digits than Python writes, so the listing
+    # is named past the largest float, and the count by the digit limit
     _never_build_a_graph(monkeypatch)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
     start = time.perf_counter()
@@ -486,13 +492,13 @@ def test_count_only_past_the_formula_estimate_is_refused(capsys, monkeypatch):
         ),
         (
             "enumerate --complete 500000 --k 1",
-            "K_500000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
-            "enumerate may list; use --count-only to count them",
+            "enumerate on K_500000: listing its 1-component forests as 124999750000-bit masks "
+            "is estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
         (
             "matroid --complete 500000 --r 3",
-            "K_500000 has more 1-component forests than the MAX_LISTED_FORESTS = 1000000 "
-            "matroid may list: it truncates every spanning tree",
+            "matroid on K_500000: listing its 1-component forests as 124999750000-bit masks "
+            "is estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
     ],
     ids=["count K_70000 k=35000", "list K_500000", "matroid K_500000"],
@@ -507,7 +513,7 @@ def test_an_unwritable_count_is_refused_before_the_formula_runs(
     def never(*args):
         raise AssertionError("the formula ran")
 
-    monkeypatch.setattr(cli, "_forests_by_size", never)
+    monkeypatch.setattr(cli, "_forests_of", never)
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 4300)
     start = time.perf_counter()
     code = run(argv.split())
@@ -525,10 +531,11 @@ def test_the_tree_bound_never_refuses_a_writable_count(monkeypatch, n):
     # 256^254 trees, 612 digits, are written)
     import forest_spectra.cli as cli
     from forest_spectra.forests import _forests_by_size
+    from forest_spectra.graphs import complete_graph
 
     monkeypatch.setattr(sys, "get_int_max_str_digits", lambda: 640)
     for k in range(max(1, n - 340), n - 150):
-        count = cli._forest_count(n, k)
+        count = cli._forest_count(complete_graph(n), k)
         if count is None:
             assert _forests_by_size(n, k) >= 10**640, (n, k)
         else:
@@ -549,16 +556,16 @@ def test_count_only_answers_k2000_at_k1900_at_once(capsys):
 
 
 def test_listing_mask_limit_sits_between_k300_and_k500():
-    # each of K_n's forests is a C(n,2)-bit mask: K_300's 44,850 single
-    # edges are 44,850 * 1,495 = 6.7e7 digits and pass, K_500's 124,750 are
-    # 124,750 * 4,159 = 5.2e8 and do not; decided from the estimate, with
-    # no forest listed
+    # each of K_n's forests costs 100 operations and its C(n,2)-bit mask's
+    # digits: K_300's 44,850 single edges are 44,850 * (100 + 1,495) = 7.2e7
+    # and pass, K_500's 124,750 are 124,750 * (100 + 4,159) = 5.3e8 and do
+    # not; decided from the estimate, with no forest listed
     from forest_spectra.cli import _require_listable
     from forest_spectra.graphs import complete_graph
 
-    _require_listable(complete_graph(300), 299, "enumerate may list")
-    with pytest.raises(ValueError, match="are estimated at 518835250 digit operations"):
-        _require_listable(complete_graph(500), 499, "enumerate may list")
+    _require_listable(complete_graph(300), 299)
+    with pytest.raises(TooLarge, match=r"is estimated at 5\.31e\+08 integer operations"):
+        _require_listable(complete_graph(500), 499)
 
 
 def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
@@ -579,55 +586,66 @@ def test_enumerate_lists_the_edgeless_forest_from_n_alone(capsys, monkeypatch):
         (
             "spectrum --complete 100000 --k 1",
             "spectrum on K_100000: its 4999950000x4999950000 Hessian is estimated at "
-            "249995000025000000000 integer operations, over the limit of 100000000",
+            "2.50e+20 integer operations, over the limit of 1e+08",
         ),
         (
             "spectrum --bipartite 1000 1000 --k 1",
             "spectrum on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
-            "10000000000000 integer operations, over the limit of 100000000",
+            "1.00e+13 integer operations, over the limit of 1e+08",
         ),
         (
             "bijections --complete 100000 --k 3",
-            "bijections on K_100000 would build at least 9 family members on 4999950000 "
-            "edges each, 4.50e+10 member-edges, over the limit of 1e+08",
+            "bijections on K_100000: building family members of 4999950000 edges each is "
+            "estimated at 4.50e+10 integer operations, over the limit of 1e+08",
         ),
         (
             "bijections --bipartite 30 30 --k 1",
-            "bijections on K_{30,30} would build at least 50939169614663092288781788044"
-            "0000000000000000000000000000000000000000000000000000000 family members on 900 "
-            "edges each, 4.58e+86 member-edges, over the limit of 1e+08",
+            "bijections on K_{30,30}: building family members of 900 edges each is "
+            "estimated at 4.58e+86 integer operations, over the limit of 1e+08",
         ),
         (
             "bijections --bipartite 100 100 --k 1",
-            "bijections on K_{100,100} would build family members on 10000 edges each, "
-            "more than 1.80e+308 member-edges, over the limit of 1e+08",
+            "bijections on K_{100,100}: building family members of 10000 edges each is "
+            "estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
         (
             "bijections --bipartite 1000 1000 --k 1",
-            "bijections on K_{1000,1000} would build family members on 1000000 edges each, "
-            "more than 1.80e+308 member-edges, over the limit of 1e+08",
+            "bijections on K_{1000,1000}: building family members of 1000000 edges each is "
+            "estimated at more than 1.80e+308 integer operations, over the limit of 1e+08",
         ),
         (
             "slp --complete 100000 --r 2",
-            "slp on K_100000: its 4999950000x4999950000 Hessian is estimated at "
-            "249995000025000000000 integer operations, over the limit of 100000000",
+            "slp on K_100000: reducing its 4999950000x4999950000 degree-one matrices is "
+            "estimated at 1.25e+29 integer operations, over the limit of 1e+08",
         ),
         (
             "slp --bipartite 1000 1000 --r 3",
-            "slp on K_{1000,1000}: its 1000000x1000000 Hessian is estimated at "
-            "10000000000000 integer operations, over the limit of 100000000",
+            "slp on K_{1000,1000}: reducing its 1000000x1000000 degree-one matrices is "
+            "estimated at 1.00e+18 integer operations, over the limit of 1e+08",
+        ),
+        (
+            "slp --bipartite 300 2 --r 2",
+            "slp on K_{300,2}: reducing its 600x600 degree-one matrices is "
+            "estimated at 2.16e+08 integer operations, over the limit of 1e+08",
+        ),
+        (
+            "slp --complete 36 --r 2",
+            "slp on K_36: reducing its 630x630 degree-one matrices is "
+            "estimated at 2.50e+08 integer operations, over the limit of 1e+08",
         ),
     ],
     ids=[
         "spectrum K_100000", "spectrum K_1000,1000", "bijections K_100000", "bijections K_30,30",
         "bijections K_100,100", "bijections K_1000,1000", "slp K_100000", "slp K_1000,1000",
+        "slp K_300,2", "slp K_36",
     ],
 )
 def test_size_guards_refuse_before_any_edge(capsys, monkeypatch, argv, message):
     # K_100000 has 4,999,950,000 edges, which would exhaust memory as tuples;
     # every guard here reads the graph's sizes only.  K_{m,n}'s family
     # members are its anchored pair counts from the closed form, past what
-    # a float holds from K_{100,100} on, where the count goes unnamed
+    # a float holds from K_{100,100} on, where the estimate is named by
+    # the largest float
     _never_build_a_graph(monkeypatch)
     start = time.perf_counter()
     code = run(argv.split())
@@ -638,20 +656,44 @@ def test_size_guards_refuse_before_any_edge(capsys, monkeypatch, argv, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_slp_hessian_limit_sits_between_3162_and_3164_edges(capsys, monkeypatch):
-    # K_{1581,2}'s 3,162 edges pass the Hessian-size rule and are refused by
-    # the derivative-entry count; K_{1582,2}'s 3,164 are refused before it
-    assert run(["slp", "--bipartite", "1581", "2", "--r", "2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: slp on K_{1581,2} at rank 2 needs 19990164 derivative entries "
-        "(4997541 2-edge forests with 2^2 submasks each), over the limit of 4e+06\n"
-    )
+def test_slp_degree_one_limit_sits_between_464_and_466_edges(capsys, monkeypatch):
+    # the degree-one reductions cost m^3: K_{232,2}'s 464 edges, 9.99e7,
+    # pass the rule and reach the mask route, which is stopped there, not
+    # run; K_{233,2}'s 466, 1.01e8, are refused from the sizes alone
+    from forest_spectra import cli
+
+    class Reached(Exception):
+        pass
+
+    def reached(*args):
+        raise Reached
+
+    monkeypatch.setattr(cli, "_slp_on_masks", reached)
+    with pytest.raises(Reached):
+        run(["slp", "--bipartite", "232", "2", "--r", "2"])
     _never_build_a_graph(monkeypatch)
-    assert run(["slp", "--bipartite", "1582", "2", "--r", "2"]) == 2
-    assert capsys.readouterr().err == (
-        "error: slp on K_{1582,2}: its 3164x3164 Hessian is estimated at 100108960 "
-        "integer operations, over the limit of 100000000\n"
+    assert run(["slp", "--bipartite", "233", "2", "--r", "2"]) == 2
+    captured = capsys.readouterr()
+    assert not captured.out
+    assert captured.err == (
+        "error: slp on K_{233,2}: reducing its 466x466 degree-one matrices is estimated "
+        "at 1.01e+08 integer operations, over the limit of 1e+08\n"
     )
+
+
+def test_slp_counts_its_forests_with_no_frontier_walk(capsys, monkeypatch):
+    # K_14's 91 edges passed the slp rules, but the r-forest count walk
+    # refused them; the closed form counts the 4,095 two-edge forests
+    from forest_spectra import forests
+
+    def never(*args, **kwargs):
+        raise AssertionError("slp ran a frontier walk")
+
+    monkeypatch.setattr(forests, "_frontier_walk", never)
+    code, report = capture(capsys, ["slp", "--complete", "14", "--r", "2"])
+    assert code == 0
+    assert report["result"]["basis_count"] == 4095
+    assert report["result"]["hilbert_function"] == [1, 91, 1]
 
 
 @pytest.mark.parametrize("n", range(1, 8))
@@ -672,14 +714,15 @@ def test_enumerate_edgeless_forest_report_bytes_are_pinned(capsys, n):
 
 
 def test_enumerate_lists_up_to_the_cap(capsys, monkeypatch):
-    import forest_spectra.cli as cli
+    # K_4's 16 spanning trees cost 16 * (100 + 1) = 1,616 operations
+    from forest_spectra import forests
 
-    monkeypatch.setattr(cli, "MAX_LISTED_FORESTS", 16)
+    monkeypatch.setattr(forests, "MAX_FRONTIER_WORK", 1616)
     code, report = capture(capsys, ["enumerate", "--complete", "4", "--k", "1"])
     assert code == 0 and report["result"]["count"] == 16
-    monkeypatch.setattr(cli, "MAX_LISTED_FORESTS", 15)
+    monkeypatch.setattr(forests, "MAX_FRONTIER_WORK", 1615)
     assert run(["enumerate", "--complete", "4", "--k", "1"]) == 2
-    assert "16 1-component forests" in capsys.readouterr().err
+    assert "listing its 16 1-component forests" in capsys.readouterr().err
 
 
 def _listing_the_old_way(n, k, out):
@@ -1040,7 +1083,8 @@ def test_slp_refuses_a_rank_before_any_search(capsys, monkeypatch, r):
 
 @pytest.mark.parametrize("r,entries", [(6, 12_845_056), (7, 33_554_432)])
 def test_slp_refuses_derivative_maps_over_the_limit_before_any_search(capsys, monkeypatch, r, entries):
-    # the frontier count gives the exact entry count: (#r-forests) 2^r
+    # the closed form gives the exact entry count: (#r-forests) 2^r, at 25
+    # operations each
     from forest_spectra import cli, forests, lefschetz
 
     def never(*args, **kwargs):
@@ -1054,8 +1098,9 @@ def test_slp_refuses_derivative_maps_over_the_limit_before_any_search(capsys, mo
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.strip() == (
-        f"error: slp on K_8 at rank {r} needs {entries} derivative entries "
-        f"({entries >> r} {r}-edge forests with 2^{r} submasks each), over the limit of 4e+06"
+        f"error: slp on K_8: building {entries} derivative entries ({entries >> r} {r}-edge "
+        f"forests with 2^{r} submasks each) is estimated at {25 * entries:.2e} integer "
+        "operations, over the limit of 1e+08"
     )
 
 
@@ -1076,7 +1121,7 @@ def test_slp_refuses_a_part_of_one_vertex_before_any_count(capsys, monkeypatch, 
     captured = capsys.readouterr()
     assert not captured.out
     assert captured.err.strip() == (
-        f"error: slp on K_{{{m},{n}}}: the degree-one spectrum needs m, n >= 2"
+        f"error: K_{{{m},{n}}} has no closed-form degree-one spectrum: it needs m, n >= 2"
     )
 
 
@@ -1107,7 +1152,7 @@ def test_spectrum_refuses_a_graph_without_a_closed_form_before_any_count(
     captured = capsys.readouterr()
     assert not captured.out
     name = "K_" + (graph[1] if len(graph) == 2 else f"{{{graph[1]},{graph[2]}}}")
-    assert captured.err.strip() == f"error: spectrum on {name}: the degree-one spectrum needs {need}"
+    assert captured.err.strip() == f"error: {name} has no closed-form degree-one spectrum: it needs {need}"
 
 
 @pytest.mark.parametrize("n", [150, 300])
@@ -1128,8 +1173,8 @@ def test_spectrum_refuses_an_oversized_hessian_before_building_it(capsys, monkey
     m = n * (n - 1) // 2
     assert not captured.out
     assert captured.err == (
-        f"error: spectrum on K_{n}: its {m}x{m} Hessian is estimated at {10 * m * m} "
-        "integer operations, over the limit of 100000000\n"
+        f"error: spectrum on K_{n}: its {m}x{m} Hessian is estimated at {10 * m * m:.2e} "
+        "integer operations, over the limit of 1e+08\n"
     )
 
 
@@ -1138,11 +1183,12 @@ def test_spectrum_hessian_limit_sits_between_k80_and_k81():
     from forest_spectra.cli import _require_hessian_room
     from forest_spectra.graphs import complete_bipartite_graph, complete_graph
 
-    _require_hessian_room(complete_graph(80), "spectrum")
-    _require_hessian_room(complete_bipartite_graph(56, 56), "spectrum")
+    _require_hessian_room(complete_graph(80))
+    _require_hessian_room(complete_bipartite_graph(56, 56))
     for g in (complete_graph(81), complete_bipartite_graph(57, 56)):
-        with pytest.raises(ValueError, match=re.escape(f"spectrum on {g.name}: its")):
-            _require_hessian_room(g, "spectrum")
+        m = g.edge_count
+        with pytest.raises(TooLarge, match=re.escape(f"its {m}x{m} Hessian is estimated")):
+            _require_hessian_room(g)
 
 
 def _zero_hessian_graphs():
@@ -1479,8 +1525,8 @@ def test_bijections_refuses_families_over_the_limit_before_the_build(
     assert not captured.out
     name = "K_10" if graph[0] == "--complete" else "K_{6,6}"
     assert captured.err.strip() == (
-        f"error: bijections on {name} would build at least {members} family members "
-        f"on {edges} edges each, {members * edges:.2e} member-edges, over the limit of 1e+08"
+        f"error: bijections on {name}: building family members of {edges} edges each is "
+        f"estimated at {members * edges:.2e} integer operations, over the limit of 1e+08"
     )
 
 

@@ -55,7 +55,8 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
     # the bases of the truncation are the r-edge forests: the report comes
     # from one search's edge masks, with no spanning trees, truncation or
     # basis polynomial, and no Polynomial or tuple-keyed graded cache at all;
-    # the degree-one Hessian is read off the same search, with no pair walk
+    # the degree-one Hessian is read off the same search, with no pair walk,
+    # and the forests are counted by the closed forms, with no frontier walk
     from forest_spectra import forests, lefschetz, matroids, polynomials, spectra
 
     def never(*args):
@@ -69,6 +70,8 @@ def test_slp_reads_its_form_from_one_forest_search(inst, capsys, monkeypatch):
         (lefschetz, "_graded"),
         (spectra, "tilde_hessian"),
         (forests, "_pair_counts_by_frontier"),
+        (forests, "_frontier_walk"),
+        (forests, "count_forests_constrained"),
     ):
         patch_everywhere(monkeypatch, module, name, never)
     monkeypatch.setattr(polynomials.Polynomial, "__post_init__", never)

@@ -287,7 +287,7 @@ def test_check_degree_one_refuses_a_part_of_one_vertex():
     m = truncate(graphic_matroid(complete_bipartite_graph(1, 4)), 3)
     with pytest.raises(ValueError) as err:
         check_degree_one_lefschetz(m)
-    assert str(err.value) == "the degree-one check on K_{1,4}: the degree-one spectrum needs m, n >= 2"
+    assert str(err.value) == "K_{1,4} has no closed-form degree-one spectrum: it needs m, n >= 2"
 
 
 def test_check_degree_one_rejects_non_truncation():
