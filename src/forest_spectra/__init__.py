@@ -1,176 +1,29 @@
 """Exact Hessian spectra of forest generating functions, their counting
-bijections, and strong Lefschetz checks for truncated graphic matroids."""
+bijections, and strong Lefschetz checks for truncated graphic matroids.
 
-from .errors import InsufficientVertices, StructureViolation, VerificationFailure
-from .graphs import (
-    BIPARTITE,
-    COMPLETE,
-    Edge,
-    Graph,
-    PairClass,
-    Vertex,
-    classify_edge_pair,
-    complete_bipartite_graph,
-    complete_graph,
-    complete_graph_on,
-    edge,
-    edge_name,
-    vertex,
-    vertex_name,
-)
-from .forests import (
-    Decomposition,
-    Forest,
-    PairCounts,
-    count_forests_constrained,
-    edge_pair_counts,
-    enumerate_forests,
-    enumerate_forests_constrained,
-    forest_generating_polynomial,
-    moon_tree_counts,
-    pq_decomposition,
-    spanning_forest,
-    split_tree_at_edge,
-    theorem_range,
-)
-from .linalg import ExactMatrix, exact_determinant, exact_rank
-from .polynomials import (
-    Polynomial,
-    all_ones_point,
-    apply_diff_operator,
-    apply_monomial_operator,
-    evaluate,
-    hessian_matrix,
-    partial_derivative,
-)
-from .matroids import (
-    Matroid,
-    basis_generating_polynomial,
-    graphic_matroid,
-    truncate,
-    verify_exchange_axiom,
-)
-from .spectra import (
-    BipartiteParams,
-    CompleteParams,
-    SignPredictions,
-    SignProfile,
-    Spectrum,
-    closed_form_spectrum,
-    predicted_signs,
-    sign_profile,
-    spectrum_determinant,
-    structured_params,
-    tilde_hessian,
-    tilde_hessian_by_counting,
-    verify_spectrum,
-)
-from .bijections import (
-    BijectionReport,
-    BipartiteForestFamilies,
-    CompleteForestFamilies,
-    CountInequalityReport,
-    SplitFamilies,
-    bijection_forestbij,
-    bijection_pr4,
-    bijection_q2r5,
-    bijections_pr123,
-    build_families,
-    verify_count_inequalities,
-)
-from .lefschetz import (
-    DegreeOneLefschetzReport,
-    GradedBasis,
-    HilbertProfile,
-    SlpReport,
-    catalecticant_matrix,
-    check_degree_one_lefschetz,
-    graded_basis,
-    higher_hessian,
-    hilbert_function,
-    slp_check,
-)
+Each module's ``__all__`` is its public surface; the package exports their
+union, bound to the same objects."""
+
+from . import errors, graphs, forests, linalg, polynomials, matroids, spectra, bijections, lefschetz
+from .errors import *
+from .graphs import *
+from .forests import *
+from .linalg import *
+from .polynomials import *
+from .matroids import *
+from .spectra import *
+from .bijections import *
+from .lefschetz import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BIPARTITE",
-    "BijectionReport",
-    "BipartiteForestFamilies",
-    "BipartiteParams",
-    "COMPLETE",
-    "CompleteForestFamilies",
-    "CompleteParams",
-    "CountInequalityReport",
-    "Decomposition",
-    "DegreeOneLefschetzReport",
-    "Edge",
-    "ExactMatrix",
-    "Forest",
-    "GradedBasis",
-    "Graph",
-    "HilbertProfile",
-    "InsufficientVertices",
-    "Matroid",
-    "PairClass",
-    "PairCounts",
-    "Polynomial",
-    "SignPredictions",
-    "SignProfile",
-    "SlpReport",
-    "Spectrum",
-    "SplitFamilies",
-    "StructureViolation",
-    "VerificationFailure",
-    "Vertex",
-    "all_ones_point",
-    "apply_diff_operator",
-    "apply_monomial_operator",
-    "basis_generating_polynomial",
-    "bijection_forestbij",
-    "bijection_pr4",
-    "bijection_q2r5",
-    "bijections_pr123",
-    "build_families",
-    "catalecticant_matrix",
-    "check_degree_one_lefschetz",
-    "classify_edge_pair",
-    "closed_form_spectrum",
-    "complete_bipartite_graph",
-    "complete_graph",
-    "complete_graph_on",
-    "count_forests_constrained",
-    "edge",
-    "edge_name",
-    "edge_pair_counts",
-    "enumerate_forests",
-    "enumerate_forests_constrained",
-    "evaluate",
-    "exact_determinant",
-    "exact_rank",
-    "forest_generating_polynomial",
-    "graded_basis",
-    "graphic_matroid",
-    "hessian_matrix",
-    "higher_hessian",
-    "hilbert_function",
-    "moon_tree_counts",
-    "partial_derivative",
-    "pq_decomposition",
-    "predicted_signs",
-    "sign_profile",
-    "slp_check",
-    "spanning_forest",
-    "spectrum_determinant",
-    "split_tree_at_edge",
-    "structured_params",
-    "theorem_range",
-    "tilde_hessian",
-    "tilde_hessian_by_counting",
-    "truncate",
-    "verify_count_inequalities",
-    "verify_exchange_axiom",
-    "verify_spectrum",
-    "vertex",
-    "vertex_name",
-]
+__all__: list[str] = []
+__all__ += errors.__all__
+__all__ += graphs.__all__
+__all__ += forests.__all__
+__all__ += linalg.__all__
+__all__ += polynomials.__all__
+__all__ += matroids.__all__
+__all__ += spectra.__all__
+__all__ += bijections.__all__
+__all__ += lefschetz.__all__

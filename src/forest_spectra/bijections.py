@@ -82,6 +82,20 @@ from .graphs import (
 )
 from .records import Record
 
+__all__ = [
+    "BijectionReport",
+    "BipartiteForestFamilies",
+    "CompleteForestFamilies",
+    "CountInequalityReport",
+    "SplitFamilies",
+    "bijection_forestbij",
+    "bijection_pr4",
+    "bijection_q2r5",
+    "bijections_pr123",
+    "build_families",
+    "verify_count_inequalities",
+]
+
 (_AB, _AD), (_, _CB), (_, _CD) = _anchor_pairs(complete_bipartite_graph(2, 2))
 (_A, _B), (_C, _D) = _AB, _CD
 

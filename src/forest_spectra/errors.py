@@ -1,5 +1,7 @@
 """Shared exception types."""
 
+__all__ = ["InsufficientVertices", "StructureViolation", "VerificationFailure"]
+
 
 class InsufficientVertices(ValueError):
     """The graph is too small to carry the requested anchor edges."""

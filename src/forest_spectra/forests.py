@@ -50,6 +50,22 @@ from .graphs import (
 from .polynomials import Polynomial
 from .records import Record
 
+__all__ = [
+    "Decomposition",
+    "Forest",
+    "PairCounts",
+    "count_forests_constrained",
+    "edge_pair_counts",
+    "enumerate_forests",
+    "enumerate_forests_constrained",
+    "forest_generating_polynomial",
+    "moon_tree_counts",
+    "pq_decomposition",
+    "spanning_forest",
+    "split_tree_at_edge",
+    "theorem_range",
+]
+
 
 _CYCLE_MESSAGE = "edge set contains a cycle"
 

@@ -18,6 +18,23 @@ from typing import Iterable, Sequence
 
 from .records import Record
 
+__all__ = [
+    "BIPARTITE",
+    "COMPLETE",
+    "Edge",
+    "Graph",
+    "PairClass",
+    "Vertex",
+    "classify_edge_pair",
+    "complete_bipartite_graph",
+    "complete_graph",
+    "complete_graph_on",
+    "edge",
+    "edge_name",
+    "vertex",
+    "vertex_name",
+]
+
 Vertex = tuple[int, int]
 Edge = tuple[Vertex, Vertex]
 

@@ -23,6 +23,8 @@ from math import gcd, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
+__all__ = ["ExactMatrix", "exact_determinant", "exact_rank"]
+
 Rational = Fraction | int
 
 

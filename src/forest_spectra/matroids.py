@@ -21,6 +21,14 @@ from .forests import _forest_masks, _mask_bits, _square_free
 from .polynomials import Polynomial
 from .records import Record
 
+__all__ = [
+    "Matroid",
+    "basis_generating_polynomial",
+    "graphic_matroid",
+    "truncate",
+    "verify_exchange_axiom",
+]
+
 
 class Matroid(Record):
     """Ground set plus basis collection.
@@ -45,7 +53,9 @@ class Matroid(Record):
             if not b <= index.keys():
                 raise ValueError("basis element outside the ground set")
             by_mask[sum(1 << index[x] for x in b)] = b
-        # canonical order: by sorted ground-set indices, the search's order
+        # canonical order: by sorted ground-set indices, the search's order;
+        # bases may differ in size, where lefschetz's bit-string key would
+        # put a set after its extensions
         object.__setattr__(self, "_masks", tuple(sorted(by_mask, key=_mask_bits)))
         object.__setattr__(self, "bases", tuple(map(by_mask.__getitem__, self._masks)))
 

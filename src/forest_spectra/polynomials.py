@@ -18,6 +18,16 @@ from typing import Hashable, Mapping, Sequence
 from .linalg import ExactMatrix, Rational, _frac
 from .records import Record
 
+__all__ = [
+    "Polynomial",
+    "all_ones_point",
+    "apply_diff_operator",
+    "apply_monomial_operator",
+    "evaluate",
+    "hessian_matrix",
+    "partial_derivative",
+]
+
 ExponentVector = tuple[int, ...]
 
 

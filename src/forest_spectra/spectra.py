@@ -28,6 +28,22 @@ from .graphs import COMPLETE, Graph, PairClass, _pair_class, edge_name
 from .linalg import ExactMatrix, exact_determinant
 from .records import Record
 
+__all__ = [
+    "BipartiteParams",
+    "CompleteParams",
+    "SignPredictions",
+    "SignProfile",
+    "Spectrum",
+    "closed_form_spectrum",
+    "predicted_signs",
+    "sign_profile",
+    "spectrum_determinant",
+    "structured_params",
+    "tilde_hessian",
+    "tilde_hessian_by_counting",
+    "verify_spectrum",
+]
+
 
 class CompleteParams(Record):
     """Entry pattern of an edge-pair matrix on a complete graph: alpha on
@@ -397,23 +413,3 @@ def predicted_signs(counts: PairCounts, sizes: int | tuple[int, int]) -> SignPre
         bad = [q.label for q in quantities if not q.satisfied]
         raise VerificationFailure(f"sign predictions violated: {', '.join(bad)}")
     return predictions
-
-
-__all__ = [
-    "BipartiteParams",
-    "CompleteParams",
-    "ExactMatrix",
-    "SignPredictions",
-    "SignProfile",
-    "SignedQuantity",
-    "Spectrum",
-    "StructuredParams",
-    "closed_form_spectrum",
-    "predicted_signs",
-    "sign_profile",
-    "spectrum_determinant",
-    "structured_params",
-    "tilde_hessian",
-    "tilde_hessian_by_counting",
-    "verify_spectrum",
-]
