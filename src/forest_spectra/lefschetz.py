@@ -24,8 +24,7 @@ The ``slp`` command's form, the r-edge forest polynomial, is square-free
 with every coefficient 1, so it takes a second route, on the forest
 search's edge masks (:func:`_slp_on_masks`): d^u phi is the list of F ^ u
 over the forests F containing u, the canonical order within a degree is
-ascending on the masks' edge index lists, descending on their bit strings
-written lowest bit first, and the same :func:`_bases` and
+ascending on the masks' edge index lists, and the same :func:`_bases` and
 symmetric Bareiss determinants run on them, with no ``Polynomial`` and no
 exponent tuple; the degree-2 map also gives the degree-one Hessian that
 :func:`_degree_one` certifies.  The tuple route above stays the public API,
@@ -316,10 +315,9 @@ def _mask_graded(forests: Iterable[int], s: int) -> tuple[list[dict[int, list[in
 
     ``maps[k]`` maps each k-edge u below some F, in the canonical order, to
     the list of the F ^ u: d^u phi is the sum of their monomials.  Within a
-    degree, descending exponent vectors are ascending edge index lists; the
-    masks sort in the exponent vectors' order as their bit strings written
-    lowest bit first (``bin(u)[:1:-1]``), descending.  Row u, column w of
-    the degree-k catalecticant is 1 exactly when w is one of u's rests.
+    degree, descending exponent vectors are ascending edge index lists
+    (``_mask_bits``).  Row u, column w of the degree-k catalecticant is 1
+    exactly when w is one of u's rests.
     """
     by_u: defaultdict[int, list[int]] = defaultdict(list)
     for f in forests:
@@ -329,7 +327,7 @@ def _mask_graded(forests: Iterable[int], s: int) -> tuple[list[dict[int, list[in
             u = (u - 1) & f
         by_u[0].append(f)
     maps: list[dict[int, list[int]]] = [{} for _ in range(s + 1)]
-    for u in sorted(by_u, key=lambda u: bin(u)[:1:-1], reverse=True):
+    for u in sorted(by_u, key=_mask_bits):
         maps[u.bit_count()][u] = by_u[u]
     return maps, _bases(maps, _mask_catalecticant)
 

@@ -53,9 +53,7 @@ class Matroid(Record):
             if not b <= index.keys():
                 raise ValueError("basis element outside the ground set")
             by_mask[sum(1 << index[x] for x in b)] = b
-        # canonical order: by sorted ground-set indices, the search's order;
-        # bases may differ in size, where lefschetz's bit-string key would
-        # put a set after its extensions
+        # canonical order: by sorted ground-set indices, the search's order
         object.__setattr__(self, "_masks", tuple(sorted(by_mask, key=_mask_bits)))
         object.__setattr__(self, "bases", tuple(map(by_mask.__getitem__, self._masks)))
 

@@ -600,25 +600,6 @@ def test_slp_mask_route_matches_the_tuple_route(g, r, monkeypatch):
         assert bases[k] == tuple(ops[i] for i in reduce(rows))
 
 
-@settings(max_examples=100)
-@given(
-    st.integers(1, 4).flatmap(
-        lambda s: st.lists(st.sets(st.integers(0, 39), min_size=s, max_size=s), min_size=1, max_size=12)
-    )
-)
-def test_mask_route_orders_each_degree_by_ascending_edge_index_lists(edge_sets):
-    # the maps sort by bit strings written lowest bit first, descending;
-    # within a degree that is _mask_bits' order, the tuple route's
-    from forest_spectra import lefschetz
-    from forest_spectra.forests import _mask_bits
-
-    forests = {sum(1 << i for i in edges) for edges in edge_sets}
-    maps, _ = lefschetz._mask_graded(forests, len(edge_sets[0]))
-    for k, ops in enumerate(maps):
-        assert all(u.bit_count() == k for u in ops)
-        assert list(ops) == sorted(ops, key=_mask_bits)
-
-
 # -- Lorentzian signature away from the all-ones point ---------------------
 
 LORENTZIAN_CASES = (
