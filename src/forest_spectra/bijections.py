@@ -35,15 +35,18 @@ exactly where r exceeds p weakly instead of strictly.
 Representation.  Inside, a forest is an ``int`` edge mask (bit i set iff
 edge i of the graph's canonical edge list is in it), straight from the
 edge-inclusion search: the families are filtered, split into pieces and
-mapped on masks, with one integer union-find (``forests._mask_union_find``)
-answering every connectivity question.  ``_build_bipartite``'s ``split``
-compiles a case table to a cut mask and probes on vertex positions and
-applies it to each member.  One verifier, ``_verify_on``, runs every check:
-it reads both families as masks once.  Every family member is a forest
-(the search proved it acyclic, or it came in as a validated ``Forest``), so
-an image in the family it must land in stands as it is; any other goes
-through the union-find, and the map is undefined there if the image closes
-a cycle, otherwise the image lies outside its family.
+mapped on masks, with one integer union-find (``forests._mask_union_find``,
+or in ``_trees`` one whose roots carry their trees' masks) answering every
+connectivity question.  ``_build_bipartite``'s ``split`` compiles a case
+table to a cut mask and probes on vertex positions and applies it to each
+member, each disjoint member once for both splits (none holds both 1-2' and
+2-1').  On K_n the split families are built once per subset size, whose K_W
+share one edge list by position.  One verifier, ``_verify_on``, runs every
+check: it reads both families as masks once.  Every family member is a
+forest (the search proved it acyclic, or it came in as a validated
+``Forest``), so an image in the family it must land in stands as it is; any
+other goes through the union-find, and the map is undefined there if the
+image closes a cycle, otherwise the image lies outside its family.
 :class:`Forest` objects appear only at the boundary: the families expose
 their pieces as :class:`~forest_spectra.forests.MaskedForests`, tuple-like
 views that build a ``Forest`` when one is read; the bijection entry points
@@ -225,11 +228,15 @@ def _build_complete(g: Graph, k: int) -> CompleteForestFamilies:
     with_wedge, with_matching = (
         MaskedForests(g, _forest_masks(g, k, required=pair)) for pair in _anchor_pairs(g)
     )
-    spare = [v[1] for v in g.vertices[4:]]
+    spare = tuple(v[1] for v in g.vertices[4:])
     subsets = []
     for size in range(len(spare) + 1):
+        # every K_W of one size has the same edge_ends, anchors 1..4 at 0..3
+        built = _build_split_families((1, 2, 3, 4) + spare[:size])
+        masks = [getattr(built, name).masks for name in SplitFamilies._fields[2:]]
         for extra in combinations(spare, size):
-            subsets.append(_build_split_families((1, 2, 3, 4) + extra))
+            h = complete_graph_on((1, 2, 3, 4) + extra)
+            subsets.append(SplitFamilies(tuple(h.labels), h, *(MaskedForests(h, m) for m in masks)))
     return CompleteForestFamilies(g, k, with_wedge, with_matching, tuple(subsets))
 
 
@@ -257,13 +264,19 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         for x in family:
             parent = _mask_union_find(ends, n, x & ~cut)
             for piece, u, v in probes:
-                if _find(parent, u) == _find(parent, v):
+                # _find inlined: a root walk per probe and member
+                while parent[u] != u:
+                    u = parent[u]
+                while parent[v] != v:
+                    v = parent[v]
+                if u == v:
                     break
             else:
                 piece = 3
             parts[piece - 1].append(x)
         return tuple(map(masked, parts))
 
+    both = split(disjoint, _DISJOINT_CASES, 5)
     return BipartiteForestFamilies(
         graph=g,
         k=k,
@@ -274,8 +287,8 @@ def _build_bipartite(g: Graph, k: int) -> BipartiteForestFamilies:
         core_right=masked(x for x in share_right if x & cd),
         share_left_parts=split((x for x in share_left if not x & cd), _LEFT_CASES, 4),
         share_right_parts=split((x for x in share_right if not x & cd), _RIGHT_CASES, 4),
-        disjoint_parts=split((x for x in disjoint if not x & ad), _DISJOINT_CASES, 5),
-        disjoint_parts_right=split((x for x in disjoint if not x & cb), _DISJOINT_CASES, 5),
+        disjoint_parts=tuple(masked(x for x in p.masks if not x & ad) for p in both),
+        disjoint_parts_right=tuple(masked(x for x in p.masks if not x & cb) for p in both),
     )
 
 
@@ -385,6 +398,22 @@ def _verify_on(
     return BijectionReport(name, len(domain), len(codomain), tuple(failures))
 
 
+def _trees(ends: Sequence[tuple[int, int]], nverts: int, x: int, u: int, v: int) -> tuple[int, int]:
+    """The edge masks of the trees of forest ``x`` through positions u and v."""
+    parent, tree = list(range(nverts)), [0] * nverts
+    while x:
+        low = x & -x
+        a, b = ends[low.bit_length() - 1]
+        while parent[a] != a:
+            a = parent[a]
+        while parent[b] != b:
+            b = parent[b]
+        parent[a] = b
+        tree[b] |= tree[a] | low
+        x ^= low
+    return tree[_find(parent, u)], tree[_find(parent, v)]
+
+
 def bijection_forestbij(
     w_labels: Iterable[int],
     families: SplitFamilies | None = None,
@@ -409,27 +438,14 @@ def bijection_forestbij(
     bit23, bit34 = 1 << g.edge_index[e23], 1 << g.edge_index[e34]
     ends, n = g.edge_ends, g.vertex_count
 
-    def trees(x: int, u: int, v: int) -> tuple[int, int]:
-        """The edge masks of the trees of ``x`` through positions u and v."""
-        parent = _mask_union_find(ends, n, x)
-        ru, rv = _find(parent, u), _find(parent, v)
-        tree_u = tree_v = 0
-        for i in _mask_bits(x):
-            root = _find(parent, ends[i][0])
-            if root == ru:
-                tree_u |= 1 << i
-            if root == rv:
-                tree_v |= 1 << i
-        return tree_u, tree_v
-
     def forward(x: int) -> int:
-        wedge_tree, other = trees(x, p1, p4)
+        wedge_tree, other = _trees(ends, n, x, p1, p4)
         if not wedge_tree & bit23:
             raise ValueError(f"edge {edge_name(e23)} is not in the tree")
         return wedge_tree & ~bit23 | other | bit34
 
     def backward(x: int) -> int:
-        tree12, tree34 = trees(x, p1, p3)
+        tree12, tree34 = _trees(ends, n, x, p1, p3)
         if not tree34 & bit34:
             raise ValueError(f"edge {edge_name(e34)} is not in the tree")
         return tree12 | tree34 & ~bit34 | bit23

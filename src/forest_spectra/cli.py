@@ -226,11 +226,11 @@ def _cmd_spectrum(args) -> tuple[str, dict, dict]:
 
 
 def _complete_family_members(n: int, k: int) -> Iterator[int]:
-    """The members of ``build_families`` on K_n (n >= 4), in parts: for
-    each size w the C(n-4, w-4) per-subset families, which do not depend
-    on k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and twice 4 w^(w-5)
-    split forests), then ``edge_pair_counts``'s p + q in the theorem range;
-    outside it the anchored families hold a forest at most and are left out."""
+    """The members of ``build_families`` on K_n (n >= 4), in parts: for each
+    size w the C(n-4, w-4) per-subset families, each charged though one search
+    serves all, and free of k (Moon's 3 w^(w-4) + 4 w^(w-4) anchored trees and
+    twice 4 w^(w-5) split forests), then ``edge_pair_counts``'s p + q in the
+    theorem range; outside it they hold a forest at most and are left out."""
     for w in range(4, n + 1):
         yield comb(n - 4, w - 4) * ((7 * w + 8) * w ** (w - 4) // w)
     g = complete_graph(n)

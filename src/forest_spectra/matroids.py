@@ -95,7 +95,11 @@ def _truncated(masks: Iterable[int], r: int) -> set[int]:
     """The r-subsets of the bases ``masks``, as masks."""
     out: set[int] = set()
     for mask in masks:
-        out.update(map(sum, combinations([1 << i for i in _mask_bits(mask)], r)))
+        bits = []
+        while mask:
+            bits.append(mask & -mask)
+            mask &= mask - 1
+        out.update(map(sum, combinations(bits, r)))
     return out
 
 

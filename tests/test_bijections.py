@@ -80,7 +80,9 @@ def _docstring_piece(family, f):
     return {comp[A]: 1, comp[B]: 2}.get(comp[C]) or {comp[A]: 4, comp[B]: 5}.get(comp[D], 3)
 
 
-@pytest.mark.parametrize("mn", [(m, n) for m in range(2, 5) for n in range(m, 5)], ids=str)
+@pytest.mark.parametrize(
+    "mn", [(m, n) for m in range(2, 5) for n in range(m, 5)] + [(3, 5), (4, 5)], ids=str
+)
 def test_every_piece_follows_the_docstring_rule(mn):
     g = complete_bipartite_graph(*mn)
     for k in range(1, g.vertex_count - 1):
@@ -112,6 +114,28 @@ def test_split_families_hold_4_w_to_the_w_minus_5(n):
     for sf in build_families(complete_graph(n), 1).per_subset:
         w = len(sf.labels)
         assert len(sf.split_wedge) == len(sf.split_matching) == 4 * w ** (w - 4) // w, sf.labels
+
+
+def test_subsets_of_one_size_share_one_build():
+    # K_8, one past the brute-force oracle: every subset's families equal a
+    # fresh build on its labels, and subsets of one size hold the same masks
+    from forest_spectra.bijections import _build_split_families
+
+    names = ("trees_wedge", "trees_matching", "split_wedge", "split_matching")
+    per_subset = build_families(complete_graph(8), 2).per_subset
+    first = {}
+    for sf in per_subset:
+        fresh = _build_split_families(sf.labels)
+        assert (sf.labels, sf.graph) == (fresh.labels, fresh.graph)
+        for name in names:
+            assert getattr(sf, name) == getattr(fresh, name), (sf.labels, name)
+            shared = first.setdefault((len(sf.labels), name), getattr(sf, name).masks)
+            assert getattr(sf, name).masks is shared, (sf.labels, name)
+        # a Forest read from a shared view lives on the subset's own vertices
+        f = sf.split_wedge[-1]
+        assert f.graph == sf.graph
+        assert sorted(i for _, i in f.vertices) == list(sf.labels)
+    assert len(first) == 4 * 5
 
 
 def test_complete_families_requires_four_vertices():
@@ -528,3 +552,34 @@ def test_hand_built_families_must_hold_spanning_forests():
     with pytest.raises(ValueError) as err:
         bijections_pr123(g, 1, 2, families=foreign)
     assert str(err.value) == "Forest(1-1',1-2',1-3',2-1') is not a spanning forest of K_{2,2}"
+
+
+def test_trees_match_the_union_find_walk():
+    # the old route as the oracle: a union-find over the forest, then a
+    # _find walk from one end of every edge to the root of u or v
+    from forest_spectra.bijections import _trees
+    from forest_spectra.forests import _find, _mask_bits, _mask_union_find
+
+    def walked(ends, n, x, u, v):
+        parent = _mask_union_find(ends, n, x)
+        ru, rv = _find(parent, u), _find(parent, v)
+        tree_u = tree_v = 0
+        for i in _mask_bits(x):
+            root = _find(parent, ends[i][0])
+            if root == ru:
+                tree_u |= 1 << i
+            if root == rv:
+                tree_v |= 1 << i
+        return tree_u, tree_v
+
+    checked = 0
+    for sf in build_families(complete_graph(7), 2).per_subset:
+        g = sf.graph
+        ends, n = g.edge_ends, g.vertex_count
+        p1, p3, p4 = (g.vertices.index(vertex(i)) for i in (1, 3, 4))
+        for family in (sf.trees_wedge, sf.trees_matching, sf.split_wedge, sf.split_matching):
+            for x in family.masks:
+                for u, v in ((p1, p4), (p1, p3)):
+                    assert _trees(ends, n, x, u, v) == walked(ends, n, x, u, v), (sf.labels, x)
+                    checked += 1
+    assert checked > 0
